@@ -15,7 +15,6 @@ waveform and the wave parameters, which is what the fitting module uses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,8 +23,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .integrate import DEFAULT_INIT, SamplingGrid, State, Trajectory, integrate_euler
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, LeadRelation, check_lead, limb_relations
-from .model import (B_FLOOR, EdmParams, N_PARAMS, RhythmParams, baseline,
-                    wave_rate_sum, wrap_angle_array)
+from .model import B_FLOOR, EdmParams, RhythmParams, _wave_terms, baseline, wave_rate_sum
 from .params import ParamTable, _sample_entry, require_dist
 
 
@@ -77,15 +75,27 @@ def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
             f"signal grid {h.grid} does not match reference grid {ref.grid}")
 
 
+def _ref_phase(ref: Trajectory) -> np.ndarray:
+    """Cycle phase atan2(y_l, x_l) at the start of every forward step."""
+    return np.arctan2(ref.y[:-1], ref.x[:-1])
+
+
 def _drift_rate(ref: Trajectory, eta: EdmParams, rhythm: RhythmParams) -> np.ndarray:
     """z-independent part of the rate along the reference: W_l + z0(t_l).
 
     The full model rate is f_z = W + z0 - z, linear in z; precomputing
     W + z0 reduces every distance evaluation to vector arithmetic.
     """
-    phase = np.arctan2(ref.y[:-1], ref.x[:-1])
     t = np.arange(ref.grid.L - 1) * ref.grid.dt
-    return wave_rate_sum(phase, eta) + baseline(t, rhythm)
+    return wave_rate_sum(_ref_phase(ref), eta) + baseline(t, rhythm)
+
+
+def _relation_drift(ref: Trajectory, eta1: EdmParams, eta2: EdmParams,
+                    rel: LeadRelation, rhythm: RhythmParams) -> np.ndarray:
+    """beta*drift(eta1) + gamma*drift(eta2), the rate a limb identity
+    assigns its target lead."""
+    return (rel.beta * _drift_rate(ref, eta1, rhythm)
+            + rel.gamma * _drift_rate(ref, eta2, rhythm))
 
 
 def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
@@ -121,8 +131,7 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
     if rel.target != h.lead:
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    drift = (rel.beta * _drift_rate(ref, eta1, rhythm)
-             + rel.gamma * _drift_rate(ref, eta2, rhythm))
+    drift = _relation_drift(ref, eta1, eta2, rel, rhythm)
     r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
     return float(r @ r)
 
@@ -147,8 +156,7 @@ def grad_sim_distance_interlead_wrt_h(h: LeadSignal, eta1: EdmParams,
     if rel.target != h.lead:
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    drift = (rel.beta * _drift_rate(ref, eta1, rhythm)
-             + rel.gamma * _drift_rate(ref, eta2, rhythm))
+    drift = _relation_drift(ref, eta1, eta2, rel, rhythm)
     return _grad_wrt_h(h.samples, h.grid.dt, drift, rel.beta + rel.gamma)
 
 
@@ -176,44 +184,10 @@ def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
     for w in eta.waves:
         if w.b < B_FLOOR:
             raise ValueError(f"width {w.b} below floor {B_FLOOR}")
-    dt = h.grid.dt
-    r = _residuals(h.samples, dt, _drift_rate(ref, eta, rhythm))
-    phase = np.arctan2(ref.y[:-1], ref.x[:-1])
-    grad = np.empty(N_PARAMS)
-    for i, w in enumerate(eta.waves):
-        d = wrap_angle_array(phase - w.theta)
-        e = np.exp(-(d * d) / (2.0 * w.b * w.b))
-        # rate term is -a*d*e; residual = quotient - rate, so the chain
-        # through the rate flips sign once more.
-        d_r_d_theta = w.a * e * (1.0 - (d * d) / (w.b * w.b)) * -1.0
-        d_r_d_a = d * e
-        d_r_d_b = w.a * (d ** 3) * e / (w.b ** 3)
-        grad[3 * i] = 2.0 * float(r @ d_r_d_theta)
-        grad[3 * i + 1] = 2.0 * float(r @ d_r_d_a)
-        grad[3 * i + 2] = 2.0 * float(r @ d_r_d_b)
-    return grad
-
-
-def jacobian_column_norms_wrt_eta(h: LeadSignal, eta: EdmParams,
-                                  rhythm: RhythmParams,
-                                  ref: Trajectory) -> np.ndarray:
-    """Euclidean norms of d(residual)/d(parameter) columns.
-
-    Used by the fitter to equilibrate parameter scales before descending.
-    """
-    _check_same_grid(h, ref)
-    phase = np.arctan2(ref.y[:-1], ref.x[:-1])
-    norms = np.empty(N_PARAMS)
-    for i, w in enumerate(eta.waves):
-        d = wrap_angle_array(phase - w.theta)
-        e = np.exp(-(d * d) / (2.0 * w.b * w.b))
-        col_theta = w.a * e * (1.0 - (d * d) / (w.b * w.b))
-        col_a = d * e
-        col_b = w.a * (d ** 3) * e / (w.b ** 3)
-        norms[3 * i] = math.sqrt(float(col_theta @ col_theta))
-        norms[3 * i + 1] = math.sqrt(float(col_a @ col_a))
-        norms[3 * i + 2] = math.sqrt(float(col_b @ col_b))
-    return norms
+    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm))
+    # the residual subtracts the rate, so d(r)/d(eta) = -J
+    _, jac = _wave_terms(_ref_phase(ref), eta, jac=True)
+    return -2.0 * (jac @ r)
 
 
 # ---------------------------------------------------------------------------

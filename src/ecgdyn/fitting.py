@@ -18,12 +18,14 @@ import numpy as np
 
 from .errors import ConfigurationError, FitDiverged, InsufficientDataError
 from .fidelity import (LeadSignal, LossWeights, draw_param_samples,
-                       grad_sim_distance_wrt_eta, jacobian_column_norms_wrt_eta,
-                       reference_trajectory, sim_distance, _drift_rate)
+                       grad_sim_distance_wrt_eta, reference_trajectory,
+                       sim_distance, _drift_rate, _grad_wrt_h, _ref_phase,
+                       _relation_drift, _residuals)
 from .integrate import SamplingGrid, Trajectory
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
 from .model import (B_FLOOR, DEFAULT_RHYTHM, EdmParams, PARAM_NAMES,
-                    RhythmParams, eta_to_vector, vector_to_eta, wrap_angle)
+                    RhythmParams, _wave_terms, eta_to_vector, vector_to_eta,
+                    wrap_angle)
 from .params import ParamDistribution, ParamTable, default_eta_for_lead, require_dist
 
 #: Losses at or below this are floating-point noise around an exact optimum;
@@ -188,7 +190,8 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
     at or above B_FLOOR by projection and centers re-wrapped every step.
     """
     x0 = _project_eta_vector(eta_to_vector(eta0))
-    norms = jacobian_column_norms_wrt_eta(h, vector_to_eta(x0), rhythm, ref)
+    _, jac = _wave_terms(_ref_phase(ref), vector_to_eta(x0), jac=True)
+    norms = np.sqrt(np.sum(jac * jac, axis=1))
     floor = 1e-8 * max(float(np.max(norms)), 1.0)
     precond = 1.0 / np.maximum(norms, floor) ** 2
 
@@ -260,13 +263,17 @@ def estimate_distribution(beats, class_code: str, lead: str,
 # ---------------------------------------------------------------------------
 # waveform refinement
 
-# d(derived row)/d(lead I row), d(derived row)/d(lead II row)
-_DERIVED_CHAIN = {
-    "III": (-1.0, 1.0),
-    "aVR": (-0.5, -0.5),
-    "aVL": (1.0, -0.5),
-    "aVF": (-0.5, 1.0),
-}
+def _row_chain() -> dict[str, tuple[slice, float | np.ndarray]]:
+    """Where each lead row sits in the free-row matrix, and with what weights.
+
+    A free lead is its own row. A derived limb lead is a fixed combination
+    of rows I and II; the coefficients are read off derive_limb_rows applied
+    to unit rows, so the chain rule cannot drift from the derivation.
+    """
+    chain = {lead: (slice(j, j + 1), 1.0) for j, lead in enumerate(FREE_LEADS)}
+    unit = derive_limb_rows(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    chain.update({lead: (slice(0, 2), coef) for lead, coef in unit.items()})
+    return chain
 
 
 class _RefineProblem:
@@ -275,7 +282,8 @@ class _RefineProblem:
     The model rate is linear in the waveform, so everything that does not
     depend on the optimization variables (wave-sum drifts per Monte-Carlo
     draw, gains, weights) is evaluated once up front; each loss evaluation
-    is then pure vector arithmetic.
+    is then pure vector arithmetic. Every term is one single-lead distance
+    (weight, lead, gain, drift, z_coeff) on a free or a limb-target row.
     """
 
     def __init__(self, beat: Heartbeat, table: ParamTable,
@@ -291,94 +299,48 @@ class _RefineProblem:
                 for lead in LEAD_NAMES}
         rhythms = {lead: require_dist(table, label, lead).rhythm
                    for lead in LEAD_NAMES}
-        self.free_gains = []   # per draw: gain per free lead
-        self.free_drifts = []  # per draw: drift array per free lead
-        self.rel_gains = []    # per draw: target gain per relation
-        self.rel_drifts = []   # per draw: combined source drift per relation
+        w1 = weights.delta / (n_samples * len(FREE_LEADS))
+        w2 = (1.0 - weights.delta) / (n_samples * len(limb_relations()))
+        free, related = [], []
         for entry in draws:
-            self.free_gains.append([entry[lead][1] for lead in FREE_LEADS])
-            self.free_drifts.append(
-                [_drift_rate(refs[lead], entry[lead][0], rhythms[lead])
-                 for lead in FREE_LEADS])
-            gains, drifts = [], []
+            for lead in FREE_LEADS:
+                eta, gain = entry[lead]
+                free.append((w1, lead, gain,
+                             _drift_rate(refs[lead], eta, rhythms[lead]), 1.0))
             for rel in limb_relations():
-                gains.append(entry[rel.target][1])
-                drifts.append(
-                    rel.beta * _drift_rate(refs[rel.target],
-                                           entry[rel.src1][0],
-                                           rhythms[rel.target])
-                    + rel.gamma * _drift_rate(refs[rel.target],
-                                              entry[rel.src2][0],
-                                              rhythms[rel.target]))
-            self.rel_gains.append(gains)
-            self.rel_drifts.append(drifts)
-        self.relations = limb_relations()
-        self.n_samples = n_samples
-        self.w1 = weights.delta / (n_samples * len(FREE_LEADS))
-        self.w2 = (1.0 - weights.delta) / (n_samples * len(self.relations))
+                drift = _relation_drift(refs[rel.target], entry[rel.src1][0],
+                                        entry[rel.src2][0], rel,
+                                        rhythms[rel.target])
+                related.append((w2, rel.target, entry[rel.target][1], drift,
+                                rel.beta + rel.gamma))
+        self.terms = (free if w1 > 0.0 else []) + (related if w2 > 0.0 else [])
+        self.chain = _row_chain()
 
-    def _target_rows(self, u: np.ndarray) -> dict[str, np.ndarray]:
-        rows = {"I": u[0], "II": u[1]}
+    def _rows(self, u: np.ndarray) -> dict[str, np.ndarray]:
+        rows = {lead: u[j] for j, lead in enumerate(FREE_LEADS)}
         rows.update(derive_limb_rows(u[0], u[1]))
         return rows
 
     def loss(self, u: np.ndarray) -> float:
-        dt = self.dt
+        rows = self._rows(u)
         total = 0.0
-        if self.w1 > 0.0:
-            for s in range(self.n_samples):
-                for j in range(len(FREE_LEADS)):
-                    h = u[j] / self.free_gains[s][j]
-                    r = np.diff(h) / dt - (self.free_drifts[s][j] - h[:-1])
-                    total += self.w1 * float(r @ r)
-        if self.w2 > 0.0:
-            rows = self._target_rows(u)
-            for s in range(self.n_samples):
-                for k, rel in enumerate(self.relations):
-                    c = rel.beta + rel.gamma
-                    v = rows[rel.target] / self.rel_gains[s][k]
-                    r = np.diff(v) / dt - (self.rel_drifts[s][k] - c * v[:-1])
-                    total += self.w2 * float(r @ r)
+        for weight, lead, gain, drift, c in self.terms:
+            r = _residuals(rows[lead] / gain, self.dt, drift, c)
+            total += weight * float(r @ r)
         return total
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        dt = self.dt
+        rows = self._rows(u)
         g = np.zeros_like(u)
-        if self.w1 > 0.0:
-            for s in range(self.n_samples):
-                for j in range(len(FREE_LEADS)):
-                    gain = self.free_gains[s][j]
-                    h = u[j] / gain
-                    r = np.diff(h) / dt - (self.free_drifts[s][j] - h[:-1])
-                    gh = np.zeros(u.shape[1])
-                    gh[1:] += (2.0 / dt) * r
-                    gh[:-1] += 2.0 * (1.0 - 1.0 / dt) * r
-                    g[j] += (self.w1 / gain) * gh
-        if self.w2 > 0.0:
-            rows = self._target_rows(u)
-            for s in range(self.n_samples):
-                for k, rel in enumerate(self.relations):
-                    c = rel.beta + rel.gamma
-                    gain = self.rel_gains[s][k]
-                    v = rows[rel.target] / gain
-                    r = np.diff(v) / dt - (self.rel_drifts[s][k] - c * v[:-1])
-                    gh = np.zeros(u.shape[1])
-                    gh[1:] += (2.0 / dt) * r
-                    gh[:-1] += 2.0 * (c - 1.0 / dt) * r
-                    gh *= self.w2 / gain
-                    if rel.target == "I":
-                        g[0] += gh
-                    elif rel.target == "II":
-                        g[1] += gh
-                    else:
-                        ci, cii = _DERIVED_CHAIN[rel.target]
-                        g[0] += ci * gh
-                        g[1] += cii * gh
+        for weight, lead, gain, drift, c in self.terms:
+            gh = (weight / gain) * _grad_wrt_h(rows[lead] / gain, self.dt,
+                                               drift, c)
+            where, coef = self.chain[lead]
+            g[where] += coef * gh
         return g
 
     def assemble(self, u: np.ndarray, label: str | None) -> Heartbeat:
-        rows = {lead: u[j] for j, lead in enumerate(FREE_LEADS)}
-        rows.update(derive_limb_rows(u[0], u[1]))
+        rows = self._rows(u)
         matrix = np.vstack([rows[name] for name in LEAD_NAMES])
         return Heartbeat(grid=self.grid, leads=matrix, label=label)
 

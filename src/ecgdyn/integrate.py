@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDiverged
-from .model import EdmParams, RhythmParams, State, make_rhs
+from .model import EdmParams, RhythmParams, State, baseline, make_rhs, wave_rate_sum
 
 #: Abort threshold: forward Euler with absurd parameters can blow up silently.
 DIVERGENCE_LIMIT = 1e6
@@ -63,38 +63,51 @@ class Trajectory:
             setattr(self, name, arr)
 
 
-def _check_step(x: float, y: float, z: float, step: int) -> None:
-    m = DIVERGENCE_LIMIT
-    if not (abs(x) < m and abs(y) < m and abs(z) < m):
-        raise IntegrationDiverged(step)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise IntegrationDiverged(step)
+def _check_paths(*paths: np.ndarray) -> None:
+    """Raise IntegrationDiverged at the first step where any path is
+    non-finite or reaches DIVERGENCE_LIMIT; sample 0 is the given init."""
+    bad = np.zeros(len(paths[0]) - 1, dtype=bool)
+    for p in paths:
+        bad |= ~(np.abs(p[1:]) < DIVERGENCE_LIMIT)
+    if bad.any():
+        raise IntegrationDiverged(int(np.argmax(bad)) + 1)
 
 
 def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
                     init: State = DEFAULT_INIT) -> Trajectory:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
 
+    The (x, y) circle does not depend on z or on the waves, so a scalar
+    loop advances x and y alone. The z-rate is linear in z, so its
+    z-independent part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated
+    over the whole path at once, and z follows the recurrence
+    z[l+1] = z[l] + dt*(drift[l] - z[l]). Divergence is checked once over
+    the finished paths and reported at the first bad step.
+
     Sample times run t_l = init.t + l*dt, so a record can be integrated in
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
-    rhs = make_rhs(eta, rhythm)
     dt = grid.dt
-    t0 = init.t
-    n = grid.L
-    xs = np.empty(n)
-    ys = np.empty(n)
-    zs = np.empty(n)
-    x, y, z = init.x, init.y, init.z
-    xs[0], ys[0], zs[0] = x, y, z
-    for step in range(n - 1):
-        dx, dy, dz = rhs(x, y, z, t0 + step * dt)
-        x += dx * dt
-        y += dy * dt
-        z += dz * dt
-        _check_step(x, y, z, step + 1)
-        xs[step + 1], ys[step + 1], zs[step + 1] = x, y, z
+    omega = rhythm.omega
+    sqrt = math.sqrt
+    x, y = init.x, init.y
+    xs, ys = [x], [y]
+    for _ in range(grid.L - 1):
+        alpha = 1.0 - sqrt(x * x + y * y)
+        x, y = x + (alpha * x - omega * y) * dt, y + (alpha * y + omega * x) * dt
+        xs.append(x)
+        ys.append(y)
+    xs, ys = np.array(xs), np.array(ys)
+    t = init.t + grid.times()[:-1]
+    drift = wave_rate_sum(np.arctan2(ys[:-1], xs[:-1]), eta) + baseline(t, rhythm)
+    z = init.z
+    zs = [z]
+    for d in drift.tolist():
+        z += dt * (d - z)
+        zs.append(z)
+    zs = np.array(zs)
+    _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)
 
 
@@ -123,6 +136,6 @@ def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
         x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y += (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         z += (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        _check_step(x, y, z, step + 1)
         xs[step + 1], ys[step + 1], zs[step + 1] = x, y, z
+    _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)

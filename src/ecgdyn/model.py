@@ -4,6 +4,13 @@ The model runs a point around an attracting unit circle in the (x, y)
 plane; one revolution is one cardiac cycle. Five Gaussian events placed
 at fixed angles deflect the vertical coordinate z, producing the P, Q,
 R, S and T waves. A slow sinusoid models respiratory baseline wander.
+
+The structure every other module builds on: the (x, y) circle ignores
+the waves, and the z-rate W(phase) + z0(t) - z is linear in z and in the
+wave amplitudes. ``_wave_terms`` is the only vectorized copy of the
+Gaussian sum W and of its Jacobian in the wave parameters; integration,
+the consistency distances and fitting all evaluate W through it.
+``make_rhs`` keeps a scalar copy for the RK4 reference and ``eval_rhs``.
 """
 
 from __future__ import annotations
@@ -36,15 +43,6 @@ def wrap_angle(phi: float) -> float:
     if w >= math.pi:  # float modulo can land exactly on the seam
         w = -math.pi
     return w
-
-
-def wrap_angle_array(phi: np.ndarray) -> np.ndarray:
-    """Vectorized wrap_angle; in-range entries pass through unchanged."""
-    phi = np.asarray(phi, dtype=float)
-    w = np.mod(phi + np.pi, TWO_PI) - np.pi
-    w[w >= np.pi] = -np.pi
-    in_range = (phi >= -np.pi) & (phi < np.pi)
-    return np.where(in_range, phi, w)
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,8 @@ def baseline(t, rhythm: RhythmParams):
 def make_rhs(eta: EdmParams, rhythm: RhythmParams):
     """Build a fast scalar f(x, y, z, t) -> (dx, dy, dz) closure.
 
-    Integrators call this once per run so the per-step work is plain
-    float arithmetic over precomputed wave constants.
+    The RK4 reference integrator calls this once per run so the per-step
+    work is plain float arithmetic over precomputed wave constants.
     """
     waves = tuple((w.theta, w.a, 1.0 / (2.0 * w.b * w.b)) for w in eta.waves)
     omega = rhythm.omega
@@ -195,14 +193,34 @@ def eval_rhs(s: State, eta: EdmParams, rhythm: RhythmParams) -> tuple[float, flo
     return make_rhs(eta, rhythm)(s.x, s.y, s.z, s.t)
 
 
-def wave_rate_sum(phase: np.ndarray, eta: EdmParams) -> np.ndarray:
-    """Vectorized Gaussian-event part of dz: -sum_i a_i*d_i*exp(-d_i^2/2b_i^2)."""
+def _wave_terms(phase, eta: EdmParams, jac: bool = False):
+    """Gaussian-event rate W and, if jac is set, its parameter Jacobian.
+
+    W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
+    Returns (W, J): J is the 15 x N array of dW/d(eta) rows in PARAM_NAMES
+    order, or None without jac. phase must lie in [-pi, pi]; with theta in
+    [-pi, pi) one conditional 2*pi shift then wraps d, as in ``make_rhs``,
+    and J treats that shift as locally constant.
+    """
     phase = np.asarray(phase, dtype=float)
-    total = np.zeros_like(phase)
-    for w in eta.waves:
-        d = wrap_angle_array(phase - w.theta)
-        total -= w.a * d * np.exp(-(d * d) / (2.0 * w.b * w.b))
-    return total
+    w_sum = np.zeros_like(phase)
+    J = np.empty((N_PARAMS,) + phase.shape) if jac else None
+    for i, w in enumerate(eta.waves):
+        d = phase - w.theta
+        d = np.where(d >= math.pi, d - TWO_PI, np.where(d < -math.pi, d + TWO_PI, d))
+        dd = d * d
+        e = np.exp(-dd / (2.0 * w.b * w.b))
+        w_sum -= w.a * d * e
+        if jac:
+            J[3 * i] = w.a * e * (1.0 - dd / (w.b * w.b))
+            J[3 * i + 1] = -(d * e)
+            J[3 * i + 2] = -(w.a * (dd * d) * e / w.b ** 3)
+    return w_sum, J
+
+
+def wave_rate_sum(phase: np.ndarray, eta: EdmParams) -> np.ndarray:
+    """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``."""
+    return _wave_terms(phase, eta)[0]
 
 
 # Reference resting-beat parameters: visible P wave, dominant R, broad T.

@@ -27,13 +27,16 @@ def baseline(t, amp, f2):
     return amp * math.sin(2.0 * math.pi * f2 * t)
 
 
-def fz(x, y, z, t, theta=THETA, a=AMP, b=WIDTH, wander=0.15, f2=0.25):
-    phase = math.atan2(y, x)
+def wave_sum(phase, theta=THETA, a=AMP, b=WIDTH):
     acc = 0.0
     for i in range(5):
         d = wrap(phase - theta[i])
         acc += a[i] * d * math.exp(-(d * d) / (2.0 * b[i] * b[i]))
-    return -acc - (z - baseline(t, wander, f2))
+    return -acc
+
+
+def fz(x, y, z, t, theta=THETA, a=AMP, b=WIDTH, wander=0.15, f2=0.25):
+    return wave_sum(math.atan2(y, x), theta, a, b) - (z - baseline(t, wander, f2))
 
 
 def euler_trajectory(fs, n, f=1.0, theta=THETA, a=AMP, b=WIDTH,

@@ -6,8 +6,8 @@ import pytest
 from ecgdyn.errors import FitDiverged, InsufficientDataError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              reference_trajectory, sim_distance)
-from ecgdyn.fitting import (OptimConfig, estimate_distribution, fit_params,
-                            refine_waveform)
+from ecgdyn.fitting import (OptimConfig, _RefineProblem, estimate_distribution,
+                            fit_params, refine_waveform)
 from ecgdyn.integrate import beat_grid, integrate_euler
 from ecgdyn.leads import FREE_LEADS, Heartbeat, check_lead_consistency, synthesize_heartbeat
 from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, eta_to_vector,
@@ -170,6 +170,26 @@ class TestRefineWaveform:
         a = refine_waveform(beat0, table, LossWeights(0.6), cfg, seed=5)
         b = refine_waveform(beat0, table, LossWeights(0.6), cfg, seed=5)
         assert np.array_equal(a.leads, b.leads)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
+    def test_gradient_matches_central_differences(self, delta):
+        # the loss is quadratic in the free rows, so central differences
+        # are exact up to rounding along any direction
+        beat = _noise_beat(seed=21)
+        problem = _RefineProblem(beat, default_distributions(),
+                                 LossWeights(delta), n_samples=2, seed=3)
+        u = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
+        g = problem.grad(u)
+        rng = np.random.default_rng(22)
+        directions = [rng.standard_normal(u.shape) for _ in range(4)]
+        for j, k in ((0, 0), (1, 250), (0, GRID.L - 1), (5, 17)):
+            unit = np.zeros(u.shape)
+            unit[j, k] = 1.0
+            directions.append(unit)
+        h = 1e-4
+        for v in directions:
+            fd = (problem.loss(u + h * v) - problem.loss(u - h * v)) / (2.0 * h)
+            assert float(np.sum(g * v)) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_label_preserved(self):
         table = default_distributions()

@@ -92,11 +92,19 @@ class TestEuler:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
 
     def test_divergence_guard_names_step(self):
-        wild = RhythmParams(f=1e6, A=0.0, f2=0.25)
-        with pytest.raises(IntegrationDiverged) as err:
-            integrate_euler(DEFAULT_ETA, wild, SamplingGrid(500.0, 500))
-        assert err.value.step >= 1
-        assert "step" in str(err.value)
+        # the named step is the first whose state is non-finite or reaches
+        # DIVERGENCE_LIMIT, whatever the integrator computes after it
+        huge_r = EdmParams(DEFAULT_ETA.P, DEFAULT_ETA.Q,
+                           WaveParams(DEFAULT_ETA.R.theta, 1e12, DEFAULT_ETA.R.b),
+                           DEFAULT_ETA.S, DEFAULT_ETA.T)
+        cases = [(DEFAULT_ETA, RhythmParams(f=1e6, A=0.0, f2=0.25), 2),
+                 (DEFAULT_ETA, RhythmParams(f=300.0, A=0.0, f2=0.25), 8),
+                 (huge_r, DEFAULT_RHYTHM, 220)]
+        for eta, rhythm, step in cases:
+            with pytest.raises(IntegrationDiverged) as err:
+                integrate_euler(eta, rhythm, SamplingGrid(500.0, 500))
+            assert err.value.step == step
+            assert "step" in str(err.value)
 
     def test_time_offset_chaining(self):
         # two chained half-beats track the single full integration
@@ -135,6 +143,13 @@ class TestRk4:
             rk4 = integrate_rk4(DEFAULT_ETA, DEFAULT_RHYTHM, grid)
             diffs[fs] = float(np.max(np.abs(euler.z - rk4.z)))
         assert 1.7 <= diffs[500] / diffs[1000] <= 2.3
+
+    def test_divergence_guard_names_step(self):
+        for f, step in ((1e6, 1), (300.0, 6)):
+            with pytest.raises(IntegrationDiverged) as err:
+                integrate_rk4(DEFAULT_ETA, RhythmParams(f=f, A=0.0, f2=0.25),
+                              SamplingGrid(500.0, 500))
+            assert err.value.step == step
 
     def test_limit_cycle_attraction_quick(self):
         grid = SamplingGrid(2000.0, 2000 * 6)  # six seconds

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
-from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, EdmParams, RhythmParams,
-                          State, WaveParams, baseline, eta_to_vector, eval_rhs,
-                          vector_to_eta, wave_rate_sum, wrap_angle,
-                          wrap_angle_array)
+from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, PARAM_NAMES, EdmParams,
+                          RhythmParams, State, WaveParams, _wave_terms,
+                          baseline, eta_to_vector, eval_rhs, vector_to_eta,
+                          wave_rate_sum, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,10 +46,50 @@ class TestWrapAngle:
             wrap_angle(bad)
 
     def test_array_variant_matches_scalar(self):
-        phis = np.linspace(-10.0, 10.0, 101)
-        wrapped = wrap_angle_array(phis)
-        for phi, w in zip(phis, wrapped):
-            assert w == wrap_angle(float(phi))
+        # the rate kernel's single conditional shift agrees with the scalar
+        # while-loop wrap on both sides of the +-pi seam
+        eta = _seam_eta()
+        phases = np.concatenate([np.linspace(-math.pi, math.pi, 101),
+                                 [math.pi - 1e-3, -math.pi + 1e-3]])
+        got = wave_rate_sum(phases, eta)
+        theta, a, b = (tuple(w.theta for w in eta.waves),
+                       tuple(w.a for w in eta.waves),
+                       tuple(w.b for w in eta.waves))
+        for phase, g in zip(phases, got):
+            expect = oracle.wave_sum(float(phase), theta, a, b)
+            assert g == pytest.approx(expect, rel=1e-14, abs=1e-13)
+
+
+def _seam_eta():
+    """Resting beat with the P and T centers within 0.1 rad of -pi and pi."""
+    return EdmParams(P=WaveParams(-3.05, 1.2, 0.25), Q=DEFAULT_ETA.Q,
+                     R=DEFAULT_ETA.R, S=DEFAULT_ETA.S,
+                     T=WaveParams(3.08, 0.75, 0.4))
+
+
+class TestWaveTerms:
+    def test_jacobian_rows_match_central_differences(self):
+        eta = _seam_eta()
+        # both sides of the +-pi seam; every phase stays clear of the
+        # antipode of each center, where the wrapped offset jumps by 2*pi
+        phases = np.concatenate([np.linspace(-math.pi, math.pi, 80),
+                                 [math.pi - 0.02, -math.pi + 0.02,
+                                  math.pi - 0.1, -math.pi + 0.1]])
+        antipodes = [w.theta + (math.pi if w.theta < 0 else -math.pi)
+                     for w in eta.waves]
+        phases = phases[np.all([np.abs(phases - p) > 1e-3 for p in antipodes],
+                               axis=0)]
+        _, jac = _wave_terms(phases, eta, jac=True)
+        v = eta_to_vector(eta)
+        h = 1e-6
+        for k, name in enumerate(PARAM_NAMES):
+            up, down = v.copy(), v.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (wave_rate_sum(phases, vector_to_eta(up))
+                  - wave_rate_sum(phases, vector_to_eta(down))) / (2.0 * h)
+            np.testing.assert_allclose(jac[k], fd, rtol=1e-6, atol=1e-6,
+                                       err_msg=name)
 
 
 def _flat_eta():
