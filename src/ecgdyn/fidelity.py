@@ -11,6 +11,12 @@ to the dynamics of the leads that generate them.
 
 Both distances are differentiable in closed form with respect to the
 waveform and the wave parameters, which is what the fitting module uses.
+
+The combined loss averages these terms over Monte-Carlo draws of the wave
+parameters. ``_mc_terms`` is the one place that builds them: scoring
+(``loss_components``) and waveform refinement both read its term list, and
+within a draw it evaluates each drift once per (lead, rhythm) pair, so a
+limb identity reuses the drifts of its source leads' own terms.
 """
 
 from __future__ import annotations
@@ -80,22 +86,18 @@ def _ref_phase(ref: Trajectory) -> np.ndarray:
     return np.arctan2(ref.y[:-1], ref.x[:-1])
 
 
-def _drift_rate(ref: Trajectory, eta: EdmParams, rhythm: RhythmParams) -> np.ndarray:
+def _drift_rate(ref: Trajectory, eta: EdmParams, rhythm: RhythmParams,
+                w: np.ndarray | None = None) -> np.ndarray:
     """z-independent part of the rate along the reference: W_l + z0(t_l).
 
     The full model rate is f_z = W + z0 - z, linear in z; precomputing
-    W + z0 reduces every distance evaluation to vector arithmetic.
+    W + z0 reduces every distance evaluation to vector arithmetic. Pass
+    w to reuse a W already evaluated on the reference phase.
     """
+    if w is None:
+        w = wave_rate_sum(_ref_phase(ref), eta)
     t = np.arange(ref.grid.L - 1) * ref.grid.dt
-    return wave_rate_sum(_ref_phase(ref), eta) + baseline(t, rhythm)
-
-
-def _relation_drift(ref: Trajectory, eta1: EdmParams, eta2: EdmParams,
-                    rel: LeadRelation, rhythm: RhythmParams) -> np.ndarray:
-    """beta*drift(eta1) + gamma*drift(eta2), the rate a limb identity
-    assigns its target lead."""
-    return (rel.beta * _drift_rate(ref, eta1, rhythm)
-            + rel.gamma * _drift_rate(ref, eta2, rhythm))
+    return w + baseline(t, rhythm)
 
 
 def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
@@ -131,7 +133,8 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
     if rel.target != h.lead:
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    drift = _relation_drift(ref, eta1, eta2, rel, rhythm)
+    drift = (rel.beta * _drift_rate(ref, eta1, rhythm)
+             + rel.gamma * _drift_rate(ref, eta2, rhythm))
     r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
     return float(r @ r)
 
@@ -145,19 +148,6 @@ def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
     _check_same_grid(h, ref)
     return _grad_wrt_h(h.samples, h.grid.dt,
                        _drift_rate(ref, eta, rhythm), 1.0)
-
-
-def grad_sim_distance_interlead_wrt_h(h: LeadSignal, eta1: EdmParams,
-                                      eta2: EdmParams, rel: LeadRelation,
-                                      rhythm: RhythmParams,
-                                      ref: Trajectory) -> np.ndarray:
-    """Waveform gradient of the two-source distance."""
-    _check_same_grid(h, ref)
-    if rel.target != h.lead:
-        raise ValueError(
-            f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    drift = _relation_drift(ref, eta1, eta2, rel, rhythm)
-    return _grad_wrt_h(h.samples, h.grid.dt, drift, rel.beta + rel.gamma)
 
 
 def _grad_wrt_h(h: np.ndarray, dt: float, drift: np.ndarray,
@@ -184,9 +174,9 @@ def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
     for w in eta.waves:
         if w.b < B_FLOOR:
             raise ValueError(f"width {w.b} below floor {B_FLOOR}")
-    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm))
+    w, jac = _wave_terms(_ref_phase(ref), eta, jac=True)
+    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
     # the residual subtracts the rate, so d(r)/d(eta) = -J
-    _, jac = _wave_terms(_ref_phase(ref), eta, jac=True)
     return -2.0 * (jac @ r)
 
 
@@ -217,6 +207,43 @@ def _beat_label(beat: Heartbeat) -> str:
     return beat.label
 
 
+def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
+              n_samples: int, seed):
+    """The Monte-Carlo terms of the combined loss, one (single, related)
+    pair of lists per draw.
+
+    single holds every lead's own term (lead, gain, drift, 1.0) in
+    LEAD_NAMES order; related holds every limb identity's term
+    (target, gain, beta*drift(src1) + gamma*drift(src2), beta + gamma) in
+    limb_relations() order, with the target's gain, rhythm and reference.
+    A term scores a lead h through _residuals(h / gain, dt, drift, c).
+    Within a draw each drift is evaluated once per (lead, rhythm) pair.
+    """
+    draws = draw_param_samples(table, label, n_samples, seed)
+    rhythms = {lead: require_dist(table, label, lead).rhythm for lead in LEAD_NAMES}
+    refs = {lead: reference_trajectory(rhythms[lead], grid) for lead in LEAD_NAMES}
+    out = []
+    for entry in draws:
+        drifts = {}
+
+        def drift(lead, via):
+            """Drift of lead's draw on the rhythm and reference of lead via."""
+            key = (lead, rhythms[via])
+            if key not in drifts:
+                drifts[key] = _drift_rate(refs[via], entry[lead][0], rhythms[via])
+            return drifts[key]
+
+        single = [(lead, entry[lead][1], drift(lead, lead), 1.0)
+                  for lead in LEAD_NAMES]
+        related = [(rel.target, entry[rel.target][1],
+                    rel.beta * drift(rel.src1, rel.target)
+                    + rel.gamma * drift(rel.src2, rel.target),
+                    rel.beta + rel.gamma)
+                   for rel in limb_relations()]
+        out.append((single, related))
+    return out
+
+
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
                     seed=0):
     """Monte-Carlo (single-lead, inter-lead, per-lead) loss estimates.
@@ -227,32 +254,21 @@ def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
     own mean single-lead distance (reporting only).
     """
     label = _beat_label(beat)
-    draws = draw_param_samples(table, label, n_samples, seed)
-    refs = {
-        lead: reference_trajectory(require_dist(table, label, lead).rhythm,
-                                   beat.grid)
-        for lead in LEAD_NAMES
-    }
-    rhythms = {lead: require_dist(table, label, lead).rhythm for lead in LEAD_NAMES}
+
+    def distance(lead, gain, drift, c):
+        h = LeadSignal(beat.grid, beat.lead(lead) / gain, lead=lead).samples
+        r = _residuals(h, beat.grid.dt, drift, c)
+        return float(r @ r)
 
     per_lead = {lead: 0.0 for lead in LEAD_NAMES}
-    for entry in draws:
-        for lead in LEAD_NAMES:
-            eta, gain = entry[lead]
-            sig = LeadSignal(beat.grid, beat.lead(lead) / gain, lead=lead)
-            per_lead[lead] += sim_distance(sig, eta, rhythms[lead], refs[lead])
+    l2_total = 0.0
+    for single, related in _mc_terms(beat.grid, table, label, n_samples, seed):
+        for term in single:
+            per_lead[term[0]] += distance(*term)
+        for term in related:
+            l2_total += distance(*term)
     per_lead = {lead: v / n_samples for lead, v in per_lead.items()}
     l1 = sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS)
-
-    l2_total = 0.0
-    for entry in draws:
-        for rel in limb_relations():
-            _, gain_t = entry[rel.target]
-            sig = LeadSignal(beat.grid, beat.lead(rel.target) / gain_t,
-                             lead=rel.target)
-            l2_total += sim_distance_interlead(
-                sig, entry[rel.src1][0], entry[rel.src2][0], rel,
-                rhythms[rel.target], refs[rel.target])
     l2 = l2_total / (n_samples * len(limb_relations()))
     return l1, l2, per_lead
 

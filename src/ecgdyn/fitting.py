@@ -17,16 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FitDiverged, InsufficientDataError
-from .fidelity import (LeadSignal, LossWeights, draw_param_samples,
-                       grad_sim_distance_wrt_eta, reference_trajectory,
-                       sim_distance, _drift_rate, _grad_wrt_h, _ref_phase,
-                       _relation_drift, _residuals)
+from .fidelity import (LeadSignal, LossWeights, grad_sim_distance_wrt_eta,
+                       reference_trajectory, sim_distance, _grad_wrt_h,
+                       _mc_terms, _ref_phase, _residuals)
 from .integrate import SamplingGrid, Trajectory
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
-from .model import (B_FLOOR, DEFAULT_RHYTHM, EdmParams, PARAM_NAMES,
-                    RhythmParams, _wave_terms, eta_to_vector, vector_to_eta,
-                    wrap_angle)
-from .params import ParamDistribution, ParamTable, default_eta_for_lead, require_dist
+from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, _project_eta_vector,
+                    _wave_terms, eta_to_vector, vector_to_eta)
+from .params import ParamDistribution, ParamTable, default_eta_for_lead
 
 #: Losses at or below this are floating-point noise around an exact optimum;
 #: descending further would only churn bits.
@@ -170,15 +168,6 @@ def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
     return x, loss, iterations, converged
 
 
-def _project_eta_vector(v: np.ndarray) -> np.ndarray:
-    for i, name in enumerate(PARAM_NAMES):
-        if name.endswith(".theta"):
-            v[i] = wrap_angle(float(v[i]))
-        elif name.endswith(".b"):
-            v[i] = max(float(v[i]), B_FLOOR)
-    return v
-
-
 def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
                ref: Trajectory, cfg: OptimConfig = OptimConfig()) -> FitResult:
     """Descend the single-lead distance over the 15 wave parameters.
@@ -282,8 +271,10 @@ class _RefineProblem:
     The model rate is linear in the waveform, so everything that does not
     depend on the optimization variables (wave-sum drifts per Monte-Carlo
     draw, gains, weights) is evaluated once up front; each loss evaluation
-    is then pure vector arithmetic. Every term is one single-lead distance
-    (weight, lead, gain, drift, z_coeff) on a free or a limb-target row.
+    is then pure vector arithmetic. The terms are those ``fidelity._mc_terms``
+    builds for ``loss_components``: each free lead's own term weighted by
+    w1, then each limb identity's term weighted by w2, every one a
+    single-lead distance (weight, lead, gain, drift, z_coeff).
     """
 
     def __init__(self, beat: Heartbeat, table: ParamTable,
@@ -292,27 +283,12 @@ class _RefineProblem:
             raise ConfigurationError("refinement requires a labeled heartbeat")
         self.grid = beat.grid
         self.dt = beat.grid.dt
-        label = beat.label
-        draws = draw_param_samples(table, label, n_samples, seed)
-        refs = {lead: reference_trajectory(
-                    require_dist(table, label, lead).rhythm, beat.grid)
-                for lead in LEAD_NAMES}
-        rhythms = {lead: require_dist(table, label, lead).rhythm
-                   for lead in LEAD_NAMES}
+        draws = _mc_terms(beat.grid, table, beat.label, n_samples, seed)
         w1 = weights.delta / (n_samples * len(FREE_LEADS))
         w2 = (1.0 - weights.delta) / (n_samples * len(limb_relations()))
-        free, related = [], []
-        for entry in draws:
-            for lead in FREE_LEADS:
-                eta, gain = entry[lead]
-                free.append((w1, lead, gain,
-                             _drift_rate(refs[lead], eta, rhythms[lead]), 1.0))
-            for rel in limb_relations():
-                drift = _relation_drift(refs[rel.target], entry[rel.src1][0],
-                                        entry[rel.src2][0], rel,
-                                        rhythms[rel.target])
-                related.append((w2, rel.target, entry[rel.target][1], drift,
-                                rel.beta + rel.gamma))
+        free = [(w1,) + t for single, _ in draws for t in single
+                if t[0] in FREE_LEADS]
+        related = [(w2,) + t for _, rel_terms in draws for t in rel_terms]
         self.terms = (free if w1 > 0.0 else []) + (related if w2 > 0.0 else [])
         self.chain = _row_chain()
 

@@ -21,7 +21,6 @@ LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF",
 
 #: Leads synthesized by direct integration; the other four are derived.
 FREE_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
-DERIVED_LEADS = ("III", "aVR", "aVL", "aVF")
 
 LEAD_INDEX = {name: i for i, name in enumerate(LEAD_NAMES)}
 

@@ -95,6 +95,16 @@ PARAM_NAMES = tuple(
 N_PARAMS = len(PARAM_NAMES)  # 15
 
 
+def _project_eta_vector(v: np.ndarray) -> np.ndarray:
+    """Wrap the centers to [-pi, pi) and clamp the widths at B_FLOOR, in place."""
+    for i, name in enumerate(PARAM_NAMES):
+        if name.endswith(".theta"):
+            v[i] = wrap_angle(float(v[i]))
+        elif name.endswith(".b"):
+            v[i] = max(float(v[i]), B_FLOOR)
+    return v
+
+
 def eta_to_vector(eta: EdmParams) -> np.ndarray:
     """Flatten to the canonical 15-vector (theta, a, b per wave, P..T)."""
     out = np.empty(N_PARAMS)

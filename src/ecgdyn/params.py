@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, ParamFileError
 from .leads import LEAD_INDEX, LEAD_NAMES
 from .model import (B_FLOOR, N_PARAMS, PARAM_NAMES, RhythmParams, EdmParams,
-                    eta_to_vector, vector_to_eta, wrap_angle, DEFAULT_ETA,
-                    DEFAULT_RHYTHM, WAVE_NAMES)
+                    _project_eta_vector, eta_to_vector, vector_to_eta,
+                    DEFAULT_ETA, DEFAULT_RHYTHM, WAVE_NAMES)
 
 _CLASS_RE = re.compile(r"^[A-Z0-9]+$")
 
@@ -86,11 +86,7 @@ def _sample_entry(dist: ParamDistribution, rng: np.random.Generator):
     """One draw of (eta, gain); consumes exactly 16 normals from rng."""
     draw = rng.standard_normal(N_PARAMS + 1)
     vals = np.asarray(dist.mean) + np.asarray(dist.std) * draw[:N_PARAMS]
-    for i, name in enumerate(PARAM_NAMES):
-        if name.endswith(".theta"):
-            vals[i] = wrap_angle(float(vals[i]))
-        elif name.endswith(".b"):
-            vals[i] = max(float(vals[i]), B_FLOOR)
+    _project_eta_vector(vals)
     gain = max(dist.gain_mean + dist.gain_std * draw[N_PARAMS], GAIN_FLOOR)
     return vector_to_eta(vals), float(gain)
 

@@ -1,9 +1,12 @@
 """Consistency distances, combined loss, analytic gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import naive_reference as oracle
+from ecgdyn import fidelity, model
 from ecgdyn.errors import ConfigurationError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              grad_sim_distance_wrt_eta, grad_sim_distance_wrt_h,
@@ -11,8 +14,8 @@ from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              sim_distance_interlead)
 from ecgdyn.integrate import beat_grid, integrate_euler
 from ecgdyn.leads import FREE_LEADS, LeadRelation, limb_relations, synthesize_heartbeat
-from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, eta_to_vector,
-                          vector_to_eta)
+from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
+                          eta_to_vector, vector_to_eta)
 from ecgdyn.params import default_distributions, zero_variance
 from ecgdyn.fidelity import draw_param_samples
 
@@ -21,6 +24,30 @@ GRID = beat_grid(500, 1.0)
 # independent direct-summation value for an all-zero waveform under the
 # default parameters (computed by tests/naive_reference.py, frozen here)
 ZEROS_DISTANCE = 101.4489774971078
+
+
+MIXED_RHYTHMS = {"I": RhythmParams(f=1.1, A=0.05, f2=0.3),
+                 "III": RhythmParams(f=0.9, A=0.2, f2=0.2),
+                 "aVR": RhythmParams(f=1.2, A=0.1, f2=0.35)}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def with_rhythms(table, rhythms):
+    """Copy of a table with the given leads' rhythms replaced."""
+    return {key: replace(dist, rhythm=rhythms.get(dist.lead, dist.rhythm))
+            for key, dist in table.items()}
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +185,17 @@ class TestCombinedLoss:
         assert combined == pytest.approx(0.4 * l2, rel=1e-12)
         assert l2 > 0.0
 
-    def test_l2_matches_pair_oracle(self, zero_table, ref):
-        entry = draw_param_samples(zero_table, "NORMAL", 1, 3)[0]
+    # in "mixed" I, III and aVR have rhythms of their own, so a limb
+    # identity must rate its sources on the target's rhythm, not their own
+    @pytest.mark.parametrize("rhythms", [{}, MIXED_RHYTHMS],
+                             ids=["shared", "mixed"])
+    def test_l2_matches_pair_oracle(self, zero_table, rhythms):
+        table = with_rhythms(zero_table, rhythms)
+        entry = draw_param_samples(table, "NORMAL", 1, 3)[0]
         beat = synthesize_heartbeat(
             {lead: entry[lead][0] for lead in FREE_LEADS}, DEFAULT_RHYTHM, GRID,
             gains={lead: entry[lead][1] for lead in FREE_LEADS}, label="NORMAL")
-        _, l2, _ = loss_components(beat, zero_table, n_samples=2, seed=7)
+        _, l2, _ = loss_components(beat, table, n_samples=2, seed=7)
 
         def as_tuple(eta):
             v = eta_to_vector(eta)
@@ -171,12 +203,23 @@ class TestCombinedLoss:
 
         total = 0.0
         for rel in limb_relations():
-            gain = zero_table[("NORMAL", rel.target)].gain_mean
-            h = (beat.lead(rel.target) / gain).tolist()
+            dist = table[("NORMAL", rel.target)]
+            rhythm = dist.rhythm
+            ref = integrate_euler(DEFAULT_ETA, rhythm, GRID)
+            h = (beat.lead(rel.target) / dist.gain_mean).tolist()
             total += oracle.sim_distance_pair(
                 h, ref.x.tolist(), ref.y.tolist(), 500, rel.beta, rel.gamma,
-                as_tuple(entry[rel.src1][0]), as_tuple(entry[rel.src2][0]))
+                as_tuple(entry[rel.src1][0]), as_tuple(entry[rel.src2][0]),
+                wander=rhythm.A, f2=rhythm.f2)
         assert l2 == pytest.approx(total / 6.0, rel=1e-9)
+
+    def test_each_drift_evaluated_once_per_draw(self, monkeypatch):
+        # the shipped table shares one rhythm, so the limb identities reuse
+        # their sources' drifts: 12 per draw, not 12 + 2 * 6
+        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
+        loss_components(self._noise_beat(), default_distributions(),
+                        n_samples=3, seed=1)
+        assert len(calls) == 12 * 3
 
     def test_seeded_determinism(self, zero_table):
         beat = self._noise_beat()
@@ -281,6 +324,15 @@ class TestGradients:
         probe[7] -= step * g[7]
         assert sim_distance(h, vector_to_eta(probe), DEFAULT_RHYTHM, ref) < base
         assert np.sign(-g[7]) == np.sign(v_true[7] - v[7])
+
+    def test_grad_eta_evaluates_w_once(self, monkeypatch, ref):
+        # wave_rate_sum reaches W through model's binding, the Jacobian
+        # call through fidelity's; count both
+        calls = count_calls(monkeypatch, model, "_wave_terms")
+        monkeypatch.setattr(fidelity, "_wave_terms", model._wave_terms)
+        h = LeadSignal(GRID, ref.z + 0.01)
+        grad_sim_distance_wrt_eta(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        assert len(calls) == 1
 
     def test_width_floor_enforced(self, ref):
         v = eta_to_vector(DEFAULT_ETA)

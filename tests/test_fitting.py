@@ -191,6 +191,19 @@ class TestRefineWaveform:
             fd = (problem.loss(u + h * v) - problem.loss(u - h * v)) / (2.0 * h)
             assert float(np.sum(g * v)) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
+    def test_loss_matches_combined_score(self, delta):
+        # refine and score read one Monte-Carlo term list, so on a beat
+        # that satisfies the limb identities their losses agree
+        table = default_distributions()
+        problem = _RefineProblem(_noise_beat(seed=23), table,
+                                 LossWeights(delta), n_samples=3, seed=4)
+        u = np.vstack([_noise_beat(seed=24).lead(lead) for lead in FREE_LEADS])
+        beat = problem.assemble(u, "NORMAL")
+        assert problem.loss(u) == pytest.approx(
+            euler_loss_combined(beat, table, LossWeights(delta), n_samples=3,
+                                seed=4), rel=1e-12)
+
     def test_label_preserved(self):
         table = default_distributions()
         out = refine_waveform(_noise_beat(seed=13), table, LossWeights(0.6),
