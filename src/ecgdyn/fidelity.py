@@ -10,7 +10,9 @@ of two source-lead rates dictated by a limb identity, tying derived leads
 to the dynamics of the leads that generate them.
 
 Both distances are differentiable in closed form with respect to the
-waveform and the wave parameters, which is what the fitting module uses.
+waveform and the wave parameters. Waveform refinement uses the gradient in
+the waveform; parameter fitting forms the single-lead residual itself and
+takes its parameter Jacobian from ``model._wave_terms``.
 
 The combined loss averages these terms over Monte-Carlo draws of the wave
 parameters. ``_mc_terms`` is the one place that builds them: scoring

@@ -1,12 +1,13 @@
-"""Gradient-based uses of the consistency distances.
+"""Uses of the consistency distances: fitting, summarizing, refining.
 
 Three consumers of the same machinery: recover wave parameters from an
 observed lead, turn a pile of beats into a per-class Gaussian, and polish
 a full 12-lead beat by descending the combined loss over its free leads.
-Parameter fitting runs backtracking descent with a simple decrease test
-in Jacobian-equilibrated coordinates; the waveform objective is an exact
-quadratic, where first-order conjugate directions converge in a fraction
-of the steps plain descent needs.
+Parameter fitting is Levenberg-Marquardt on the residual of the
+single-lead distance, whose Jacobian is the one ``model._wave_terms``
+returns with W; the waveform objective is an exact quadratic, where
+first-order conjugate directions converge in a fraction of the steps
+plain descent needs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FitDiverged, InsufficientDataError
-from .fidelity import (LeadSignal, LossWeights, grad_sim_distance_wrt_eta,
-                       reference_trajectory, sim_distance, _grad_wrt_h,
-                       _mc_terms, _ref_phase, _residuals)
+from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
+                       _check_same_grid, _drift_rate, _grad_wrt_h, _mc_terms,
+                       _ref_phase, _residuals)
 from .integrate import SamplingGrid, Trajectory
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
 from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, _project_eta_vector,
@@ -30,23 +31,28 @@ from .params import ParamDistribution, ParamTable, default_eta_for_lead
 #: descending further would only churn bits.
 LOSS_FLOOR = 1e-15
 
+#: Levenberg-Marquardt damping: the first trial's lambda, the factor lambda
+#: moves by, and the lambda past which the fit has stalled. Much smaller
+#: starting values take Gauss-Newton-sized first steps into wrong minima.
+_LM_LAMBDA0 = 1.0
+_LM_FACTOR = 10.0
+_LM_LAMBDA_MAX = 1e16
+
+#: Conjugate-gradient probe length and backtracking factor.
+_CG_STEP = 1.0
+_CG_BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Descent settings shared by the fitting entry points."""
+    """Stopping rules shared by the fitting entry points."""
 
     max_iter: int = 2000
-    step: float = 1.0
-    backtrack: float = 0.5
     tol: float = 1e-12  # stop when the relative decrease falls below this
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 
@@ -57,52 +63,6 @@ class FitResult:
     final_distance: float
     iterations: int
     converged: bool
-
-
-def _descend(x0, value_fn, grad_fn, project, cfg: OptimConfig, history=None):
-    """Backtracking descent; returns (x, loss, iterations, converged).
-
-    Accepted losses are strictly decreasing. Stalls (no step of any length
-    decreases the loss) count as converged: the iterate is at a numerical
-    minimum.
-    """
-    x = project(np.array(x0, dtype=float, copy=True))
-    loss = value_fn(x)
-    if not math.isfinite(loss):
-        raise FitDiverged(f"non-finite starting loss {loss!r}")
-    if history is not None:
-        history.append(loss)
-    if loss <= LOSS_FLOOR:
-        return x, loss, 0, True
-    grad = grad_fn(x)
-    step = cfg.step
-    iterations = 0
-    converged = False
-    for it in range(1, cfg.max_iter + 1):
-        accepted = False
-        while step > 1e-20 * cfg.step:
-            trial = project(x - step * grad)
-            trial_loss = value_fn(trial)
-            if not math.isfinite(trial_loss):
-                raise FitDiverged(f"non-finite loss at iteration {it}")
-            if trial_loss < loss:
-                accepted = True
-                break
-            step *= cfg.backtrack
-        if not accepted:
-            converged = True
-            break
-        iterations = it
-        rel_drop = (loss - trial_loss) / loss
-        x, loss = trial, trial_loss
-        if history is not None:
-            history.append(loss)
-        if loss <= LOSS_FLOOR or rel_drop < cfg.tol:
-            converged = True
-            break
-        grad = grad_fn(x)
-        step /= cfg.backtrack  # probe a longer step next round
-    return x, loss, iterations, converged
 
 
 def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
@@ -126,7 +86,7 @@ def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
     grad = grad_fn(x)
     gg = float(np.sum(grad * grad))
     direction = -grad
-    probe = cfg.step
+    probe = _CG_STEP
     iterations = 0
     converged = False
     for it in range(1, cfg.max_iter + 1):
@@ -143,8 +103,8 @@ def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
         else:
             alpha = probe if probe_loss < loss else 0.5 * probe
         new_loss = value_fn(x + alpha * direction)
-        while new_loss >= loss and alpha > 1e-20 * cfg.step:
-            alpha *= cfg.backtrack
+        while new_loss >= loss and alpha > 1e-20 * _CG_STEP:
+            alpha *= _CG_BACKTRACK
             new_loss = value_fn(x + alpha * direction)
         if new_loss >= loss:
             converged = True  # no decrease along any candidate: at the bottom
@@ -170,30 +130,60 @@ def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
 
 def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
                ref: Trajectory, cfg: OptimConfig = OptimConfig()) -> FitResult:
-    """Descend the single-lead distance over the 15 wave parameters.
+    """Fit the 15 wave parameters to one lead by Levenberg-Marquardt.
 
-    Parameter scales differ by orders of magnitude (a radian of center
-    shift versus a hundredth of width), so the descent runs in variables
-    equilibrated by the initial Jacobian column norms; this is still plain
-    first-order descent, just in sanely scaled coordinates. Widths are kept
-    at or above B_FLOOR by projection and centers re-wrapped every step.
+    The residual is the one ``sim_distance`` squares; its Jacobian is -J^T,
+    with J the rows of ``_wave_terms``, so every trial point costs one
+    ``_wave_terms`` call. Each step solves the damped normal equations
+    (J J^T + lam*D) step = J r. D is the running maximum of diag(J J^T)
+    over the iterates (Moré's scaling), so a direction whose curvature
+    drops on the way keeps the damping it had; with D = diag(J J^T)
+    alone, more starts end in minima where two waves have traded places.
+    lam shrinks tenfold after a decrease and grows tenfold after a
+    rejected trial; once it passes _LM_LAMBDA_MAX no step decreases the
+    loss, which counts as converged. Widths are kept at or above B_FLOOR
+    and centers re-wrapped after every step.
     """
-    x0 = _project_eta_vector(eta_to_vector(eta0))
-    _, jac = _wave_terms(_ref_phase(ref), vector_to_eta(x0), jac=True)
-    norms = np.sqrt(np.sum(jac * jac, axis=1))
-    floor = 1e-8 * max(float(np.max(norms)), 1.0)
-    precond = 1.0 / np.maximum(norms, floor) ** 2
+    _check_same_grid(h, ref)
+    phase = _ref_phase(ref)
 
-    def value(v):
-        return sim_distance(h, vector_to_eta(v), rhythm, ref)
+    def evaluate(v):
+        eta = vector_to_eta(v)
+        w, jac = _wave_terms(phase, eta, jac=True)
+        r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
+        return float(r @ r), r, jac
 
-    def grad(v):
-        g = grad_sim_distance_wrt_eta(h, vector_to_eta(v), rhythm, ref)
-        return precond * g
-
-    x, loss, iterations, converged = _descend(
-        x0, value, grad, _project_eta_vector, cfg)
-    return FitResult(eta=vector_to_eta(x), final_distance=loss,
+    v = _project_eta_vector(eta_to_vector(eta0))
+    loss, r, jac = evaluate(v)
+    if not math.isfinite(loss):
+        raise FitDiverged(f"non-finite starting loss {loss!r}")
+    lam = _LM_LAMBDA0
+    scale = np.zeros(v.size)
+    iterations = 0
+    converged = loss <= LOSS_FLOOR
+    while not converged and iterations < cfg.max_iter:
+        a = jac @ jac.T
+        scale = np.maximum(scale, np.diag(a))
+        damping = np.diag(np.maximum(scale, 1e-12 * max(float(np.max(scale)), 1.0)))
+        g = jac @ r  # the residual subtracts the rate, so d(r)/d(eta) = -J^T
+        while True:
+            trial = _project_eta_vector(v + np.linalg.solve(a + lam * damping, g))
+            trial_loss, trial_r, trial_jac = evaluate(trial)
+            if not math.isfinite(trial_loss):
+                raise FitDiverged(
+                    f"non-finite loss at iteration {iterations + 1}")
+            if trial_loss < loss:
+                break
+            lam *= _LM_FACTOR
+            if lam > _LM_LAMBDA_MAX:  # stalled at a numerical minimum
+                return FitResult(eta=vector_to_eta(v), final_distance=loss,
+                                 iterations=iterations, converged=True)
+        iterations += 1
+        rel_drop = (loss - trial_loss) / loss
+        v, loss, r, jac = trial, trial_loss, trial_r, trial_jac
+        converged = loss <= LOSS_FLOOR or rel_drop < cfg.tol
+        lam /= _LM_FACTOR
+    return FitResult(eta=vector_to_eta(v), final_distance=loss,
                      iterations=iterations, converged=converged)
 
 
