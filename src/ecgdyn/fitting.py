@@ -32,10 +32,13 @@ from .params import ParamDistribution, ParamTable, default_eta_for_lead
 LOSS_FLOOR = 1e-15
 
 #: Levenberg-Marquardt damping: the first trial's lambda, the factor lambda
-#: moves by, and the lambda past which the fit has stalled. Much smaller
-#: starting values take Gauss-Newton-sized first steps into wrong minima.
+#: moves by, the floor it shrinks to, and the lambda past which the fit has
+#: stalled. Much smaller starting values take Gauss-Newton-sized first
+#: steps into wrong minima. Without the floor a long run of accepted steps
+#: underflows lambda to 0, and a rejected trial then never grows it.
 _LM_LAMBDA0 = 1.0
 _LM_FACTOR = 10.0
+_LM_LAMBDA_MIN = 1e-12
 _LM_LAMBDA_MAX = 1e16
 
 #: Conjugate-gradient probe length and backtracking factor.
@@ -139,9 +142,9 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
     over the iterates (Moré's scaling), so a direction whose curvature
     drops on the way keeps the damping it had; with D = diag(J J^T)
     alone, more starts end in minima where two waves have traded places.
-    lam shrinks tenfold after a decrease and grows tenfold after a
-    rejected trial; once it passes _LM_LAMBDA_MAX no step decreases the
-    loss, which counts as converged. Widths are kept at or above B_FLOOR
+    lam shrinks tenfold after a decrease, down to _LM_LAMBDA_MIN, and grows
+    tenfold after a rejected trial; once it passes _LM_LAMBDA_MAX no step
+    decreases the loss, which counts as converged. Widths are kept at or above B_FLOOR
     and centers re-wrapped after every step.
     """
     _check_same_grid(h, ref)
@@ -182,7 +185,7 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
         rel_drop = (loss - trial_loss) / loss
         v, loss, r, jac = trial, trial_loss, trial_r, trial_jac
         converged = loss <= LOSS_FLOOR or rel_drop < cfg.tol
-        lam /= _LM_FACTOR
+        lam = max(lam / _LM_FACTOR, _LM_LAMBDA_MIN)
     return FitResult(eta=vector_to_eta(v), final_distance=loss,
                      iterations=iterations, converged=converged)
 

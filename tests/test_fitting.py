@@ -164,6 +164,31 @@ class TestFitParams:
         assert res.final_distance == pytest.approx(
             sim_distance(h, res.eta, DEFAULT_RHYTHM, ref), rel=1e-12)
 
+    def test_noise_fit_terminates_at_damping_floor(self, ref, monkeypatch):
+        # a subnormal starting lambda stands in for a long run of accepted
+        # steps; were lambda let underflow to 0, the first rejected trial
+        # would repeat forever. Each accept shrinks lambda tenfold and each
+        # reject grows it tenfold until it passes the stall bound, so
+        # rejects exceed accepts by at most the decades in between.
+        monkeypatch.setattr(fitting, "_LM_LAMBDA0", 5e-324)
+        cfg = OptimConfig(max_iter=2000)
+        budget = 1 + 2 * cfg.max_iter + 2 + math.ceil(
+            math.log10(fitting._LM_LAMBDA_MAX) - math.log10(fitting._LM_LAMBDA0))
+        calls = []
+        wave_terms = fitting._wave_terms
+
+        def counted_terms(phase, eta, jac=False):
+            calls.append(1)
+            assert len(calls) <= budget, "damping loop did not terminate"
+            return wave_terms(phase, eta, jac)
+
+        monkeypatch.setattr(fitting, "_wave_terms", counted_terms)
+        rng = np.random.default_rng(51)
+        h = LeadSignal(GRID, 0.01 * rng.standard_normal(GRID.L))
+        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
+        assert res.iterations <= cfg.max_iter
+        assert math.isfinite(res.final_distance)
+
     def test_width_floor_projection(self, ref):
         v0 = eta_to_vector(DEFAULT_ETA)
         v0[2::3] = B_FLOOR  # start every width on the floor
