@@ -296,12 +296,13 @@ def build_parser() -> _CliParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("refine", help="descend the combined loss over a beat")
+    p = sub.add_parser("refine", help="minimize the combined loss over a beat")
     p.add_argument("--input", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--class", dest="klass", default="NORMAL")
     p.add_argument("--delta", type=float, default=0.6)
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=int, default=500,
+                   help="accepted for compatibility (>= 1); the solve is exact")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

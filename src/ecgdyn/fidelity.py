@@ -10,9 +10,9 @@ of two source-lead rates dictated by a limb identity, tying derived leads
 to the dynamics of the leads that generate them.
 
 Both distances are differentiable in closed form with respect to the
-waveform and the wave parameters. Waveform refinement uses the gradient in
-the waveform; parameter fitting forms the single-lead residual itself and
-takes its parameter Jacobian from ``model._wave_terms``.
+waveform and the wave parameters. They are quadratic in the waveform, which
+refinement minimizes exactly; parameter fitting forms the single-lead
+residual itself and takes its parameter Jacobian from ``model._wave_terms``.
 
 The combined loss averages these terms over Monte-Carlo draws of the wave
 parameters. ``_mc_terms`` is the one place that builds them: scoring
@@ -148,18 +148,13 @@ def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
                             ref: Trajectory) -> np.ndarray:
     """d(sim_distance)/d(h_k) for every sample k."""
     _check_same_grid(h, ref)
-    return _grad_wrt_h(h.samples, h.grid.dt,
-                       _drift_rate(ref, eta, rhythm), 1.0)
-
-
-def _grad_wrt_h(h: np.ndarray, dt: float, drift: np.ndarray,
-                z_coeff: float) -> np.ndarray:
+    dt = h.grid.dt
+    r = _residuals(h.samples, dt, _drift_rate(ref, eta, rhythm))
     # residual r_l sees h_{l+1} through the difference quotient (weight 1/dt)
-    # and h_l through both the quotient and the rate term (weight c - 1/dt).
-    r = _residuals(h, dt, drift, z_coeff)
-    grad = np.zeros_like(h)
+    # and h_l through both the quotient and the rate term (weight 1 - 1/dt).
+    grad = np.zeros_like(h.samples)
     grad[1:] += (2.0 / dt) * r
-    grad[:-1] += 2.0 * (z_coeff - 1.0 / dt) * r
+    grad[:-1] += 2.0 * (1.0 - 1.0 / dt) * r
     return grad
 
 
@@ -210,12 +205,12 @@ def _beat_label(beat: Heartbeat) -> str:
 
 
 def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
-              n_samples: int, seed):
+              n_samples: int, seed, leads=LEAD_NAMES):
     """The Monte-Carlo terms of the combined loss, one (single, related)
     pair of lists per draw.
 
-    single holds every lead's own term (lead, gain, drift, 1.0) in
-    LEAD_NAMES order; related holds every limb identity's term
+    single holds the own term (lead, gain, drift, 1.0) of every lead in
+    leads, in that order; related holds every limb identity's term
     (target, gain, beta*drift(src1) + gamma*drift(src2), beta + gamma) in
     limb_relations() order, with the target's gain, rhythm and reference.
     A term scores a lead h through _residuals(h / gain, dt, drift, c).
@@ -236,7 +231,7 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
             return drifts[key]
 
         single = [(lead, entry[lead][1], drift(lead, lead), 1.0)
-                  for lead in LEAD_NAMES]
+                  for lead in leads]
         related = [(rel.target, entry[rel.target][1],
                     rel.beta * drift(rel.src1, rel.target)
                     + rel.gamma * drift(rel.src2, rel.target),

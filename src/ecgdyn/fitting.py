@@ -2,12 +2,10 @@
 
 Three consumers of the same machinery: recover wave parameters from an
 observed lead, turn a pile of beats into a per-class Gaussian, and polish
-a full 12-lead beat by descending the combined loss over its free leads.
+a full 12-lead beat by minimizing the combined loss over its free leads.
 Parameter fitting is Levenberg-Marquardt on the residual of the
 single-lead distance, whose Jacobian is the one ``model._wave_terms``
-returns with W; the waveform objective is an exact quadratic, where
-first-order conjugate directions converge in a fraction of the steps
-plain descent needs.
+returns with W; refinement minimizes an exact quadratic in O(L).
 """
 
 from __future__ import annotations
@@ -19,9 +17,9 @@ import numpy as np
 
 from .errors import ConfigurationError, FitDiverged, InsufficientDataError
 from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
-                       _check_same_grid, _drift_rate, _grad_wrt_h, _mc_terms,
-                       _ref_phase, _residuals)
-from .integrate import SamplingGrid, Trajectory
+                       _check_same_grid, _drift_rate, _mc_terms, _ref_phase,
+                       _residuals)
+from .integrate import SamplingGrid, Trajectory, _euler_z
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
 from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, _project_eta_vector,
                     _wave_terms, eta_to_vector, vector_to_eta)
@@ -40,11 +38,6 @@ _LM_LAMBDA0 = 1.0
 _LM_FACTOR = 10.0
 _LM_LAMBDA_MIN = 1e-12
 _LM_LAMBDA_MAX = 1e16
-
-#: Conjugate-gradient probe length and backtracking factor.
-_CG_STEP = 1.0
-_CG_BACKTRACK = 0.5
-
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -66,69 +59,6 @@ class FitResult:
     final_distance: float
     iterations: int
     converged: bool
-
-
-def _descend_cg(x0, value_fn, grad_fn, cfg: OptimConfig, history=None):
-    """Conjugate-gradient descent for objectives quadratic in x.
-
-    Directions follow Fletcher-Reeves; the step along each direction comes
-    from an exact parabola fit (one probe evaluation), with halving as a
-    guard so accepted losses stay strictly decreasing even under rounding.
-    Plain steepest descent stalls on this problem class: the difference-
-    quotient term makes the quadratic stiff, and measured convergence was
-    several times too slow for the refinement budget.
-    """
-    x = np.array(x0, dtype=float, copy=True)
-    loss = value_fn(x)
-    if not math.isfinite(loss):
-        raise FitDiverged(f"non-finite starting loss {loss!r}")
-    if history is not None:
-        history.append(loss)
-    if loss <= LOSS_FLOOR:
-        return x, loss, 0, True
-    grad = grad_fn(x)
-    gg = float(np.sum(grad * grad))
-    direction = -grad
-    probe = _CG_STEP
-    iterations = 0
-    converged = False
-    for it in range(1, cfg.max_iter + 1):
-        gd = float(np.sum(grad * direction))
-        if gd >= 0.0:  # conjugacy lost to rounding; restart downhill
-            direction = -grad
-            gd = -gg
-        probe_loss = value_fn(x + probe * direction)
-        if not math.isfinite(probe_loss):
-            raise FitDiverged(f"non-finite loss at iteration {it}")
-        curvature = 2.0 * (probe_loss - loss - probe * gd) / (probe * probe)
-        if curvature > 0.0:
-            alpha = -gd / curvature
-        else:
-            alpha = probe if probe_loss < loss else 0.5 * probe
-        new_loss = value_fn(x + alpha * direction)
-        while new_loss >= loss and alpha > 1e-20 * _CG_STEP:
-            alpha *= _CG_BACKTRACK
-            new_loss = value_fn(x + alpha * direction)
-        if new_loss >= loss:
-            converged = True  # no decrease along any candidate: at the bottom
-            break
-        if not math.isfinite(new_loss):
-            raise FitDiverged(f"non-finite loss at iteration {it}")
-        iterations = it
-        rel_drop = (loss - new_loss) / loss
-        x = x + alpha * direction
-        loss = new_loss
-        if history is not None:
-            history.append(loss)
-        if loss <= LOSS_FLOOR or rel_drop < cfg.tol:
-            converged = True
-            break
-        new_grad = grad_fn(x)
-        new_gg = float(np.sum(new_grad * new_grad))
-        direction = -new_grad + (new_gg / gg) * direction
-        grad, gg = new_grad, new_gg
-        probe = alpha
-    return x, loss, iterations, converged
 
 
 def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
@@ -245,17 +175,65 @@ def estimate_distribution(beats, class_code: str, lead: str,
 # ---------------------------------------------------------------------------
 # waveform refinement
 
-def _row_chain() -> dict[str, tuple[slice, float | np.ndarray]]:
-    """Where each lead row sits in the free-row matrix, and with what weights.
+def _nearest_chain(h0: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
+    """The solution of diff(h)/dt + h[:-1] = target nearest to h0.
 
-    A free lead is its own row. A derived limb lead is a fixed combination
-    of rows I and II; the coefficients are read off derive_limb_rows applied
-    to unit rows, so the chain rule cannot drift from the derivation.
+    Every solution is the Euler z recurrence from some start h[0], and two
+    differ by a multiple of n[l] = (1 - dt)**l, so the nearest one moves h0
+    orthogonally to n.
     """
-    chain = {lead: (slice(j, j + 1), 1.0) for j, lead in enumerate(FREE_LEADS)}
-    unit = derive_limb_rows(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-    chain.update({lead: (slice(0, 2), coef) for lead, coef in unit.items()})
-    return chain
+    h = _euler_z(h0[0], target, dt)
+    n = (1.0 - dt) ** np.arange(h0.size)
+    return h + ((h0 - h) @ n / (n @ n)) * n
+
+
+def _solve_limb_pair(groups, dt: float, length: int) -> np.ndarray:
+    """Leads I and II, as a 2 x length array, minimizing the limb groups.
+
+    groups maps (lead, c) to (W, e), scoring W*||A_c h - e||^2 for the
+    lead's combination a of z[l] = (I[l], II[l]). Its residual at step l
+    is a.(z[l+1]/dt + (c - 1/dt)*z[l]) - e[l], so the normal equations are
+    block tridiagonal in z: 2x2 blocks p + q on the diagonal (q alone at
+    the first sample, p alone at the last) and the same symmetric b off
+    it. Block elimination in scalar arithmetic solves them in O(length);
+    they have full rank whenever a limb identity carries weight.
+    """
+    coef = {"I": np.array([1.0, 0.0]), "II": np.array([0.0, 1.0])}
+    coef.update(derive_limb_rows(coef["I"], coef["II"]))
+    upper = np.triu_indices(2)  # a symmetric block as (11, 12, 22)
+    p, q, b = np.zeros(3), np.zeros(3), np.zeros(3)
+    rhs = np.zeros((length, 2))
+    for (lead, c), (weight, target) in groups.items():
+        a = coef[lead]
+        aa = weight * np.outer(a, a)[upper]
+        k = c - 1.0 / dt
+        p += aa / (dt * dt)
+        q += (k * k) * aa
+        b += (k / dt) * aa
+        rhs[1:] += np.outer((weight / dt) * target, a)
+        rhs[:-1] += np.outer((weight * k) * target, a)
+    b11, b12, b22 = b.tolist()
+    diag = [q.tolist()] + [(p + q).tolist()] * (length - 2) + [p.tolist()]
+    i11 = i12 = i22 = y1 = y2 = 0.0  # nothing precedes the first sample
+    inv, ys = [], []
+    for (d11, d12, d22), (r1, r2) in zip(diag, rhs.tolist()):
+        g11, g12 = b11 * i11 + b12 * i12, b11 * i12 + b12 * i22
+        g21, g22 = b12 * i11 + b22 * i12, b12 * i12 + b22 * i22
+        s11 = d11 - g11 * b11 - g12 * b12
+        s12 = d12 - g11 * b12 - g12 * b22
+        s22 = d22 - g21 * b12 - g22 * b22
+        y1, y2 = r1 - g11 * y1 - g12 * y2, r2 - g21 * y1 - g22 * y2
+        det = s11 * s22 - s12 * s12
+        i11, i12, i22 = s22 / det, -s12 / det, s11 / det
+        inv.append((i11, i12, i22))
+        ys.append((y1, y2))
+    z1 = z2 = 0.0  # nor follows the last
+    z = []
+    for (i11, i12, i22), (y1, y2) in zip(inv[::-1], ys[::-1]):
+        c1, c2 = y1 - b11 * z1 - b12 * z2, y2 - b12 * z1 - b22 * z2
+        z1, z2 = i11 * c1 + i12 * c2, i12 * c1 + i22 * c2
+        z.append((z1, z2))
+    return np.array(z[::-1]).T
 
 
 class _RefineProblem:
@@ -276,14 +254,13 @@ class _RefineProblem:
             raise ConfigurationError("refinement requires a labeled heartbeat")
         self.grid = beat.grid
         self.dt = beat.grid.dt
-        draws = _mc_terms(beat.grid, table, beat.label, n_samples, seed)
+        draws = _mc_terms(beat.grid, table, beat.label, n_samples, seed,
+                          leads=FREE_LEADS)
         w1 = weights.delta / (n_samples * len(FREE_LEADS))
         w2 = (1.0 - weights.delta) / (n_samples * len(limb_relations()))
-        free = [(w1,) + t for single, _ in draws for t in single
-                if t[0] in FREE_LEADS]
+        free = [(w1,) + t for single, _ in draws for t in single]
         related = [(w2,) + t for _, rel_terms in draws for t in rel_terms]
         self.terms = (free if w1 > 0.0 else []) + (related if w2 > 0.0 else [])
-        self.chain = _row_chain()
 
     def _rows(self, u: np.ndarray) -> dict[str, np.ndarray]:
         rows = {lead: u[j] for j, lead in enumerate(FREE_LEADS)}
@@ -298,15 +275,29 @@ class _RefineProblem:
             total += weight * float(r @ r)
         return total
 
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        rows = self._rows(u)
-        g = np.zeros_like(u)
+    def solve(self, u0: np.ndarray) -> np.ndarray:
+        """The free rows minimizing the loss; of several, the nearest u0.
+
+        A term is (w/g^2)*||A_c h - g*d||^2 with A_c h = diff(h)/dt +
+        c*h[:-1], so the terms of one (lead, c) group sum, up to a constant,
+        to W*||A_c h - e||^2 with W = sum w/g^2 and e = sum (w/g)*d / W.
+        A lead's own c = 1 group alone is met exactly by the Euler z
+        recurrence; a lead without terms keeps its input.
+        """
+        sums = {}
         for weight, lead, gain, drift, c in self.terms:
-            gh = (weight / gain) * _grad_wrt_h(rows[lead] / gain, self.dt,
-                                               drift, c)
-            where, coef = self.chain[lead]
-            g[where] += coef * gh
-        return g
+            total, acc = sums.get((lead, c), (0.0, 0.0))
+            sums[lead, c] = (total + weight / (gain * gain),
+                             acc + (weight / gain) * drift)
+        groups = {key: (total, acc / total) for key, (total, acc) in sums.items()}
+        u = u0.copy()
+        for j, lead in enumerate(FREE_LEADS):
+            if (lead, 1.0) in groups:
+                u[j] = _nearest_chain(u0[j], groups[lead, 1.0][1], self.dt)
+        limb = {key: g for key, g in groups.items() if key[0] not in FREE_LEADS[2:]}
+        if set(limb) - {("I", 1.0), ("II", 1.0)}:  # identities couple I and II
+            u[:2] = _solve_limb_pair(limb, self.dt, u0.shape[1])
+        return u
 
     def assemble(self, u: np.ndarray, label: str | None) -> Heartbeat:
         rows = self._rows(u)
@@ -319,19 +310,27 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
                     cfg: OptimConfig = OptimConfig(max_iter=500),
                     seed=0, n_samples: int = 8,
                     history: list | None = None) -> Heartbeat:
-    """Descend the combined loss over the 8 free leads of a beat.
+    """Move the 8 free leads of a beat to the minimum of the combined loss.
 
-    The four dependent limb leads are re-derived from leads I and II after
-    every accepted step, so the output satisfies the limb identities to
-    rounding no matter where the descent stops. The Monte-Carlo parameter
-    draws are taken once up front from the seed, making the objective a
-    fixed deterministic function. Pass a list as ``history`` to record the
-    accepted loss values.
+    The loss is an exact quadratic in the free leads, so one least-squares
+    solve in O(L) finds its minimum, taking the one nearest the input where
+    the minimum is not unique. The four dependent limb leads are re-derived
+    from leads I and II, so the output satisfies the limb identities to
+    rounding. The Monte-Carlo parameter draws are taken once up front from
+    the seed, making the objective a fixed deterministic function. Pass a
+    list as ``history`` to receive the loss before and after. ``cfg`` is
+    accepted for compatibility and bounds nothing: the solve is exact.
     """
     problem = _RefineProblem(beat0, table, weights, n_samples, seed)
     u0 = np.vstack([beat0.lead(lead) for lead in FREE_LEADS])
-    if problem.loss(u0) <= LOSS_FLOOR:
+    loss = problem.loss(u0)
+    if not math.isfinite(loss):
+        raise FitDiverged(f"non-finite starting loss {loss!r}")
+    if loss <= LOSS_FLOOR:
         return beat0  # already on the dynamics; nothing to move
-    u, _, _, _ = _descend_cg(u0, problem.loss, problem.grad, cfg,
-                             history=history)
+    u = problem.solve(u0)
+    if not np.all(np.isfinite(u)):
+        raise FitDiverged("non-finite refined leads")
+    if history is not None:
+        history.extend([loss, problem.loss(u)])
     return problem.assemble(u, beat0.label)

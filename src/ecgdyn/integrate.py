@@ -73,6 +73,16 @@ def _check_paths(*paths: np.ndarray) -> None:
         raise IntegrationDiverged(int(np.argmax(bad)) + 1)
 
 
+def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
+    """Forward Euler on the rate drift - z: z[l+1] = z[l] + dt*(drift[l] - z[l])."""
+    z = z0
+    zs = [z]
+    for d in drift.tolist():
+        z += dt * (d - z)
+        zs.append(z)
+    return np.array(zs)
+
+
 def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
                     init: State = DEFAULT_INIT) -> Trajectory:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
@@ -101,12 +111,7 @@ def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
     xs, ys = np.array(xs), np.array(ys)
     t = init.t + grid.times()[:-1]
     drift = wave_rate_sum(np.arctan2(ys[:-1], xs[:-1]), eta) + baseline(t, rhythm)
-    z = init.z
-    zs = [z]
-    for d in drift.tolist():
-        z += dt * (d - z)
-        zs.append(z)
-    zs = np.array(zs)
+    zs = _euler_z(init.z, drift, dt)
     _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)
 

@@ -1,11 +1,14 @@
 """Hand-rolled reference implementations used as test oracles.
 
-Everything here is deliberately naive: scalar loops and literal formulas,
-written before and independently of the package's vectorized code. Tests
-compare the library against these, never the other way around.
+Everything here is deliberately naive: scalar loops, literal formulas and
+dense linear algebra, written independently of the package's vectorized
+and structured code. Tests compare the library against these, never the
+other way around.
 """
 
 import math
+
+import numpy as np
 
 WAVE_ORDER = ("P", "Q", "R", "S", "T")
 
@@ -82,6 +85,41 @@ def sim_distance_pair(h, xs, ys, fs, beta, gamma, eta1, eta2,
         resid = (h[l + 1] - h[l]) / dt - (beta * r1 + gamma * r2)
         total += resid * resid
     return total
+
+
+# each lead as coefficients on the free rows I, II, V1..V6 (row index:
+# coefficient), duplicated on purpose from the limb identities
+FREE_ROW_COEF = {
+    "I": {0: 1.0}, "II": {1: 1.0}, "III": {0: -1.0, 1: 1.0},
+    "aVR": {0: -0.5, 1: -0.5}, "aVL": {0: 1.0, 1: -0.5},
+    "aVF": {0: -0.5, 1: 1.0},
+    "V1": {2: 1.0}, "V2": {3: 1.0}, "V3": {4: 1.0},
+    "V4": {5: 1.0}, "V5": {6: 1.0}, "V6": {7: 1.0},
+}
+
+
+def refine_lstsq(terms, u0, dt):
+    """Dense minimum-norm least-squares refinement of the 8 free rows u0.
+
+    terms are (weight, lead, gain, drift, z_coeff); each scores the lead's
+    row h by weight * sum_l ((h[l+1]-h[l])/dt/gain + z_coeff*h[l]/gain
+    - drift[l])**2. One dense row per term and step; np.linalg.lstsq
+    returns the smallest change from u0 that minimizes the sum.
+    """
+    n_rows, n = u0.shape
+    rows, rhs = [], []
+    for weight, lead, gain, drift, c in terms:
+        s = math.sqrt(weight) / gain
+        for l in range(n - 1):
+            row = np.zeros(n_rows * n)
+            for j, a in FREE_ROW_COEF[lead].items():
+                row[j * n + l + 1] += s * a / dt
+                row[j * n + l] += s * a * (c - 1.0 / dt)
+            rows.append(row)
+            rhs.append(math.sqrt(weight) * drift[l])
+    m = np.array(rows)
+    step = np.linalg.lstsq(m, np.array(rhs) - m @ u0.ravel(), rcond=None)[0]
+    return u0 + step.reshape(n_rows, n)
 
 
 if __name__ == "__main__":

@@ -170,6 +170,24 @@ class TestRefine:
         capsys.readouterr()
         assert run_cli(["check", "--input", str(out), "--tol", "1e-9"]) == 0
 
+    def test_steps_validated_but_bound_nothing(self, params_file, tmp_path, capsys):
+        # refine solves exactly; --steps is still checked for compatibility
+        from ecgdyn.integrate import SamplingGrid
+        from ecgdyn.leads import Heartbeat
+
+        src = tmp_path / "noise.csv"
+        rng = np.random.default_rng(2)
+        write_beats_csv(src, [Heartbeat(grid=SamplingGrid(500.0, 500),
+                                        leads=rng.uniform(-0.1, 0.1, (12, 500)))])
+        args = ["refine", "--input", str(src), "--params", params_file]
+        for steps in ("1", "500"):
+            out = tmp_path / f"refined{steps}.csv"
+            assert run_cli(args + ["--steps", steps, "--out", str(out)]) == 0
+        assert (tmp_path / "refined1.csv").read_bytes() == \
+            (tmp_path / "refined500.csv").read_bytes()
+        assert run_cli(args + ["--steps", "0", "--out", str(tmp_path / "o.csv")]) == 2
+        capsys.readouterr()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_refine_diverged_exit_three(self, params_file, tmp_path, capsys):
         src = tmp_path / "huge.csv"

@@ -18,6 +18,7 @@ from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
                           eta_to_vector, vector_to_eta)
 from ecgdyn.params import default_distributions, zero_variance
 from ecgdyn.fidelity import draw_param_samples
+from ecgdyn.fitting import _RefineProblem
 
 GRID = beat_grid(500, 1.0)
 
@@ -220,6 +221,12 @@ class TestCombinedLoss:
         loss_components(self._noise_beat(), default_distributions(),
                         n_samples=3, seed=1)
         assert len(calls) == 12 * 3
+        # refinement reads the free leads' own terms and the identities,
+        # whose sources are I, II and III: 9 drifts per draw
+        calls.clear()
+        _RefineProblem(self._noise_beat(), default_distributions(),
+                       LossWeights(0.6), n_samples=3, seed=1)
+        assert len(calls) == 9 * 3
 
     def test_seeded_determinism(self, zero_table):
         beat = self._noise_beat()

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import naive_reference as oracle
 from ecgdyn import fidelity, fitting
 from ecgdyn.errors import FitDiverged, InsufficientDataError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              reference_trajectory, sim_distance)
 from ecgdyn.fitting import (OptimConfig, _RefineProblem, estimate_distribution,
                             fit_params, refine_waveform)
-from ecgdyn.integrate import beat_grid, integrate_euler
+from ecgdyn.integrate import SamplingGrid, beat_grid, integrate_euler
 from ecgdyn.leads import FREE_LEADS, Heartbeat, check_lead_consistency, synthesize_heartbeat
 from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, eta_to_vector,
                           vector_to_eta, wrap_angle)
@@ -305,24 +306,67 @@ class TestRefineWaveform:
         assert np.array_equal(a.leads, b.leads)
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
-    def test_gradient_matches_central_differences(self, delta):
-        # the loss is quadratic in the free rows, so central differences
-        # are exact up to rounding along any direction
+    def test_solution_is_stationary(self, delta):
+        # the loss is quadratic in the free rows, so central differences are
+        # exact directional derivatives up to rounding; at the minimum they
+        # vanish along every direction
         beat = _noise_beat(seed=21)
         problem = _RefineProblem(beat, default_distributions(),
                                  LossWeights(delta), n_samples=2, seed=3)
-        u = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
-        g = problem.grad(u)
+        u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
+        u = problem.solve(u0)
         rng = np.random.default_rng(22)
         directions = [rng.standard_normal(u.shape) for _ in range(4)]
-        for j, k in ((0, 0), (1, 250), (0, GRID.L - 1), (5, 17)):
+        for j, k in ((0, 0), (1, 250), (0, GRID.L - 1), (5, 17), (7, 499)):
             unit = np.zeros(u.shape)
             unit[j, k] = 1.0
             directions.append(unit)
         h = 1e-4
-        for v in directions:
-            fd = (problem.loss(u + h * v) - problem.loss(u - h * v)) / (2.0 * h)
-            assert float(np.sum(g * v)) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+        def slopes(x):
+            return np.array([(problem.loss(x + h * v) - problem.loss(x - h * v))
+                             / (2.0 * h) for v in directions])
+
+        assert np.max(np.abs(slopes(u))) <= 1e-9 * np.max(np.abs(slopes(u0)))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
+    def test_matches_dense_least_squares(self, delta):
+        # the normal equations square the conditioning of the difference
+        # quotient, so the O(L) solve agrees with the dense minimum-norm
+        # solution to about 1e-9 relative, not to machine precision
+        grid = SamplingGrid(500.0, 60)
+        rng = np.random.default_rng(31)
+        beat = Heartbeat(grid=grid, leads=rng.uniform(-0.1, 0.1, (12, grid.L)),
+                         label="NORMAL")
+        table = default_distributions()
+        out = refine_waveform(beat, table, LossWeights(delta), seed=3,
+                              n_samples=2)
+        problem = _RefineProblem(beat, table, LossWeights(delta), 2, 3)
+        u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
+        dense = oracle.refine_lstsq(problem.terms, u0, grid.dt)
+        got = np.vstack([out.lead(lead) for lead in FREE_LEADS])
+        assert np.max(np.abs(got - dense)) <= 1e-7 * np.max(np.abs(dense))
+
+    def test_minimum_change_where_not_unique(self):
+        # at delta = 1 every free lead is scored by its own dynamics alone,
+        # which leave h + s*(1 - dt)**l free; the solve moves each lead
+        # orthogonally to that null vector
+        beat0 = _noise_beat(seed=25)
+        out = refine_waveform(beat0, default_distributions(), LossWeights(1.0),
+                              seed=6)
+        n = (1.0 - GRID.dt) ** np.arange(GRID.L)
+        for lead in FREE_LEADS:
+            change = out.lead(lead) - beat0.lead(lead)
+            assert abs(change @ n) <= 1e-12 * np.linalg.norm(change) * np.linalg.norm(n)
+
+    def test_unscored_precordials_unchanged(self):
+        # at delta = 0 only the limb identities carry weight
+        beat0 = _noise_beat(seed=26)
+        out = refine_waveform(beat0, default_distributions(), LossWeights(0.0),
+                              seed=6)
+        assert not np.array_equal(out.lead("I"), beat0.lead("I"))
+        for lead in FREE_LEADS[2:]:
+            assert np.array_equal(out.lead(lead), beat0.lead(lead))
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_loss_matches_combined_score(self, delta):
