@@ -8,12 +8,15 @@ Beat files: header ``time,I,II,III,aVR,aVL,aVF,V1,...,V6``; time in
 seconds with 9 decimals, values in millivolts with shortest round-trip
 formatting, LF endings, no quoting. Files holding several beats carry a
 leading integer ``beat`` column. Record files use the single-beat layout
-with a continuous time column.
+with a continuous time column. A reader parses a file in one np.loadtxt
+pass; files that pass declines go to the line parser, which accepts them
+or names the offending line, so error messages keep their line numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .leads import (FREE_LEADS, Heartbeat, LEAD_NAMES, check_lead,
 from .model import eta_to_vector
 from .params import (ParamDistribution, ParamTable, check_class_code,
                      read_param_file, require_dist, write_param_file)
-from .segmentation import Record, detect_r_peaks, segment_record
+from .segmentation import Record, _segmentation
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -38,6 +41,13 @@ DIVERGED = 3
 
 _HEADER = "time," + ",".join(LEAD_NAMES)
 _MULTI_HEADER = "beat," + _HEADER
+#: The row of each header's file; np.loadtxt rejects other column counts.
+_ROW_DTYPES = {_HEADER.encode(): np.dtype([("row", float, 13)]),
+               _MULTI_HEADER.encode(): np.dtype([("key", int), ("row", float, 13)])}
+
+#: Line breaks to str.splitlines besides LF, and \x1f, which np.loadtxt
+#: strips as whitespace but float() rejects: the line parser takes these.
+_DECLINED = b"\r\v\f\x1c\x1d\x1e\x1f"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -56,99 +66,99 @@ def _fmt_value(v: float) -> str:
     return str(float(v))
 
 
+def _write_rows(fh, times, leads: np.ndarray) -> None:
+    """One beat in one write: each time string, then its samples by repr."""
+    columns = [times, *(map(repr, lead) for lead in leads.tolist())]
+    # the empty last item ends the final row without copying the text
+    fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
+
+
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:
     """Serialize beats; a beat-index column appears only for multi-beat files."""
     multi = len(beats) > 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
         for k, beat in enumerate(beats):
-            dt = beat.grid.dt
-            for l in range(beat.grid.L):
-                cells = [f"{l * dt:.9f}"]
-                cells += [_fmt_value(beat.leads[row, l]) for row in range(12)]
-                if multi:
-                    cells.insert(0, str(k))
-                fh.write(",".join(cells) + "\n")
+            dt, key = beat.grid.dt, f"{k}," if multi else ""
+            _write_rows(fh, (f"{key}{l * dt:.9f}" for l in range(beat.grid.L)),
+                        beat.leads)
 
 
-def _infer_fs(times: np.ndarray) -> float:
-    if times.size < 2:
+def _beat_arrays(rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sampling rate and (12, L) leads of one beat's (L, 13) rows."""
+    if len(rows) < 2:
         raise ValueError("need at least two samples to infer the rate")
-    span = float(times[-1] - times[0])
+    span = float(rows[-1, 0] - rows[0, 0])
     if span <= 0:
         raise ValueError("time column must be increasing")
-    fs = (times.size - 1) / span
+    fs = (len(rows) - 1) / span
     snapped = round(fs)
     # written timestamps carry 9 decimals; snap to the integer rate they encode
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
-        return float(snapped)
-    return fs
+        fs = float(snapped)
+    return fs, np.ascontiguousarray(rows[:, 1:]).T
 
 
-def _parse_rows(path):
+def _parse_rows(path) -> tuple[np.ndarray, np.ndarray]:
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].strip()
-    if header == _HEADER:
-        multi = False
-    elif header == _MULTI_HEADER:
-        multi = True
-    else:
+    if header not in (_HEADER, _MULTI_HEADER):
         raise ValueError(f"{path}: unrecognized header {header!r}")
-    expected = 14 if multi else 13
-    parsed = []
+    keyed = int(header == _MULTI_HEADER)
+    expected = 13 + keyed
+    keys, rows = [], []
     for n, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != expected:
             raise ValueError(f"{path}:{n}: expected {expected} columns")
         try:
-            beat = int(cells[0]) if multi else 0
-            t = float(cells[1] if multi else cells[0])
-            values = [float(c) for c in (cells[2:] if multi else cells[1:])]
+            keys.append(int(cells[0]) if keyed else 0)
+            rows.append([float(c) for c in cells[keyed:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
-        parsed.append((beat, t, values))
-    return parsed
+    return np.array(keys), np.array(rows).reshape(-1, 13)
+
+
+def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """Beat keys and an (n, 13) array of time and leads, one row per sample:
+    one np.loadtxt pass for a plain file, the line parser for any other."""
+    data = Path(path).read_bytes()
+    header = data[:len(_MULTI_HEADER) + 1].partition(b"\n")[0]
+    dtype = _ROW_DTYPES.get(header)
+    body = len(header) + 1
+    if (dtype is not None and data[body:body + 1] not in (b"", b"\n")
+            and data.isascii() and not any(c in data for c in _DECLINED)):
+        try:
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              skiprows=1, comments=None, ndmin=1, encoding="utf-8")
+            keyed = "key" in dtype.names
+            return rows["key"] if keyed else np.zeros(len(rows), int), rows["row"]
+        except ValueError:
+            pass
+    return _parse_rows(path)
 
 
 def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
-    parsed = _parse_rows(path)
-    order = []
-    grouped: dict[int, list] = {}
-    for beat, t, values in parsed:
-        if beat not in grouped:
-            grouped[beat] = []
-            order.append(beat)
-        grouped[beat].append((t, values))
-    beats = []
-    for key in order:
-        rows = grouped[key]
-        times = np.array([t for t, _ in rows])
-        fs = _infer_fs(times)
-        matrix = np.array([vals for _, vals in rows]).T  # (12, L)
-        grid = SamplingGrid(fs=fs, L=len(rows))
-        beats.append(Heartbeat(grid=grid, leads=matrix, label=label))
-    return beats
+    keys, table = _read_table(path)
+    split = (_beat_arrays(table[keys == key])
+             for key in dict.fromkeys(keys.tolist()))  # first appearance first
+    return [Heartbeat(grid=SamplingGrid(fs=fs, L=leads.shape[1]), leads=leads,
+                      label=label) for fs, leads in split]
 
 
 def write_record_csv(path, record: Record) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_HEADER + "\n")
-        n = record.channels.shape[1]
-        for l in range(n):
-            cells = [f"{l / record.fs:.9f}"]
-            cells += [_fmt_value(record.channels[row, l]) for row in range(12)]
-            fh.write(",".join(cells) + "\n")
+        fs, channels = record.fs, record.channels
+        _write_rows(fh, (f"{l / fs:.9f}" for l in range(channels.shape[1])), channels)
 
 
 def read_record_csv(path, label: str | None = None) -> Record:
-    parsed = _parse_rows(path)
-    times = np.array([t for _, t, _ in parsed])
-    fs = _infer_fs(times)
-    matrix = np.array([vals for _, _, vals in parsed]).T
-    return Record(fs=fs, channels=matrix, id=Path(path).stem, label=label)
+    fs, channels = _beat_arrays(_read_table(path)[1])
+    return Record(fs=fs, channels=channels, id=Path(path).stem, label=label)
 
 
 def _load_table(path) -> ParamTable:
@@ -243,8 +253,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_segment(args) -> int:
     record = read_record_csv(args.input, label=args.klass)
-    beats = segment_record(record, target_len=args.length)
-    peaks = detect_r_peaks(record.channels[1], record.fs)
+    peaks, beats = _segmentation(record, target_len=args.length)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print("index,start,end,file")

@@ -137,6 +137,11 @@ def segment_record(record: Record, target_len: int = 512) -> list[Heartbeat]:
     [peak_k, peak_{k+1}) window and resampled to target_len. The record's
     annotation, when present, labels every cycle. n peaks yield n-1 cycles.
     """
+    return _segmentation(record, target_len)[1]
+
+
+def _segmentation(record: Record, target_len: int) -> tuple[np.ndarray, list]:
+    """The R peaks segment_record cuts at, and its cycles."""
     peaks = detect_r_peaks(record.channels[LEAD_INDEX["II"]], record.fs)
     beats = []
     for start, end in zip(peaks[:-1], peaks[1:]):
@@ -149,4 +154,4 @@ def segment_record(record: Record, target_len: int = 512) -> list[Heartbeat]:
         fs_eff = record.fs * target_len / span
         grid = SamplingGrid(fs=fs_eff, L=target_len)
         beats.append(Heartbeat(grid=grid, leads=rows, label=record.label))
-    return beats
+    return peaks, beats

@@ -122,6 +122,104 @@ def refine_lstsq(terms, u0, dt):
     return u0 + step.reshape(n_rows, n)
 
 
+# ---------------------------------------------------------------------------
+# CSV: the row-by-row writers and the line parser the array code replaced
+
+CSV_HEADER = "time,I,II,III,aVR,aVL,aVF,V1,V2,V3,V4,V5,V6"
+CSV_MULTI_HEADER = "beat," + CSV_HEADER
+
+
+def write_beats_csv(path, beats):
+    multi = len(beats) > 1
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write((CSV_MULTI_HEADER if multi else CSV_HEADER) + "\n")
+        for k, beat in enumerate(beats):
+            dt = beat.grid.dt
+            for l in range(beat.grid.L):
+                cells = [f"{l * dt:.9f}"]
+                cells += [str(float(beat.leads[row, l])) for row in range(12)]
+                if multi:
+                    cells.insert(0, str(k))
+                fh.write(",".join(cells) + "\n")
+
+
+def write_record_csv(path, record):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        n = record.channels.shape[1]
+        for l in range(n):
+            cells = [f"{l / record.fs:.9f}"]
+            cells += [str(float(record.channels[row, l])) for row in range(12)]
+            fh.write(",".join(cells) + "\n")
+
+
+def infer_fs(times):
+    if times.size < 2:
+        raise ValueError("need at least two samples to infer the rate")
+    span = float(times[-1] - times[0])
+    if span <= 0:
+        raise ValueError("time column must be increasing")
+    fs = (times.size - 1) / span
+    snapped = round(fs)
+    if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
+        return float(snapped)
+    return fs
+
+
+def parse_rows(path):
+    """(beat, time, values) per data line; ValueError names the line."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].strip()
+    if header == CSV_HEADER:
+        multi = False
+    elif header == CSV_MULTI_HEADER:
+        multi = True
+    else:
+        raise ValueError(f"{path}: unrecognized header {header!r}")
+    expected = 14 if multi else 13
+    parsed = []
+    for n, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != expected:
+            raise ValueError(f"{path}:{n}: expected {expected} columns")
+        try:
+            beat = int(cells[0]) if multi else 0
+            t = float(cells[1] if multi else cells[0])
+            values = [float(c) for c in (cells[2:] if multi else cells[1:])]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+        parsed.append((beat, t, values))
+    return parsed
+
+
+def read_beats_csv(path):
+    """(fs, (12, L) leads) per beat, beats in order of first appearance."""
+    order = []
+    grouped = {}
+    for beat, t, values in parse_rows(path):
+        if beat not in grouped:
+            grouped[beat] = []
+            order.append(beat)
+        grouped[beat].append((t, values))
+    beats = []
+    for key in order:
+        rows = grouped[key]
+        fs = infer_fs(np.array([t for t, _ in rows]))
+        beats.append((fs, np.array([vals for _, vals in rows]).T))
+    return beats
+
+
+def read_record_csv(path):
+    """(fs, (12, N) channels) over every row, whatever its beat column."""
+    parsed = parse_rows(path)
+    fs = infer_fs(np.array([t for _, t, _ in parsed]))
+    return fs, np.array([vals for _, _, vals in parsed]).T
+
+
 if __name__ == "__main__":
     # print reference values worth freezing into tests
     fs, n = 500, 500

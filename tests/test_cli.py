@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import naive_reference as oracle
 from helpers import make_jittered_record
 from ecgdyn.cli import (read_beats_csv, read_record_csv, run_cli,
                         write_beats_csv, write_record_csv)
+from ecgdyn.integrate import SamplingGrid
+from ecgdyn.leads import Heartbeat
 from ecgdyn.params import (default_distributions, default_param_path,
                            write_param_file, zero_variance)
+from ecgdyn.segmentation import Record
 
 
 @pytest.fixture(scope="module")
@@ -243,17 +249,31 @@ class TestFit:
 
 
 class TestSegment:
-    def test_segments_record_to_files(self, tmp_path, capsys):
+    def test_segments_record_to_files(self, tmp_path, capsys, monkeypatch):
+        from ecgdyn import cli, segmentation
+
         record, _ = make_jittered_record(seed=5)
         src = tmp_path / "record.csv"
         write_record_csv(src, record)
         out_dir = tmp_path / "cycles"
+        detect, detected = segmentation.detect_r_peaks, []
+
+        def counting(signal, fs):
+            detected.append(detect(signal, fs))
+            return detected[-1]
+
+        monkeypatch.setattr(segmentation, "detect_r_peaks", counting)
+        monkeypatch.setattr(cli, "detect_r_peaks", counting, raising=False)
         code = run_cli(["segment", "--input", str(src), "--length", "512",
                         "--out-dir", str(out_dir), "--class", "NORMAL"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "index,start,end,file"
         assert len(lines) == 10  # nine cycles
+        # one detection serves both the cuts and the printed bounds
+        assert len(detected) == 1
+        assert [ln.split(",")[1:3] for ln in lines[1:]] == [
+            [str(a), str(b)] for a, b in zip(detected[0][:-1], detected[0][1:])]
         files = sorted(out_dir.glob("*.csv"))
         assert len(files) == 9
         cycle = read_beats_csv(files[0])
@@ -288,3 +308,210 @@ class TestCsvRoundTrip:
         assert back.fs == record.fs
         assert np.array_equal(back.channels, record.channels)
         assert back.id == "rec"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _old_beats(path):
+    return [Heartbeat(grid=SamplingGrid(fs=fs, L=leads.shape[1]), leads=leads)
+            for fs, leads in oracle.read_beats_csv(path)]
+
+
+def _old_record(path):
+    fs, channels = oracle.read_record_csv(path)
+    return Record(fs=fs, channels=channels, id=path.stem)
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its result, or its error message."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _grid_rows(keys, fs=2.0, seed=0):
+    """One CSV data line per key (None: no beat column); the sample index
+    restarts whenever the key changes."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for n, key in enumerate(keys):
+        l = 0 if n == 0 or key != keys[n - 1] else l + 1
+        cells = [f"{l / fs:.9f}"] + [repr(float(v)) for v in rng.standard_normal(12)]
+        lines.append(("" if key is None else f"{key},") + ",".join(cells))
+    return lines
+
+
+_SINGLE = oracle.CSV_HEADER + "\n" + "\n".join(_grid_rows([None] * 4)) + "\n"
+_MULTI = (oracle.CSV_MULTI_HEADER + "\n"
+          + "\n".join(_grid_rows([0, 0, 0, 1, 1, 1])) + "\n")
+
+
+def _cell(text, line, col, value=None):
+    """text with cell ``col`` of 1-based line ``line`` replaced, or deleted
+    when value is None."""
+    lines = text.split("\n")
+    cells = lines[line - 1].split(",")
+    if value is None:
+        del cells[col]
+    else:
+        cells[col] = value
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _second_beat_key(key):
+    """The two-beat file with every row of its second beat keyed ``key``."""
+    text = _MULTI
+    for line in (5, 6, 7):
+        text = _cell(text, line, 0, key)
+    return text
+
+
+#: Files on both sides of the array pass; each must read exactly as the
+#: line parser it replaced reads it.
+READER_CASES = {
+    "plain multi": _MULTI,
+    "plain single": _SINGLE,
+    "column missing on line 4": _cell(_MULTI, 4, 13),
+    "column added on line 4": _cell(_MULTI, 4, 13, "1.0,2.0"),
+    "non-numeric cell": _cell(_MULTI, 3, 4, "abc"),
+    "empty cell": _cell(_MULTI, 5, 2, ""),
+    "last cell 1#2": _cell(_SINGLE, 3, 12, "1#2"),
+    "beat 1.0": _cell(_MULTI, 5, 0, "1.0"),
+    "beat 1_0": _second_beat_key("1_0"),
+    "value 1_0.5": _cell(_SINGLE, 2, 3, "1_0.5"),
+    "huge beat index": _second_beat_key(str(10 ** 20)),
+    "padded cells": _cell(_cell(_MULTI, 2, 1, " 0.0\t"), 3, 0, " 0 "),
+    "unit separator": _cell(_SINGLE, 2, 3, "1.5\x1f"),
+    "CRLF": _MULTI.replace("\n", "\r\n"),
+    "lone CR": _MULTI.replace("\n", "\r", 3),
+    "form feed before comma": _cell(_SINGLE, 3, 1, "2.5\x0c"),
+    "blank line before header": "\n" + _MULTI,
+    "blank lines between rows": _MULTI.replace("\n", "\n\n  \n", 3),
+    "empty line after header": _SINGLE.replace("\n", "\n\n", 1),
+    "no trailing newline": _MULTI.rstrip("\n"),
+    "UTF-8 BOM": "\ufeff" + _SINGLE,
+    "non-ASCII digit": _cell(_SINGLE, 4, 6, "\u0663.5"),
+    "line separator after a value": _cell(_SINGLE, 3, 2, "0.5\u2028"),
+    "next line after a value": _cell(_SINGLE, 3, 2, "0.5\x85"),
+    "header only": oracle.CSV_MULTI_HEADER + "\n",
+    "header only, single": oracle.CSV_HEADER,
+    "blank lines after header": oracle.CSV_HEADER + "\n\n\n",
+    "single data row": oracle.CSV_HEADER + "\n" + _grid_rows([None])[0] + "\n",
+    "non-contiguous beats": (oracle.CSV_MULTI_HEADER + "\n"
+                             + "\n".join(_grid_rows([5, 5, 3, 3, 3, 5, 5])) + "\n"),
+    "non-finite value": _cell(_SINGLE, 2, 4, "nan"),
+    "decreasing time": _cell(_SINGLE, 5, 0, "-1.0"),
+    "unknown header": _SINGLE.replace("V6", "V7", 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvReader:
+    """read_beats_csv and read_record_csv against the line parser."""
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_beats_match_line_parser(self, case, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        want = _outcome(_old_beats, path)
+        got = _outcome(read_beats_csv, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert len(got) == len(want)
+        for beat, old in zip(got, want):
+            assert beat.grid == old.grid
+            assert _bits(beat.leads) == _bits(old.leads)
+            # the same memory layout keeps sums over the leads bit-identical
+            assert beat.leads.strides == old.leads.strides
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_record_matches_line_parser(self, case, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        want = _outcome(_old_record, path)
+        got = _outcome(read_record_csv, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        assert got.fs == want.fs
+        assert _bits(got.channels) == _bits(want.channels)
+        assert got.channels.strides == want.channels.strides
+
+    def test_plain_file_skips_line_parser(self, tmp_path, monkeypatch):
+        from ecgdyn import cli
+
+        def refuse(path):
+            raise AssertionError("line parser called on a plain file")
+
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        monkeypatch.setattr(cli, "_parse_rows", refuse)
+        assert len(read_beats_csv(path)) == 2
+
+    def test_reading_peaks_below_twice_the_file(self, tmp_path):
+        """The array pass holds the file once, plus about 0.43x for the
+        parsed values; splitting the text into cells or decoding it to
+        str would show here, not only in the benchmark's peak RSS."""
+        rng = np.random.default_rng(4)
+        record = Record(fs=500.0, channels=rng.standard_normal((12, 20000)),
+                        id="big")
+        path = tmp_path / "big.csv"
+        write_record_csv(path, record)
+        tracemalloc.start()
+        try:
+            back = read_record_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.channels, record.channels)
+        assert peak <= 2 * path.stat().st_size
+
+
+def _beats(values, n_beats=1, fs=500.0, L=None):
+    """Beats holding ``values`` in order, cycled to fill 12 x L per beat."""
+    L = L or max(2, -(-len(values) // 12))
+    flat = np.resize(np.asarray(values, dtype=float), n_beats * 12 * L)
+    return [Heartbeat(grid=SamplingGrid(fs, L), leads=chunk.reshape(12, L))
+            for chunk in np.split(flat, n_beats)]
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e22, -1e22,
+                0.1 + 0.2, 1.0, 123456789.0, 2.0 ** -1074 * 3]
+
+
+def _random_17_digit(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+class TestCsvWriter:
+    """The writers against the row-by-row writers they replaced."""
+
+    @pytest.mark.parametrize("n_beats", [1, 12])
+    @pytest.mark.parametrize("fs, L", [(500.0, None), (491.37, None),
+                                       (500.0, 2), (491.37, 2)])
+    def test_beats_bytes_match(self, n_beats, fs, L, tmp_path):
+        values = _EDGE_VALUES + list(_random_17_digit(300))
+        beats = _beats(values, n_beats, fs, L)
+        write_beats_csv(tmp_path / "new.csv", beats)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("fs", [500.0, 491.37])
+    def test_record_bytes_match(self, fs, tmp_path):
+        n = 600
+        values = np.resize(_EDGE_VALUES + list(_random_17_digit(12 * n, seed=1)),
+                           12 * n)
+        record = Record(fs=fs, channels=values.reshape(12, n), id="r")
+        write_record_csv(tmp_path / "new.csv", record)
+        oracle.write_record_csv(tmp_path / "old.csv", record)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
