@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ _MULTI_HEADER = "beat," + _HEADER
 _ROW_DTYPES = {_HEADER.encode(): np.dtype([("row", float, 13)]),
                _MULTI_HEADER.encode(): np.dtype([("key", int), ("row", float, 13)])}
 
+#: Samples written per write() call: a record's text is built a block at
+#: a time, so writing it peaks at a fixed size, while a beat of up to this
+#: many samples still goes out in one write.
+_WRITE_BLOCK = 4096
+
 #: Line breaks to str.splitlines besides LF, and \x1f, which np.loadtxt
 #: strips as whitespace but float() rejects: the line parser takes these.
 _DECLINED = b"\r\v\f\x1c\x1d\x1e\x1f"
@@ -67,10 +73,14 @@ def _fmt_value(v: float) -> str:
 
 
 def _write_rows(fh, times, leads: np.ndarray) -> None:
-    """One beat in one write: each time string, then its samples by repr."""
-    columns = [times, *(map(repr, lead) for lead in leads.tolist())]
-    # the empty last item ends the final row without copying the text
-    fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
+    """Rows of _WRITE_BLOCK samples per write: each time string from the
+    iterator times, then the samples by repr. A beat is one block."""
+    for start in range(0, leads.shape[1], _WRITE_BLOCK):
+        block = leads[:, start:start + _WRITE_BLOCK].tolist()
+        # islice stops zip before it takes the next block's first time
+        columns = [islice(times, _WRITE_BLOCK), *(map(repr, lead) for lead in block)]
+        # the empty last item ends the final row without copying the text
+        fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:

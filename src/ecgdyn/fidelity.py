@@ -16,9 +16,16 @@ residual itself and takes its parameter Jacobian from ``model._wave_terms``.
 
 The combined loss averages these terms over Monte-Carlo draws of the wave
 parameters. ``_mc_terms`` is the one place that builds them: scoring
-(``loss_components``) and waveform refinement both read its term list, and
-within a draw it evaluates each drift once per (lead, rhythm) pair, so a
-limb identity reuses the drifts of its source leads' own terms.
+(``loss_components``) and waveform refinement both read its terms. It
+draws every lead's parameters and gain for all draws as one
+(draws, 12, 15) and one (draws, 12) array, evaluates W through
+``model._wave_terms`` (still the one W) in one ``wave_rate_sum`` call per
+rhythm, and returns drifts and gains as (draws, terms, L-1) and
+(draws, terms) arrays. Each drift is evaluated once per (lead, rhythm)
+pair, so a limb identity reuses the drifts of its source leads' own
+terms. Every term's squared residuals are summed as a dot product over
+its own contiguous row, in draw order, so the loss is bit-identical to
+scoring one term at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +36,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import DEFAULT_INIT, SamplingGrid, State, Trajectory, integrate_euler
-from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, LeadRelation, check_lead, limb_relations
-from .model import B_FLOOR, EdmParams, RhythmParams, _wave_terms, baseline, wave_rate_sum
-from .params import ParamTable, _sample_entry, require_dist
+from .integrate import DEFAULT_INIT, SamplingGrid, State, Trajectory, _check_paths, _circle
+from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
+                    check_lead, limb_relations)
+from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, baseline,
+                    vector_to_eta, wave_rate_sum)
+from .params import ParamTable, _draw, require_dist
 
 
 @dataclass
@@ -70,11 +79,15 @@ def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
     """Euler reference (x, y) path for a rhythm/grid pair, cached.
 
     The circular subsystem is independent of z and of the wave set, so one
-    integration serves every distance evaluation on the same grid.
+    path serves every distance evaluation on the same grid. It is the
+    read-only circle ``integrate_euler`` integrates z along; no wave drives
+    the reference, so its z is all zero.
     """
-    from .model import DEFAULT_ETA  # waves do not influence x, y
-
-    return integrate_euler(DEFAULT_ETA, rhythm, grid, init)
+    xs, ys, _ = _circle(rhythm.omega, grid, init)
+    _check_paths(xs, ys)
+    z = np.zeros(grid.L)
+    z.flags.writeable = False
+    return Trajectory(grid=grid, x=xs, y=ys, z=z)
 
 
 def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
@@ -88,13 +101,15 @@ def _ref_phase(ref: Trajectory) -> np.ndarray:
     return np.arctan2(ref.y[:-1], ref.x[:-1])
 
 
-def _drift_rate(ref: Trajectory, eta: EdmParams, rhythm: RhythmParams,
+def _drift_rate(ref: Trajectory, eta, rhythm: RhythmParams,
                 w: np.ndarray | None = None) -> np.ndarray:
     """z-independent part of the rate along the reference: W_l + z0(t_l).
 
     The full model rate is f_z = W + z0 - z, linear in z; precomputing
-    W + z0 reduces every distance evaluation to vector arithmetic. Pass
-    w to reuse a W already evaluated on the reference phase.
+    W + z0 reduces every distance evaluation to vector arithmetic. eta is
+    an ``EdmParams`` or a (..., 15) array of parameter vectors, giving a
+    (..., L-1) drift. Pass w to reuse a W already evaluated on the
+    reference phase.
     """
     if w is None:
         w = wave_rate_sum(_ref_phase(ref), eta)
@@ -103,9 +118,10 @@ def _drift_rate(ref: Trajectory, eta: EdmParams, rhythm: RhythmParams,
 
 
 def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
-               z_coeff: float = 1.0) -> np.ndarray:
-    """(h[l+1]-h[l])/dt - (drift[l] - z_coeff*h[l]) for l = 0..L-2."""
-    return np.diff(h) / dt - (drift - z_coeff * h[:-1])
+               z_coeff=1.0) -> np.ndarray:
+    """(h[l+1]-h[l])/dt - (drift[l] - z_coeff*h[l]) for l = 0..L-2, along
+    the last axis of h; arrays of signals, drifts and z_coeff broadcast."""
+    return np.diff(h) / dt - (drift - z_coeff * h[..., :-1])
 
 
 def sim_distance(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
@@ -180,22 +196,21 @@ def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
 # ---------------------------------------------------------------------------
 # combined loss over a full heartbeat
 
+def _dists(table: ParamTable, label: str) -> list:
+    return [require_dist(table, label, lead) for lead in LEAD_NAMES]
+
+
 def draw_param_samples(table: ParamTable, label: str, n_samples: int, seed):
     """n_samples deterministic draws of (eta, gain) for all 12 leads.
 
     One generator serves the whole stream: samples vary across both the
     sample index and the lead, yet the sequence is fixed by the seed.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n_samples):
-        entry = {}
-        for lead in LEAD_NAMES:
-            entry[lead] = _sample_entry(require_dist(table, label, lead), rng)
-        draws.append(entry)
-    return draws
+    params, gains = _draw(_dists(table, label), n_samples,
+                          np.random.default_rng(seed))
+    return [{lead: (vector_to_eta(p), float(g))
+             for lead, p, g in zip(LEAD_NAMES, draw_params, draw_gains)}
+            for draw_params, draw_gains in zip(params, gains)]
 
 
 def _beat_label(beat: Heartbeat) -> str:
@@ -206,39 +221,60 @@ def _beat_label(beat: Heartbeat) -> str:
 
 def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
               n_samples: int, seed, leads=LEAD_NAMES):
-    """The Monte-Carlo terms of the combined loss, one (single, related)
-    pair of lists per draw.
+    """The Monte-Carlo terms of the combined loss, as two blocks of arrays.
 
-    single holds the own term (lead, gain, drift, 1.0) of every lead in
-    leads, in that order; related holds every limb identity's term
-    (target, gain, beta*drift(src1) + gamma*drift(src2), beta + gamma) in
-    limb_relations() order, with the target's gain, rhythm and reference.
-    A term scores a lead h through _residuals(h / gain, dt, drift, c).
-    Within a draw each drift is evaluated once per (lead, rhythm) pair.
+    Each block is (names, coeffs, gains, drifts): the lead each of its T
+    terms scores, the (T,) z coefficients, and the (n_samples, T) gains
+    and (n_samples, T, L-1) drifts of every draw. The own block holds each
+    lead in leads, in that order, with coefficient 1.0; the related block
+    holds the limb identities in limb_relations() order, each scoring its
+    target with the target's gain, drift beta*drift(src1) +
+    gamma*drift(src2) on the target's rhythm and reference, and
+    coefficient beta + gamma. A term scores a lead h through
+    _residuals(h / gain, dt, drift, coeff). Draws come from one generator
+    seeded by seed, as in draw_param_samples; W is evaluated in one
+    wave_rate_sum call per rhythm, over every draw of the leads that need
+    a drift on it.
     """
-    draws = draw_param_samples(table, label, n_samples, seed)
-    rhythms = {lead: require_dist(table, label, lead).rhythm for lead in LEAD_NAMES}
-    refs = {lead: reference_trajectory(rhythms[lead], grid) for lead in LEAD_NAMES}
-    out = []
-    for entry in draws:
-        drifts = {}
+    dists = _dists(table, label)
+    params, gains = _draw(dists, n_samples, np.random.default_rng(seed))
+    rhythm = {lead: dist.rhythm for lead, dist in zip(LEAD_NAMES, dists)}
+    rels = limb_relations()
+    # every (lead, rhythm) pair a term reads, grouped by rhythm
+    pairs = dict.fromkeys([(lead, rhythm[lead]) for lead in leads]
+                          + [(src, rhythm[rel.target]) for rel in rels
+                             for src in (rel.src1, rel.src2)])
+    drift = {}
+    for via in dict.fromkeys(r for _, r in pairs):
+        group = [lead for lead, r in pairs if r == via]
+        rates = _drift_rate(reference_trajectory(via, grid),
+                            params[:, [LEAD_INDEX[lead] for lead in group]], via)
+        drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
+    targets = tuple(rel.target for rel in rels)
+    own = (tuple(leads), np.ones(len(leads)),
+           gains[:, [LEAD_INDEX[lead] for lead in leads]],
+           np.stack([drift[lead, rhythm[lead]] for lead in leads], axis=1))
+    related = (targets, np.array([rel.beta + rel.gamma for rel in rels]),
+               gains[:, [LEAD_INDEX[lead] for lead in targets]],
+               np.stack([rel.beta * drift[rel.src1, rhythm[rel.target]]
+                         + rel.gamma * drift[rel.src2, rhythm[rel.target]]
+                         for rel in rels], axis=1))
+    return own, related
 
-        def drift(lead, via):
-            """Drift of lead's draw on the rhythm and reference of lead via."""
-            key = (lead, rhythms[via])
-            if key not in drifts:
-                drifts[key] = _drift_rate(refs[via], entry[lead][0], rhythms[via])
-            return drifts[key]
 
-        single = [(lead, entry[lead][1], drift(lead, lead), 1.0)
-                  for lead in leads]
-        related = [(rel.target, entry[rel.target][1],
-                    rel.beta * drift(rel.src1, rel.target)
-                    + rel.gamma * drift(rel.src2, rel.target),
-                    rel.beta + rel.gamma)
-                   for rel in limb_relations()]
-        out.append((single, related))
-    return out
+def _term_residuals(rows, dt: float, block, signals: bool = False) -> np.ndarray:
+    """(n_samples, T, L-1) residuals of a block's terms, rows[lead] being
+    the lead's samples. The result is C-contiguous whatever the layout of
+    rows, so each term's sum of squares is the dot product over one
+    contiguous row that scoring the term alone takes; a strided row sums
+    in another order. With signals set, every lead divided by its gain
+    must be a finite ``LeadSignal``.
+    """
+    names, coeffs, gains, drifts = block
+    h = np.stack([rows[lead] for lead in names]) / gains[..., None]
+    if signals and not np.all(np.isfinite(h)):
+        raise ValueError("samples must be finite")
+    return np.ascontiguousarray(_residuals(h, dt, drifts, coeffs[:, None]))
 
 
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
@@ -250,20 +286,16 @@ def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
     over draws and the 6 limb identities, and per_lead holds every lead's
     own mean single-lead distance (reporting only).
     """
-    label = _beat_label(beat)
-
-    def distance(lead, gain, drift, c):
-        h = LeadSignal(beat.grid, beat.lead(lead) / gain, lead=lead).samples
-        r = _residuals(h, beat.grid.dt, drift, c)
-        return float(r @ r)
-
+    own, related = _mc_terms(beat.grid, table, _beat_label(beat), n_samples, seed)
+    rows = dict(zip(LEAD_NAMES, beat.leads))
     per_lead = {lead: 0.0 for lead in LEAD_NAMES}
+    for draw in _term_residuals(rows, beat.grid.dt, own, signals=True):
+        for lead, r in zip(own[0], draw):
+            per_lead[lead] += float(r @ r)
     l2_total = 0.0
-    for single, related in _mc_terms(beat.grid, table, label, n_samples, seed):
-        for term in single:
-            per_lead[term[0]] += distance(*term)
-        for term in related:
-            l2_total += distance(*term)
+    for r in _term_residuals(rows, beat.grid.dt, related,
+                             signals=True).reshape(-1, beat.grid.L - 1):
+        l2_total += float(r @ r)
     per_lead = {lead: v / n_samples for lead, v in per_lead.items()}
     l1 = sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS)
     l2 = l2_total / (n_samples * len(limb_relations()))

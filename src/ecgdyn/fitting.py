@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, FitDiverged, InsufficientDataError
 from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
                        _check_same_grid, _drift_rate, _mc_terms, _ref_phase,
-                       _residuals)
+                       _residuals, _term_residuals)
 from .integrate import SamplingGrid, Trajectory, _euler_z
 from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
 from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, _project_eta_vector,
@@ -242,10 +242,11 @@ class _RefineProblem:
     The model rate is linear in the waveform, so everything that does not
     depend on the optimization variables (wave-sum drifts per Monte-Carlo
     draw, gains, weights) is evaluated once up front; each loss evaluation
-    is then pure vector arithmetic. The terms are those ``fidelity._mc_terms``
-    builds for ``loss_components``: each free lead's own term weighted by
-    w1, then each limb identity's term weighted by w2, every one a
-    single-lead distance (weight, lead, gain, drift, z_coeff).
+    is then pure vector arithmetic. The terms are the two blocks
+    ``fidelity._mc_terms`` builds for ``loss_components``: the free leads'
+    own terms weighted by w1, then the limb identities' terms weighted by
+    w2, each block (weight, names, coeffs, gains, drifts) and kept only
+    when its weight is positive.
     """
 
     def __init__(self, beat: Heartbeat, table: ParamTable,
@@ -254,13 +255,12 @@ class _RefineProblem:
             raise ConfigurationError("refinement requires a labeled heartbeat")
         self.grid = beat.grid
         self.dt = beat.grid.dt
-        draws = _mc_terms(beat.grid, table, beat.label, n_samples, seed,
-                          leads=FREE_LEADS)
+        own, related = _mc_terms(beat.grid, table, beat.label, n_samples, seed,
+                                 leads=FREE_LEADS)
         w1 = weights.delta / (n_samples * len(FREE_LEADS))
         w2 = (1.0 - weights.delta) / (n_samples * len(limb_relations()))
-        free = [(w1,) + t for single, _ in draws for t in single]
-        related = [(w2,) + t for _, rel_terms in draws for t in rel_terms]
-        self.terms = (free if w1 > 0.0 else []) + (related if w2 > 0.0 else [])
+        self.blocks = [(w,) + block for w, block in ((w1, own), (w2, related))
+                       if w > 0.0]
 
     def _rows(self, u: np.ndarray) -> dict[str, np.ndarray]:
         rows = {lead: u[j] for j, lead in enumerate(FREE_LEADS)}
@@ -270,9 +270,10 @@ class _RefineProblem:
     def loss(self, u: np.ndarray) -> float:
         rows = self._rows(u)
         total = 0.0
-        for weight, lead, gain, drift, c in self.terms:
-            r = _residuals(rows[lead] / gain, self.dt, drift, c)
-            total += weight * float(r @ r)
+        for weight, *block in self.blocks:
+            r = _term_residuals(rows, self.dt, block)
+            for row in r.reshape(-1, r.shape[-1]):  # draws outermost
+                total += weight * float(row @ row)
         return total
 
     def solve(self, u0: np.ndarray) -> np.ndarray:
@@ -285,10 +286,13 @@ class _RefineProblem:
         recurrence; a lead without terms keeps its input.
         """
         sums = {}
-        for weight, lead, gain, drift, c in self.terms:
-            total, acc = sums.get((lead, c), (0.0, 0.0))
-            sums[lead, c] = (total + weight / (gain * gain),
-                             acc + (weight / gain) * drift)
+        for weight, names, coeffs, gains, drifts in self.blocks:
+            for t, key in enumerate(zip(names, coeffs.tolist())):
+                total, acc = sums.get(key, (0.0, 0.0))
+                for gain, drift in zip(gains[:, t].tolist(), drifts[:, t]):
+                    total += weight / (gain * gain)
+                    acc = acc + (weight / gain) * drift
+                sums[key] = (total, acc)
         groups = {key: (total, acc / total) for key, (total, acc) in sums.items()}
         u = u0.copy()
         for j, lead in enumerate(FREE_LEADS):

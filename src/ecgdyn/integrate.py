@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,12 +84,43 @@ def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
     return np.array(zs)
 
 
+@lru_cache(maxsize=32)
+def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
+    """Forward-Euler (x, y) path of the cycle and its phase, cached.
+
+    Returns read-only arrays x and y of length L and the phase
+    atan2(y_l, x_l) at the start of every step. start holds x0 and y0 as
+    ``float.hex`` strings: signed zeros compare equal as floats, yet
+    atan2(+-0.0, -1.0) starts the phase at +-pi.
+    """
+    dt = grid.dt
+    sqrt = math.sqrt
+    x, y = map(float.fromhex, start)
+    xs, ys = [x], [y]
+    for _ in range(grid.L - 1):
+        alpha = 1.0 - sqrt(x * x + y * y)
+        x, y = x + (alpha * x - omega * y) * dt, y + (alpha * y + omega * x) * dt
+        xs.append(x)
+        ys.append(y)
+    xs, ys = np.array(xs), np.array(ys)
+    phase = np.arctan2(ys[:-1], xs[:-1])
+    for arr in (xs, ys, phase):
+        arr.flags.writeable = False
+    return xs, ys, phase
+
+
+def _circle(omega: float, grid: SamplingGrid, init: State):
+    """The cached (x, y, phase) path of the cycle from init's x and y."""
+    return _circle_cache(omega, grid, (float(init.x).hex(), float(init.y).hex()))
+
+
 def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
                     init: State = DEFAULT_INIT) -> Trajectory:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
 
-    The (x, y) circle does not depend on z or on the waves, so a scalar
-    loop advances x and y alone. The z-rate is linear in z, so its
+    The (x, y) circle does not depend on z or on the waves, so it comes
+    from the cache of ``_circle``, shared by every lead and the reference;
+    its x and y arrays are read-only. The z-rate is linear in z, so its
     z-independent part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated
     over the whole path at once, and z follows the recurrence
     z[l+1] = z[l] + dt*(drift[l] - z[l]). Divergence is checked once over
@@ -98,20 +130,10 @@ def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
-    dt = grid.dt
-    omega = rhythm.omega
-    sqrt = math.sqrt
-    x, y = init.x, init.y
-    xs, ys = [x], [y]
-    for _ in range(grid.L - 1):
-        alpha = 1.0 - sqrt(x * x + y * y)
-        x, y = x + (alpha * x - omega * y) * dt, y + (alpha * y + omega * x) * dt
-        xs.append(x)
-        ys.append(y)
-    xs, ys = np.array(xs), np.array(ys)
+    xs, ys, phase = _circle(rhythm.omega, grid, init)
     t = init.t + grid.times()[:-1]
-    drift = wave_rate_sum(np.arctan2(ys[:-1], xs[:-1]), eta) + baseline(t, rhythm)
-    zs = _euler_z(init.z, drift, dt)
+    drift = wave_rate_sum(phase, eta) + baseline(t, rhythm)
+    zs = _euler_z(init.z, drift, grid.dt)
     _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)
 

@@ -9,7 +9,10 @@ The structure every other module builds on: the (x, y) circle ignores
 the waves, and the z-rate W(phase) + z0(t) - z is linear in z and in the
 wave amplitudes. ``_wave_terms`` is the only vectorized copy of the
 Gaussian sum W and of its Jacobian in the wave parameters; integration,
-the consistency distances and fitting all evaluate W through it.
+the consistency distances and fitting all evaluate W through it. It takes
+one ``EdmParams`` or a batch of parameter vectors, such as the
+(draws, leads, 15) array of a Monte-Carlo loss, and returns one W per
+vector on the phase grid, (draws, leads, N), summing wave by wave.
 ``make_rhs`` keeps a scalar copy for the RK4 reference and ``eval_rhs``.
 """
 
@@ -29,20 +32,21 @@ WAVE_NAMES = ("P", "Q", "R", "S", "T")
 B_FLOOR = 1e-3
 
 
-def wrap_angle(phi: float) -> float:
-    """Reduce an angle to the half-open interval [-pi, pi).
+def wrap_angle(phi):
+    """Reduce an angle, or every angle of an array, to [-pi, pi).
 
     Values already in range are returned bit-identical, which keeps the
-    function exactly idempotent.
+    function exactly idempotent; others go through the float modulo. A
+    float comes back as a float.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"angle must be finite, got {phi!r}")
-    if -math.pi <= phi < math.pi:
-        return phi
-    w = (phi + math.pi) % TWO_PI - math.pi
-    if w >= math.pi:  # float modulo can land exactly on the seam
-        w = -math.pi
-    return w
+    arr = np.asarray(phi, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"angle must be finite, got {float(arr[bad][0])!r}")
+    w = np.remainder(arr + math.pi, TWO_PI) - math.pi
+    w = np.where(w >= math.pi, -math.pi, w)  # the modulo can land on the seam
+    out = np.where((-math.pi <= arr) & (arr < math.pi), arr, w)
+    return out if isinstance(phi, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,15 @@ N_PARAMS = len(PARAM_NAMES)  # 15
 
 
 def _project_eta_vector(v: np.ndarray) -> np.ndarray:
-    """Wrap the centers to [-pi, pi) and clamp the widths at B_FLOOR, in place."""
-    for i, name in enumerate(PARAM_NAMES):
-        if name.endswith(".theta"):
-            v[i] = wrap_angle(float(v[i]))
-        elif name.endswith(".b"):
-            v[i] = max(float(v[i]), B_FLOOR)
+    """Wrap the centers to [-pi, pi) and clamp the widths at B_FLOOR, in place.
+
+    v is a 15-vector or a (..., 15) array of them. A non-finite value
+    raises ValueError, as ``WaveParams`` would.
+    """
+    v[..., 0::3] = wrap_angle(v[..., 0::3])
+    v[..., 2::3] = np.maximum(v[..., 2::3], B_FLOOR)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("wave parameters must be finite")
     return v
 
 
@@ -203,33 +210,54 @@ def eval_rhs(s: State, eta: EdmParams, rhythm: RhythmParams) -> tuple[float, flo
     return make_rhs(eta, rhythm)(s.x, s.y, s.z, s.t)
 
 
-def _wave_terms(phase, eta: EdmParams, jac: bool = False):
+def _wave_terms(phase, eta, jac: bool = False):
     """Gaussian-event rate W and, if jac is set, its parameter Jacobian.
 
     W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
-    Returns (W, J): J is the 15 x N array of dW/d(eta) rows in PARAM_NAMES
-    order, or None without jac. phase must lie in [-pi, pi]; with theta in
-    [-pi, pi) one conditional 2*pi shift then wraps d, as in ``make_rhs``,
-    and J treats that shift as locally constant.
+    eta is an ``EdmParams`` or a (..., 15) array of parameter vectors in
+    PARAM_NAMES order; an array gives one W per vector, broadcast against
+    phase: (n, m, 15) parameters on an (N,) phase give an (n, m, N) W.
+    The sum runs wave by wave in P..T order, so no per-wave axis is ever
+    allocated. Returns (W, J): J stacks the 15 dW/d(eta) rows in
+    PARAM_NAMES order on W's shape, or is None without jac. phase must lie
+    in [-pi, pi]; with theta in [-pi, pi) one conditional 2*pi shift then
+    wraps d, as in ``make_rhs``, and J treats that shift as locally
+    constant.
     """
     phase = np.asarray(phase, dtype=float)
-    w_sum = np.zeros_like(phase)
-    J = np.empty((N_PARAMS,) + phase.shape) if jac else None
-    for i, w in enumerate(eta.waves):
-        d = phase - w.theta
-        d = np.where(d >= math.pi, d - TWO_PI, np.where(d < -math.pi, d + TWO_PI, d))
-        dd = d * d
-        e = np.exp(-dd / (2.0 * w.b * w.b))
-        w_sum -= w.a * d * e
+    if isinstance(eta, EdmParams):
+        waves = [(w.theta, w.a, w.b) for w in eta.waves]
+    else:
+        p = np.asarray(eta, dtype=float)[..., None]
+        waves = [(p[..., i, :], p[..., i + 1, :], p[..., i + 2, :])
+                 for i in range(0, N_PARAMS, 3)]
+    shape = np.broadcast_shapes(phase.shape, np.shape(waves[0][0]))
+    w_sum = np.zeros(shape)
+    # three work arrays of W's shape serve every wave, updated in place
+    d, e, term = np.empty(shape), np.empty(shape), np.empty(shape)
+    J = np.empty((N_PARAMS,) + shape) if jac else None
+    for i, (theta, a, b) in enumerate(waves):
+        np.subtract(phase, theta, out=d)
+        np.subtract(d, TWO_PI, out=d, where=d >= math.pi)
+        np.add(d, TWO_PI, out=d, where=d < -math.pi)
+        np.multiply(d, d, out=e)  # e = exp(-d^2 / (2 b^2))
+        np.negative(e, out=e)
+        e /= 2.0 * b * b
+        np.exp(e, out=e)
+        np.multiply(a, d, out=term)  # W -= a*d*e
+        term *= e
+        w_sum -= term
         if jac:
-            J[3 * i] = w.a * e * (1.0 - dd / (w.b * w.b))
+            dd = d * d
+            J[3 * i] = a * e * (1.0 - dd / (b * b))
             J[3 * i + 1] = -(d * e)
-            J[3 * i + 2] = -(w.a * (dd * d) * e / w.b ** 3)
+            J[3 * i + 2] = -(a * (dd * d) * e / b ** 3)
     return w_sum, J
 
 
-def wave_rate_sum(phase: np.ndarray, eta: EdmParams) -> np.ndarray:
-    """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``."""
+def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:
+    """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``;
+    eta is an ``EdmParams`` or a (..., 15) array of parameter vectors."""
     return _wave_terms(phase, eta)[0]
 
 

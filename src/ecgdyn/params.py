@@ -82,13 +82,25 @@ def require_dist(table: ParamTable, class_code: str, lead: str) -> ParamDistribu
         ) from None
 
 
-def _sample_entry(dist: ParamDistribution, rng: np.random.Generator):
-    """One draw of (eta, gain); consumes exactly 16 normals from rng."""
-    draw = rng.standard_normal(N_PARAMS + 1)
-    vals = np.asarray(dist.mean) + np.asarray(dist.std) * draw[:N_PARAMS]
-    _project_eta_vector(vals)
-    gain = max(dist.gain_mean + dist.gain_std * draw[N_PARAMS], GAIN_FLOOR)
-    return vector_to_eta(vals), float(gain)
+def _draw(dists, n_samples: int, rng: np.random.Generator):
+    """n_samples draws of every distribution's wave parameters and gain.
+
+    Returns (n_samples, len(dists), 15) parameter vectors, centers wrapped
+    to [-pi, pi) and widths clamped at B_FLOOR, and (n_samples, len(dists))
+    gains floored at GAIN_FLOOR. One rng call takes 16 normals per draw and
+    distribution, draws outermost: the stream of one 16-normal draw per
+    distribution per sample, in that order.
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    z = rng.standard_normal((n_samples, len(dists), N_PARAMS + 1))
+    mean = np.array([d.mean for d in dists])
+    std = np.array([d.std for d in dists])
+    params = _project_eta_vector(mean + std * z[..., :N_PARAMS])
+    gain_mean = np.array([d.gain_mean for d in dists])
+    gain_std = np.array([d.gain_std for d in dists])
+    gains = np.maximum(gain_mean + gain_std * z[..., N_PARAMS], GAIN_FLOOR)
+    return params, gains
 
 
 def sample_eta(dist: ParamDistribution, seed) -> tuple[EdmParams, float]:
@@ -97,7 +109,8 @@ def sample_eta(dist: ParamDistribution, seed) -> tuple[EdmParams, float]:
     Widths are clamped to the B_FLOOR and centers re-wrapped to [-pi, pi);
     a zero-std distribution returns its mean bit-exactly.
     """
-    return _sample_entry(dist, np.random.default_rng(seed))
+    params, gains = _draw([dist], 1, np.random.default_rng(seed))
+    return vector_to_eta(params[0, 0]), float(gains[0, 0])
 
 
 # ---------------------------------------------------------------------------

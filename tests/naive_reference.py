@@ -123,6 +123,106 @@ def refine_lstsq(terms, u0, dt):
 
 
 # ---------------------------------------------------------------------------
+# Monte-Carlo loss: one draw, one lead and one term at a time
+
+LEADS = ("I", "II", "III", "aVR", "aVL", "aVF",
+         "V1", "V2", "V3", "V4", "V5", "V6")
+FREE = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
+# (target, src1, beta, src2, gamma): target = beta*src1 + gamma*src2
+LIMB_RELATIONS = (("I", "II", 1.0, "III", -1.0), ("II", "I", 1.0, "III", 1.0),
+                  ("III", "II", 1.0, "I", -1.0), ("aVR", "I", -0.5, "II", -0.5),
+                  ("aVL", "I", 0.5, "III", -0.5), ("aVF", "II", 0.5, "III", 0.5))
+
+
+def wrap_modulo(phi):
+    """[-pi, pi) by float modulo; in-range values untouched, the seam to -pi."""
+    if -math.pi <= phi < math.pi:
+        return phi
+    w = (phi + math.pi) % (2.0 * math.pi) - math.pi
+    return -math.pi if w >= math.pi else w
+
+
+def sample_entry(dist, rng):
+    """One lead's draw of (15 parameters, gain) from 16 normals: centers
+    wrapped, widths clamped at 1e-3, the gain floored at 1e-6."""
+    draw = rng.standard_normal(16)
+    vals = np.asarray(dist.mean) + np.asarray(dist.std) * draw[:15]
+    for i in range(15):
+        if i % 3 == 0:
+            vals[i] = wrap_modulo(float(vals[i]))
+        elif i % 3 == 2:
+            vals[i] = max(float(vals[i]), 1e-3)
+    return vals, float(max(dist.gain_mean + dist.gain_std * draw[15], 1e-6))
+
+
+def circle_phase(fs, n, f):
+    """atan2(y, x) at the start of each step of the Euler (x, y) path."""
+    dt = 1.0 / fs
+    omega = 2.0 * math.pi * f
+    x, y = -1.0, 0.0
+    xs, ys = [x], [y]
+    for _ in range(n - 1):
+        alpha = 1.0 - math.sqrt(x * x + y * y)
+        dx = alpha * x - omega * y
+        dy = alpha * y + omega * x
+        x, y = x + dx * dt, y + dy * dt
+        xs.append(x)
+        ys.append(y)
+    return np.arctan2(np.array(ys[:-1]), np.array(xs[:-1]))
+
+
+def drift_rate(vals, phase, rhythm, dt):
+    """W + z0 along the phase, summing the waves one at a time."""
+    w = np.zeros(phase.size)
+    for i in range(5):
+        theta, a, b = vals[3 * i: 3 * i + 3]
+        d = phase - theta
+        d = np.where(d >= math.pi, d - 2.0 * math.pi,
+                     np.where(d < -math.pi, d + 2.0 * math.pi, d))
+        w -= a * d * np.exp(-(d * d) / (2.0 * b * b))
+    t = np.arange(phase.size) * dt
+    return w + rhythm.A * np.sin(2.0 * math.pi * rhythm.f2 * t)
+
+
+def loss_components(leads, fs, dists, n_samples, seed):
+    """(l1, l2, per_lead) of the combined loss, term by term.
+
+    dists are the 12 leads' distributions in LEADS order. Each draw takes
+    the leads in order from one generator; a limb identity rates its
+    sources on the target's rhythm and scores the target at its gain.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [[sample_entry(dist, rng) for dist in dists] for _ in range(n_samples)]
+    n = leads.shape[1]
+    dt = 1.0 / fs
+    phases = {}
+
+    def drift(vals, via):
+        rhythm = dists[via].rhythm
+        if rhythm.f not in phases:
+            phases[rhythm.f] = circle_phase(fs, n, rhythm.f)
+        return drift_rate(vals, phases[rhythm.f], rhythm, dt)
+
+    def distance(j, gain, rate, c):
+        h = leads[j] / gain
+        r = np.diff(h) / dt - (rate - c * h[:-1])
+        return float(r @ r)
+
+    per_lead = [0.0] * 12
+    l2 = 0.0
+    for draw in draws:
+        for j in range(12):
+            per_lead[j] += distance(j, draw[j][1], drift(draw[j][0], j), 1.0)
+        for target, src1, beta, src2, gamma in LIMB_RELATIONS:
+            t, s1, s2 = LEADS.index(target), LEADS.index(src1), LEADS.index(src2)
+            rate = beta * drift(draw[s1][0], t) + gamma * drift(draw[s2][0], t)
+            l2 += distance(t, draw[t][1], rate, beta + gamma)
+    per_lead = [v / n_samples for v in per_lead]
+    l1 = sum(per_lead[LEADS.index(lead)] for lead in FREE) / len(FREE)
+    return l1, l2 / (n_samples * len(LIMB_RELATIONS)), dict(zip(LEADS, per_lead))
+
+
+# ---------------------------------------------------------------------------
 # CSV: the row-by-row writers and the line parser the array code replaced
 
 CSV_HEADER = "time,I,II,III,aVR,aVL,aVF,V1,V2,V3,V4,V5,V6"

@@ -7,6 +7,7 @@ import pytest
 
 import naive_reference as oracle
 from helpers import make_jittered_record
+from ecgdyn import cli
 from ecgdyn.cli import (read_beats_csv, read_record_csv, run_cli,
                         write_beats_csv, write_record_csv)
 from ecgdyn.integrate import SamplingGrid
@@ -505,9 +506,8 @@ class TestCsvWriter:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
-    @pytest.mark.parametrize("fs", [500.0, 491.37])
-    def test_record_bytes_match(self, fs, tmp_path):
-        n = 600
+    @staticmethod
+    def _record_bytes_match(fs, n, tmp_path):
         values = np.resize(_EDGE_VALUES + list(_random_17_digit(12 * n, seed=1)),
                            12 * n)
         record = Record(fs=fs, channels=values.reshape(12, n), id="r")
@@ -515,3 +515,29 @@ class TestCsvWriter:
         oracle.write_record_csv(tmp_path / "old.csv", record)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("fs", [500.0, 491.37])
+    def test_record_bytes_match(self, fs, tmp_path):
+        self._record_bytes_match(fs, 600, tmp_path)
+
+    @pytest.mark.parametrize("fs", [500.0, 491.37])
+    def test_multi_block_record_bytes_match(self, fs, tmp_path):
+        # three write blocks, the last one partial
+        self._record_bytes_match(fs, 2 * cli._WRITE_BLOCK + 7, tmp_path)
+
+    def test_record_write_peak_does_not_grow_with_length(self, tmp_path):
+        """Writing goes out a block at a time, so a record ten times as
+        long peaks at about the same size; building a whole record's text
+        first would peak ten times as high."""
+        rng = np.random.default_rng(6)
+        peaks = []
+        for n in (20_000, 200_000):
+            record = Record(fs=500.0, channels=rng.standard_normal((12, n)),
+                            id="long")
+            tracemalloc.start()
+            try:
+                write_record_csv(tmp_path / "long.csv", record)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]

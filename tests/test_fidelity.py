@@ -12,11 +12,14 @@ from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              grad_sim_distance_wrt_eta, grad_sim_distance_wrt_h,
                              loss_components, reference_trajectory, sim_distance,
                              sim_distance_interlead)
+from ecgdyn.cli import read_beats_csv, run_cli, write_beats_csv
 from ecgdyn.integrate import beat_grid, integrate_euler
-from ecgdyn.leads import FREE_LEADS, LeadRelation, limb_relations, synthesize_heartbeat
-from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
+from ecgdyn.leads import (FREE_LEADS, LEAD_NAMES, Heartbeat, LeadRelation,
+                          limb_relations, synthesize_heartbeat)
+from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
                           eta_to_vector, vector_to_eta)
-from ecgdyn.params import default_distributions, zero_variance
+from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
+                           zero_variance)
 from ecgdyn.fidelity import draw_param_samples
 from ecgdyn.fitting import _RefineProblem
 
@@ -49,6 +52,12 @@ def with_rhythms(table, rhythms):
     """Copy of a table with the given leads' rhythms replaced."""
     return {key: replace(dist, rhythm=rhythms.get(dist.lead, dist.rhythm))
             for key, dist in table.items()}
+
+
+def _noise_beat(seed=21):
+    rng = np.random.default_rng(seed)
+    return Heartbeat(grid=GRID, leads=rng.uniform(-0.1, 0.1, (12, GRID.L)),
+                     label="NORMAL")
 
 
 @pytest.fixture(scope="module")
@@ -157,15 +166,8 @@ class TestInterlead:
 
 
 class TestCombinedLoss:
-    def _noise_beat(self, seed=21):
-        from ecgdyn.leads import Heartbeat
-
-        rng = np.random.default_rng(seed)
-        return Heartbeat(grid=GRID, leads=rng.uniform(-0.1, 0.1, (12, GRID.L)),
-                         label="NORMAL")
-
     def test_delta_endpoints(self, zero_table):
-        beat = self._noise_beat()
+        beat = _noise_beat()
         l1, l2, _ = loss_components(beat, zero_table, n_samples=4, seed=5)
         assert euler_loss_combined(beat, zero_table, LossWeights(1.0),
                                    n_samples=4, seed=5) == l1
@@ -215,21 +217,30 @@ class TestCombinedLoss:
         assert l2 == pytest.approx(total / 6.0, rel=1e-9)
 
     def test_each_drift_evaluated_once_per_draw(self, monkeypatch):
-        # the shipped table shares one rhythm, so the limb identities reuse
-        # their sources' drifts: 12 per draw, not 12 + 2 * 6
+        # the shipped table shares one rhythm: one call evaluates the drift
+        # of all 12 leads in every draw, which the limb identities reuse
         calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
-        loss_components(self._noise_beat(), default_distributions(),
+        loss_components(_noise_beat(), default_distributions(),
                         n_samples=3, seed=1)
-        assert len(calls) == 12 * 3
+        assert [np.shape(eta) for _, eta in calls] == [(3, 12, 15)]
         # refinement reads the free leads' own terms and the identities,
-        # whose sources are I, II and III: 9 drifts per draw
+        # whose sources are I, II and III: 9 leads per draw
         calls.clear()
-        _RefineProblem(self._noise_beat(), default_distributions(),
+        _RefineProblem(_noise_beat(), default_distributions(),
                        LossWeights(0.6), n_samples=3, seed=1)
-        assert len(calls) == 9 * 3
+        assert [np.shape(eta) for _, eta in calls] == [(3, 9, 15)]
+        # in "mixed" four rhythms carry terms: those of I, III and aVR,
+        # each with its lead and the two sources its identity rates on it,
+        # and the shared one, with every other lead and the sources I, III
+        calls.clear()
+        loss_components(_noise_beat(),
+                        with_rhythms(default_distributions(), MIXED_RHYTHMS),
+                        n_samples=3, seed=1)
+        assert [np.shape(eta) for _, eta in calls] == [
+            (3, 3, 15), (3, 11, 15), (3, 3, 15), (3, 3, 15)]
 
     def test_seeded_determinism(self, zero_table):
-        beat = self._noise_beat()
+        beat = _noise_beat()
         table = default_distributions()
         a = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=6, seed=9)
         b = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=6, seed=9)
@@ -238,20 +249,120 @@ class TestCombinedLoss:
         assert a != c
 
     def test_unlabeled_beat_rejected(self, zero_table):
-        beat = self._noise_beat()
+        beat = _noise_beat()
         beat.label = None
         with pytest.raises(ConfigurationError):
             euler_loss_combined(beat, zero_table)
 
     def test_missing_class_rejected(self, zero_table):
-        beat = self._noise_beat()
+        beat = _noise_beat()
         beat.label = "IAVB"
         with pytest.raises(ConfigurationError, match="IAVB"):
             euler_loss_combined(beat, zero_table)
 
+    def test_zero_samples_rejected(self, zero_table):
+        for score in (loss_components, euler_loss_combined):
+            with pytest.raises(ValueError, match="at least one sample"):
+                score(_noise_beat(), zero_table, n_samples=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            draw_param_samples(zero_table, "NORMAL", 0, seed=1)
+
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(delta=1.5)
+
+
+def high_variance(table):
+    """Copy of a table with every center std at 3 rad and every width std
+    at twice its mean, so draws wrap at the seam and clamp at B_FLOOR."""
+    out = {}
+    for key, dist in table.items():
+        std = list(dist.std)
+        std[0::3] = [3.0] * 5
+        std[2::3] = [2.0 * b for b in dist.mean[2::3]]
+        out[key] = replace(dist, std=tuple(std))
+    return out
+
+
+TABLES = {"shipped": default_distributions,
+          "high variance": lambda: high_variance(default_distributions()),
+          "mixed rhythms": lambda: with_rhythms(default_distributions(),
+                                                MIXED_RHYTHMS)}
+
+
+class TestBatchedMonteCarlo:
+    """The array path against one draw, one lead and one term at a time."""
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_draws_match_per_lead_loop(self, name):
+        table = TABLES[name]()
+        got = draw_param_samples(table, "NORMAL", 6, seed=11)
+        rng = np.random.default_rng(11)
+        for entry in got:
+            for lead in LEAD_NAMES:
+                vals, gain = oracle.sample_entry(table["NORMAL", lead], rng)
+                assert eta_to_vector(entry[lead][0]).tolist() == vals.tolist()
+                assert entry[lead][1] == gain
+
+    def test_high_variance_draws_wrap_and_clamp(self):
+        table = high_variance(default_distributions())
+        z = np.random.default_rng(11).standard_normal((6, 12, 16))
+        raw = np.array([table["NORMAL", lead].mean for lead in LEAD_NAMES]) + (
+            np.array([table["NORMAL", lead].std for lead in LEAD_NAMES]) * z[..., :15])
+        theta, b = raw[..., 0::3], raw[..., 2::3]
+        assert np.any(np.abs(theta + np.pi) >= 2 * np.pi)  # wrapped by modulo
+        assert np.any(b < B_FLOOR)
+        got = np.array([[eta_to_vector(entry[lead][0]) for lead in LEAD_NAMES]
+                        for entry in draw_param_samples(table, "NORMAL", 6, seed=11)])
+        assert np.all((-np.pi <= got[..., 0::3]) & (got[..., 0::3] < np.pi))
+        assert np.array_equal(got[..., 2::3] == B_FLOOR, b <= B_FLOOR)
+
+    @pytest.mark.parametrize("name", sorted(TABLES) + ["read back"])
+    def test_loss_matches_per_term_oracle(self, name, tmp_path):
+        table = TABLES.get(name, default_distributions)()
+        beat = _noise_beat()
+        if name == "read back":
+            # the reader hands back the transposed (Fortran-ordered) leads
+            write_beats_csv(tmp_path / "beat.csv", [beat])
+            beat = read_beats_csv(tmp_path / "beat.csv", label="NORMAL")[0]
+            assert not beat.leads.flags.c_contiguous
+        got = loss_components(beat, table, n_samples=5, seed=13)
+        want = oracle.loss_components(
+            beat.leads, beat.grid.fs,
+            [table["NORMAL", lead] for lead in LEAD_NAMES], 5, 13)
+        assert got == want
+
+    def test_overflowing_signal_rejected(self, tmp_path):
+        table = {key: replace(dist, gain_mean=1e-3, gain_std=0.0)
+                 for key, dist in default_distributions().items()}
+        beat = Heartbeat(grid=GRID, leads=np.full((12, GRID.L), 1e306),
+                         label="NORMAL")
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="samples must be finite"):
+            loss_components(beat, table)
+        params = tmp_path / "tiny_gain.params"
+        params.write_text(write_param_file(table), encoding="utf-8")
+        write_beats_csv(tmp_path / "beat.csv", [beat])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli(["score", "--input", str(tmp_path / "beat.csv"),
+                            "--params", str(params)])
+        assert code == 2
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["theta", "a", "b"])
+    def test_non_finite_draw_rejected(self, field):
+        # a mean and std at 1e308 overflow to inf in most draws
+        table = {}
+        for key, dist in default_distributions().items():
+            mean, std = list(dist.mean), list(dist.std)
+            mean[field::3] = [1e308] * 5
+            std[field::3] = [1e308] * 5
+            table[key] = replace(dist, mean=tuple(mean), std=tuple(std))
+        for call in (lambda: draw_param_samples(table, "NORMAL", 4, seed=2),
+                     lambda: sample_eta(table["NORMAL", "II"], seed=2),
+                     lambda: loss_components(_noise_beat(), table, 4, seed=2)):
+            with pytest.warns(RuntimeWarning, match="overflow"), \
+                    pytest.raises(ValueError, match="must be finite"):
+                call()
 
 
 def _norm_rel_err(analytic, fd):

@@ -343,7 +343,12 @@ class TestRefineWaveform:
                               n_samples=2)
         problem = _RefineProblem(beat, table, LossWeights(delta), 2, 3)
         u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
-        dense = oracle.refine_lstsq(problem.terms, u0, grid.dt)
+        terms = [(weight, lead, gain, drift, c)
+                 for weight, names, coeffs, gains, drifts in problem.blocks
+                 for draw_gains, draw_drifts in zip(gains, drifts)
+                 for lead, c, gain, drift in zip(names, coeffs, draw_gains,
+                                                 draw_drifts)]
+        dense = oracle.refine_lstsq(terms, u0, grid.dt)
         got = np.vstack([out.lead(lead) for lead in FREE_LEADS])
         assert np.max(np.abs(got - dense)) <= 1e-7 * np.max(np.abs(dense))
 

@@ -106,6 +106,44 @@ class TestEuler:
             assert err.value.step == step
             assert "step" in str(err.value)
 
+    def test_divergence_step_with_cached_circle(self):
+        # with the circle already cached by an earlier integration, a
+        # diverging z is reported at the first step where the scalar Euler
+        # loop reaches DIVERGENCE_LIMIT
+        grid = beat_grid(500, 1.0)
+        integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, grid)
+        for amp in (1e9, 1e12, 1e15):
+            eta = EdmParams(DEFAULT_ETA.P, DEFAULT_ETA.Q,
+                            WaveParams(DEFAULT_ETA.R.theta, amp, DEFAULT_ETA.R.b),
+                            DEFAULT_ETA.S, DEFAULT_ETA.T)
+            amps = list(oracle.AMP)
+            amps[2] = amp
+            _, _, zs = oracle.euler_trajectory(500, 500, a=tuple(amps))
+            step = next(l for l, z in enumerate(zs) if not abs(z) < 1e6)
+            with pytest.raises(IntegrationDiverged) as err:
+                integrate_euler(eta, DEFAULT_RHYTHM, grid)
+            assert err.value.step == step
+
+    def test_circle_shared_and_read_only(self):
+        # every lead on one grid reads the one cached (x, y) circle, so a
+        # write to it would corrupt every later integration
+        grid = beat_grid(500, 1.0)
+        a = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, grid)
+        b = integrate_euler(flat_eta(), DEFAULT_RHYTHM, grid)
+        assert a.x is b.x and a.y is b.y
+        for path in (a.x, a.y):
+            with pytest.raises(ValueError, match="read-only"):
+                path[0] = 0.0
+        a.z[0] = 0.0  # z belongs to the caller
+
+    def test_signed_zero_start_not_shared(self):
+        # -0.0 == 0.0, but atan2 starts y = -0.0 at phase -pi, not pi
+        grid = SamplingGrid(500.0, 20)
+        plus = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, grid, State(-1.0, 0.0, 0.0))
+        minus = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, grid, State(-1.0, -0.0, 0.0))
+        assert math.copysign(1.0, plus.y[0]) == 1.0
+        assert math.copysign(1.0, minus.y[0]) == -1.0
+
     def test_time_offset_chaining(self):
         # two chained half-beats track the single full integration
         grid = beat_grid(500, 1.0)

@@ -45,6 +45,23 @@ class TestWrapAngle:
         with pytest.raises(ValueError):
             wrap_angle(bad)
 
+    def test_array_matches_scalar_rule_bitwise(self):
+        # the first value lands exactly on the seam after the modulo
+        seam = [math.nextafter(-math.pi, -4.0), math.pi, -math.pi, 3 * math.pi,
+                -3 * math.pi, math.nextafter(math.pi, 4.0),
+                math.nextafter(math.pi, 0.0)]
+        rng = np.random.default_rng(2)
+        phi = np.concatenate([seam, rng.uniform(-50.0, 50.0, 10_000),
+                              rng.uniform(-1e6, 1e6, 1000)])
+        got = wrap_angle(phi)
+        assert got.tolist() == [oracle.wrap_modulo(float(v)) for v in phi]
+        assert got.tolist() == [wrap_angle(float(v)) for v in phi]
+        assert got[0] == -math.pi
+
+    def test_array_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            wrap_angle(np.array([0.0, math.nan]))
+
     def test_array_variant_matches_scalar(self):
         # the rate kernel's single conditional shift agrees with the scalar
         # while-loop wrap on both sides of the +-pi seam
