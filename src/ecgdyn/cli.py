@@ -179,6 +179,8 @@ def _load_table(path) -> ParamTable:
 # subcommands
 
 def _cmd_synthesize(args) -> int:
+    if args.beats < 1:
+        raise ValueError(f"--beats must be >= 1, got {args.beats}")
     table = _load_table(args.params)
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
@@ -197,7 +199,12 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     table = _load_table(args.params)
+    check_class_code(args.klass)
+    for lead in LEAD_NAMES:
+        require_dist(table, args.klass, lead)
     weights = LossWeights(delta=args.delta)
     beats = read_beats_csv(args.input, label=args.klass)
     print("beat,combined," + ",".join(LEAD_NAMES))

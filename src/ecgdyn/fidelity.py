@@ -25,7 +25,10 @@ rhythm, and returns drifts and gains as (draws, terms, L-1) and
 pair, so a limb identity reuses the drifts of its source leads' own
 terms. Every term's squared residuals are summed as a dot product over
 its own contiguous row, in draw order, so the loss is bit-identical to
-scoring one term at a time.
+scoring one term at a time. Every beat of a file shares the grid, the
+class table, the draws and the seed, so one term set serves them all:
+``_mc_terms`` keeps the last one built for an int seed, as read-only
+arrays, and builds afresh when any of these changes.
 """
 
 from __future__ import annotations
@@ -225,18 +228,34 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
 
     Each block is (names, coeffs, gains, drifts): the lead each of its T
     terms scores, the (T,) z coefficients, and the (n_samples, T) gains
-    and (n_samples, T, L-1) drifts of every draw. The own block holds each
-    lead in leads, in that order, with coefficient 1.0; the related block
-    holds the limb identities in limb_relations() order, each scoring its
-    target with the target's gain, drift beta*drift(src1) +
-    gamma*drift(src2) on the target's rhythm and reference, and
-    coefficient beta + gamma. A term scores a lead h through
-    _residuals(h / gain, dt, drift, coeff). Draws come from one generator
-    seeded by seed, as in draw_param_samples; W is evaluated in one
-    wave_rate_sum call per rhythm, over every draw of the leads that need
-    a drift on it.
+    and (n_samples, T, L-1) drifts of every draw, all read-only. The own
+    block holds each lead in leads, in that order, with coefficient 1.0;
+    the related block holds the limb identities in limb_relations() order,
+    each scoring its target with the target's gain, drift
+    beta*drift(src1) + gamma*drift(src2) on the target's rhythm and
+    reference, and coefficient beta + gamma. A term scores a lead h
+    through _residuals(h / gain, dt, drift, coeff). Draws come from one
+    generator seeded by seed, as in draw_param_samples.
+
+    Every beat of a file shares the grid, the class table, the draws and
+    the seed, so the last term set is kept (``_build_mc_terms``, one
+    entry) and served again for the same grid, the label's 12
+    distributions (compared by value), n_samples, seed and leads. Only an
+    int seed with an int n_samples is kept; None, a Generator (whose draws
+    move on) or a SeedSequence builds fresh terms on every call.
     """
-    dists = _dists(table, label)
+    dists = tuple(_dists(table, label))
+    if type(seed) is int and type(n_samples) is int:
+        return _build_mc_terms(grid, dists, n_samples, seed, tuple(leads))
+    return _build_mc_terms.__wrapped__(grid, dists, n_samples, seed, leads)
+
+
+@lru_cache(maxsize=1)
+def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
+                    leads):
+    """The terms of ``_mc_terms`` from the 12 leads' distributions. W is
+    evaluated in one wave_rate_sum call per rhythm, over every draw of the
+    leads that need a drift on it."""
     params, gains = _draw(dists, n_samples, np.random.default_rng(seed))
     rhythm = {lead: dist.rhythm for lead, dist in zip(LEAD_NAMES, dists)}
     rels = limb_relations()
@@ -259,6 +278,9 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
                np.stack([rel.beta * drift[rel.src1, rhythm[rel.target]]
                          + rel.gamma * drift[rel.src2, rhythm[rel.target]]
                          for rel in rels], axis=1))
+    for _, *arrays in (own, related):
+        for arr in arrays:
+            arr.flags.writeable = False
     return own, related
 
 

@@ -88,6 +88,15 @@ class TestSynthesize:
         assert captured.out == ""
         assert "wrote" in captured.err
 
+    @pytest.mark.parametrize("beats", ["0", "-3"])
+    def test_beats_below_one_rejected(self, params_file, tmp_path, capsys, beats):
+        out = tmp_path / "none.csv"
+        assert synth(out, params_file, beats=beats) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--beats" in captured.err
+
     def test_missing_params_file(self, tmp_path):
         assert synth(tmp_path / "o.csv", str(tmp_path / "nope.params")) == 2
 
@@ -159,7 +168,65 @@ class TestScore:
         assert capsys.readouterr().out == first
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--class", "FOO"], "FOO"),
+        (["--class", "bad"], "uppercase"),
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-2"], "--samples"),
+    ], ids=["class not in table", "bad class code", "zero samples",
+            "negative samples"])
+    def test_bad_request_fails_before_header(self, params_file, tmp_path, capsys,
+                                             flags, message):
+        out = tmp_path / "beat.csv"
+        synth(out, params_file)
+        capsys.readouterr()
+        assert run_cli(["score", "--input", str(out), "--params", params_file,
+                        *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_multibeat_file_scores_like_single_beats(self, params_file, tmp_path,
+                                                     capsys):
+        out = tmp_path / "beats.csv"
+        synth(out, params_file, beats=3)
+        args = ["--params", params_file, "--seed", "4", "--samples", "3"]
+        capsys.readouterr()
+        assert run_cli(["score", "--input", str(out), *args]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        alone = []
+        for k, beat in enumerate(read_beats_csv(out)):
+            single = tmp_path / f"beat{k}.csv"
+            write_beats_csv(single, [beat])
+            assert run_cli(["score", "--input", str(single), *args]) == 0
+            alone += capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        assert [r.partition(",")[2] for r in rows] == \
+            [r.partition(",")[2] for r in alone]
+
+
 class TestRefine:
+    def test_multibeat_file_refines_like_single_beats(self, params_file,
+                                                      tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        beats = [Heartbeat(grid=SamplingGrid(500.0, 500),
+                           leads=rng.uniform(-0.1, 0.1, (12, 500)))
+                 for _ in range(3)]
+        src, out = tmp_path / "noise.csv", tmp_path / "refined.csv"
+        write_beats_csv(src, beats)
+        args = ["--params", params_file, "--seed", "2", "--samples", "3"]
+        assert run_cli(["refine", "--input", str(src), "--out", str(out),
+                        *args]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        for k, beat in enumerate(beats):
+            single, alone = tmp_path / f"noise{k}.csv", tmp_path / f"refined{k}.csv"
+            write_beats_csv(single, [beat])
+            assert run_cli(["refine", "--input", str(single), "--out",
+                            str(alone), *args]) == 0
+            mine = [r.partition(",")[2] for r in rows if r.startswith(f"{k},")]
+            assert mine == alone.read_text(encoding="utf-8").splitlines()[1:]
+        capsys.readouterr()
+
     def test_refine_smoke(self, params_file, tmp_path, capsys):
         src = tmp_path / "noise.csv"
         rng = np.random.default_rng(0)

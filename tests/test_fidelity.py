@@ -219,15 +219,23 @@ class TestCombinedLoss:
     def test_each_drift_evaluated_once_per_draw(self, monkeypatch):
         # the shipped table shares one rhythm: one call evaluates the drift
         # of all 12 leads in every draw, which the limb identities reuse
+        fidelity._build_mc_terms.cache_clear()
         calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
         loss_components(_noise_beat(), default_distributions(),
                         n_samples=3, seed=1)
         assert [np.shape(eta) for _, eta in calls] == [(3, 12, 15)]
+        # the other beats of a file share its grid, table, draws and seed:
+        # they reuse the first beat's terms
+        for seed in (22, 23, 24):
+            loss_components(_noise_beat(seed), default_distributions(),
+                            n_samples=3, seed=1)
+        assert len(calls) == 1
         # refinement reads the free leads' own terms and the identities,
-        # whose sources are I, II and III: 9 leads per draw
+        # whose sources are I, II and III: 9 leads per draw, once per file
         calls.clear()
-        _RefineProblem(_noise_beat(), default_distributions(),
-                       LossWeights(0.6), n_samples=3, seed=1)
+        for seed in (21, 22, 23):
+            _RefineProblem(_noise_beat(seed), default_distributions(),
+                           LossWeights(0.6), n_samples=3, seed=1)
         assert [np.shape(eta) for _, eta in calls] == [(3, 9, 15)]
         # in "mixed" four rhythms carry terms: those of I, III and aVR,
         # each with its lead and the two sources its identity rates on it,
@@ -238,6 +246,12 @@ class TestCombinedLoss:
                         n_samples=3, seed=1)
         assert [np.shape(eta) for _, eta in calls] == [
             (3, 3, 15), (3, 11, 15), (3, 3, 15), (3, 3, 15)]
+        calls.clear()
+        for seed in (22, 23):
+            loss_components(_noise_beat(seed),
+                            with_rhythms(default_distributions(), MIXED_RHYTHMS),
+                            n_samples=3, seed=1)
+        assert calls == []
 
     def test_seeded_determinism(self, zero_table):
         beat = _noise_beat()
@@ -270,6 +284,70 @@ class TestCombinedLoss:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(delta=1.5)
+
+
+def _scores(beat, table, n_samples=3, seed=1):
+    """loss_components of a beat as the exact bits of every value."""
+    l1, l2, per_lead = loss_components(beat, table, n_samples=n_samples,
+                                       seed=seed)
+    return [float(v).hex() for v in (l1, l2, *per_lead.values())]
+
+
+def _fresh_scores(*args, **kwargs):
+    fidelity._build_mc_terms.cache_clear()
+    return _scores(*args, **kwargs)
+
+
+class TestTermMemo:
+    """One file's beats share one term set; nothing else changes."""
+
+    def test_interleaved_beats_match_fresh_builds(self):
+        table = default_distributions()
+        beat_a = _noise_beat(31)
+        grid_b = beat_grid(250, 1.2)
+        beat_b = Heartbeat(grid=grid_b, label="NORMAL",
+                           leads=np.random.default_rng(32).uniform(
+                               -0.1, 0.1, (12, grid_b.L)))
+        fresh_a = _fresh_scores(beat_a, table, seed=4)
+        fresh_b = _fresh_scores(beat_b, zero_variance(table), seed=9)
+        fresh_c = _fresh_scores(beat_b, table, seed=4)  # only the grid is A's
+        fidelity._build_mc_terms.cache_clear()
+        assert _scores(beat_a, table, seed=4) == fresh_a
+        assert _scores(beat_b, zero_variance(table), seed=9) == fresh_b
+        assert _scores(beat_a, table, seed=4) == fresh_a
+        assert _scores(beat_a, table, seed=4) == fresh_a  # served by the memo
+        assert _scores(beat_b, table, seed=4) == fresh_c
+
+    def test_cached_arrays_are_read_only(self):
+        fidelity._build_mc_terms.cache_clear()
+        terms = fidelity._mc_terms(GRID, default_distributions(), "NORMAL", 3, 1)
+        assert fidelity._mc_terms(GRID, default_distributions(), "NORMAL",
+                                  3, 1) is terms
+        for _, *arrays in terms:
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+
+    def test_unkeyable_seeds_build_every_call(self, monkeypatch):
+        fidelity._build_mc_terms.cache_clear()
+        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
+        beat, table = _noise_beat(), default_distributions()
+        rng = np.random.default_rng(3)
+        assert _scores(beat, table, seed=rng) != _scores(beat, table, seed=rng)
+        assert _scores(beat, table, seed=None) != _scores(beat, table, seed=None)
+        seq = np.random.SeedSequence(3)
+        assert _scores(beat, table, seed=seq) == _scores(beat, table, seed=seq)
+        assert len(calls) == 6
+        assert fidelity._build_mc_terms.cache_info().currsize == 0
+
+    def test_zero_variance_copy_has_its_own_entry(self, monkeypatch):
+        beat, table = _noise_beat(), default_distributions()
+        fresh_zero = _fresh_scores(beat, zero_variance(table))
+        fidelity._build_mc_terms.cache_clear()
+        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
+        shipped = _scores(beat, table)
+        assert _scores(beat, zero_variance(table)) == fresh_zero != shipped
+        assert len(calls) == 2
 
 
 def high_variance(table):
