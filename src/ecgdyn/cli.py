@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +72,14 @@ def _fmt_value(v: float) -> str:
     return str(float(v))
 
 
-def _write_rows(fh, times, leads: np.ndarray) -> None:
-    """Rows of _WRITE_BLOCK samples per write: each time string from the
-    iterator times, then the samples by repr. A beat is one block."""
+def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
+    """Rows of _WRITE_BLOCK samples per write: a cell from each iterator in
+    key, a time from times, then the samples by repr. A beat is one block."""
     for start in range(0, leads.shape[1], _WRITE_BLOCK):
         block = leads[:, start:start + _WRITE_BLOCK].tolist()
         # islice stops zip before it takes the next block's first time
-        columns = [islice(times, _WRITE_BLOCK), *(map(repr, lead) for lead in block)]
+        columns = [*key, islice(times, _WRITE_BLOCK),
+                   *(map(repr, lead) for lead in block)]
         # the empty last item ends the final row without copying the text
         fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
 
@@ -86,12 +87,15 @@ def _write_rows(fh, times, leads: np.ndarray) -> None:
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:
     """Serialize beats; a beat-index column appears only for multi-beat files."""
     multi = len(beats) > 1
+    times: dict[SamplingGrid, list[str]] = {}  # each grid's column, formatted once
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
         for k, beat in enumerate(beats):
-            dt, key = beat.grid.dt, f"{k}," if multi else ""
-            _write_rows(fh, (f"{key}{l * dt:.9f}" for l in range(beat.grid.L)),
-                        beat.leads)
+            grid = beat.grid
+            if grid not in times:
+                times[grid] = [f"{l * grid.dt:.9f}" for l in range(grid.L)]
+            _write_rows(fh, iter(times[grid]), beat.leads,
+                        (repeat(str(k)),) if multi else ())
 
 
 def _beat_arrays(rows: np.ndarray) -> tuple[float, np.ndarray]:
@@ -207,15 +211,17 @@ def _cmd_score(args) -> int:
         require_dist(table, args.klass, lead)
     weights = LossWeights(delta=args.delta)
     beats = read_beats_csv(args.input, label=args.klass)
-    print("beat,combined," + ",".join(LEAD_NAMES))
+    rows = ["beat,combined," + ",".join(LEAD_NAMES)]
     for k, beat in enumerate(beats):
-        l1, l2, per_lead = loss_components(beat, table,
-                                           n_samples=args.samples,
-                                           seed=args.seed)
+        # huge finite samples overflow the sums: an error below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            l1, l2, per_lead = loss_components(beat, table, args.samples, args.seed)
         combined = weights.delta * l1 + (1.0 - weights.delta) * l2
-        cells = [str(k), _fmt_value(combined)]
-        cells += [_fmt_value(per_lead[lead]) for lead in LEAD_NAMES]
-        print(",".join(cells))
+        scores = [combined, *(per_lead[lead] for lead in LEAD_NAMES)]
+        if not np.all(np.isfinite(scores)):
+            raise ValueError(f"beat {k}: score is not finite")
+        rows.append(",".join([str(k), *map(_fmt_value, scores)]))
+    print("\n".join(rows))
     return 0
 
 
@@ -240,30 +246,26 @@ def _cmd_fit(args) -> int:
     beats = read_beats_csv(args.input)
     signals = [LeadSignal(b.grid, b.lead(lead) / init.gain_mean, lead=lead)
                for b in beats]
-    print("beat,lead,iterations,converged,final_distance")
     if len(signals) == 1:
-        sig = signals[0]
-        ref = reference_trajectory(init.rhythm, sig.grid)
-        result = fit_params(sig, init.mean_eta, init.rhythm, ref, cfg)
-        dist = ParamDistribution(
-            class_code=args.klass, lead=lead,
-            mean=tuple(eta_to_vector(result.eta)), std=(0.0,) * 15,
-            gain_mean=init.gain_mean, gain_std=0.0, rhythm=init.rhythm)
-        print(f"0,{lead},{result.iterations},{int(result.converged)},"
-              f"{_fmt_value(result.final_distance)}")
+        ref = reference_trajectory(init.rhythm, signals[0].grid)
+        results = [fit_params(signals[0], init.mean_eta, init.rhythm, ref, cfg)]
+        mean, std = tuple(eta_to_vector(results[0].eta)), (0.0,) * 15
     else:
-        fit_results: list = []
-        dist = estimate_distribution(signals, args.klass, lead, cfg,
-                                     rhythm=init.rhythm, eta0=init.mean_eta,
-                                     results=fit_results)
-        dist = ParamDistribution(
-            class_code=args.klass, lead=lead, mean=dist.mean, std=dist.std,
-            gain_mean=init.gain_mean, gain_std=0.0, rhythm=init.rhythm)
-        for k, r in enumerate(fit_results):
-            print(f"{k},{lead},{r.iterations},{int(r.converged)},"
-                  f"{_fmt_value(r.final_distance)}")
+        results = []
+        fitted = estimate_distribution(signals, args.klass, lead, cfg,
+                                       rhythm=init.rhythm, eta0=init.mean_eta,
+                                       results=results)
+        mean, std = fitted.mean, fitted.std
+    dist = ParamDistribution(class_code=args.klass, lead=lead, mean=mean, std=std,
+                             gain_mean=init.gain_mean, gain_std=0.0,
+                             rhythm=init.rhythm)
     Path(args.out).write_text(write_param_file({(args.klass, lead): dist}),
                               encoding="utf-8")
+    # every fit and the file succeeded: only now does stdout get the table
+    print("\n".join(["beat,lead,iterations,converged,final_distance",
+                     *(f"{k},{lead},{r.iterations},{int(r.converged)},"
+                       f"{_fmt_value(r.final_distance)}"
+                       for k, r in enumerate(results))]))
     print(f"wrote fitted parameters to {args.out}", file=sys.stderr)
     return 0
 
@@ -297,68 +299,63 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def build_parser() -> _CliParser:
+#: Flags that several subcommands share, with their add_argument keywords.
+_INPUT = ("--input", {"required": True})
+_PARAMS = ("--params", {"required": True})
+_CLASS = ("--class", {"dest": "klass", "default": "NORMAL"})
+_DELTA = ("--delta", {"type": float, "default": 0.6})
+_SAMPLES = ("--samples", {"type": int, "default": 8})
+_SEED = ("--seed", {"type": int, "default": 0})
+_OUT = ("--out", {"required": True})
+
+#: Every subcommand by name: help text, handler and flags in --help order.
+_COMMANDS = {
+    "synthesize": ("generate beats from a parameter file", _cmd_synthesize, (
+        _PARAMS, ("--class", {"dest": "klass", "required": True}),
+        ("--fs", {"type": float, "default": 500.0}),
+        ("--beats", {"type": int, "default": 1}), _SEED, _OUT)),
+    "score": ("combined loss and per-lead distances", _cmd_score, (
+        _INPUT, _PARAMS, _CLASS, _DELTA, _SAMPLES, _SEED)),
+    "refine": ("minimize the combined loss over a beat", _cmd_refine, (
+        _INPUT, _PARAMS, _CLASS, _DELTA,
+        ("--steps", {"type": int, "default": 500, "help":
+                     "accepted for compatibility (>= 1); the solve is exact"}),
+        _SAMPLES, _SEED, _OUT)),
+    "fit": ("fit wave parameters to an observed lead", _cmd_fit, (
+        _INPUT, ("--lead", {"default": "II"}), ("--init", {"required": True}),
+        _CLASS, ("--max-iter", {"type": int, "default": 2000}), _OUT)),
+    "segment": ("cut a record into aligned cycles", _cmd_segment, (
+        _INPUT, ("--length", {"type": int, "default": 512}),
+        ("--class", {"dest": "klass", "default": None}),
+        ("--out-dir", {"required": True}))),
+    "check": ("verify the limb-lead identities", _cmd_check, (
+        _INPUT, ("--tol", {"type": float, "default": 1e-9}))),
+}
+
+
+def build_parser(command: str | None = None) -> _CliParser:
+    """The ecgdyn parser with every subcommand, or only with ``command``
+    when it names one. A subcommand's parser, and so its help, usage and
+    error messages, is the same either way."""
     parser = _CliParser(prog="ecgdyn",
                         description="Physiologically constrained 12-lead "
                                     "heartbeat synthesis, scoring and segmentation.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("synthesize", help="generate beats from a parameter file")
-    p.add_argument("--params", required=True)
-    p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--fs", type=float, default=500.0)
-    p.add_argument("--beats", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("score", help="combined loss and per-lead distances")
-    p.add_argument("--input", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--class", dest="klass", default="NORMAL")
-    p.add_argument("--delta", type=float, default=0.6)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("refine", help="minimize the combined loss over a beat")
-    p.add_argument("--input", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--class", dest="klass", default="NORMAL")
-    p.add_argument("--delta", type=float, default=0.6)
-    p.add_argument("--steps", type=int, default=500,
-                   help="accepted for compatibility (>= 1); the solve is exact")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("fit", help="fit wave parameters to an observed lead")
-    p.add_argument("--input", required=True)
-    p.add_argument("--lead", default="II")
-    p.add_argument("--init", required=True)
-    p.add_argument("--class", dest="klass", default="NORMAL")
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("segment", help="cut a record into aligned cycles")
-    p.add_argument("--input", required=True)
-    p.add_argument("--length", type=int, default=512)
-    p.add_argument("--class", dest="klass", default=None)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_segment)
-
-    p = sub.add_parser("check", help="verify the limb-lead identities")
-    p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_check)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, func, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a subcommand call builds only its own subparser; anything else
+    # (no arguments, -h, --version, an unknown name) needs them all
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

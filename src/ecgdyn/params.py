@@ -124,6 +124,7 @@ _WAVE_FIELDS = tuple(
 )
 _SCALAR_FIELDS = ("gain_mean", "gain_std", "rhythm.f", "rhythm.A", "rhythm.f2")
 _ENTRY_FIELDS = _SCALAR_FIELDS + _WAVE_FIELDS
+_FIELD_SET = frozenset(_ENTRY_FIELDS)
 
 
 def _fmt(v: float) -> str:
@@ -159,33 +160,38 @@ def read_param_file(text: str) -> ParamTable:
     ParamFileError and no partial table is returned.
     """
     raw: dict[tuple[str, str], dict[str, float]] = {}
-    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        key, eq, value = line.partition("#")[0].partition("=")
+        if not eq:
+            if key.strip():
+                raise ParamFileError("expected 'key = value'", line=lineno)
             continue
-        if "=" not in body:
-            raise ParamFileError("expected 'key = value'", line=lineno)
-        key, _, value = body.partition("=")
         key = key.strip()
-        if key in seen:
-            raise ParamFileError(f"duplicate key {key}", line=lineno)
-        seen.add(key)
         parts = key.split(".", 2)
         if len(parts) != 3:
             raise ParamFileError(f"unknown key {key}", line=lineno)
         cls, lead, field = parts
-        if not _CLASS_RE.match(cls):
-            raise ParamFileError(f"bad class code {cls!r}", line=lineno)
-        if lead not in LEAD_INDEX:
-            raise ParamFileError(f"unknown lead {lead!r}", line=lineno)
-        if field not in _ENTRY_FIELDS:
+        fields = raw.get((cls, lead))
+        if fields is None:  # the first line of this (class, lead)
+            if not _CLASS_RE.match(cls):
+                raise ParamFileError(f"bad class code {cls!r}", line=lineno)
+            if lead not in LEAD_INDEX:
+                raise ParamFileError(f"unknown lead {lead!r}", line=lineno)
+            fields = raw[(cls, lead)] = {}
+        elif field in fields:  # its first line passed every check
+            raise ParamFileError(f"duplicate key {key}", line=lineno)
+        if field not in _FIELD_SET:
             raise ParamFileError(f"unknown key {key}", line=lineno)
         try:
-            num = float(value.strip())
+            fields[field] = float(value)
         except ValueError:
-            raise ParamFileError(f"bad number {value.strip()!r}", line=lineno) from None
-        raw.setdefault((cls, lead), {})[field] = num
+            # float() strips ASCII whitespace, but not the unit separator
+            # \x1f that str.strip() takes and splitlines() leaves in a line
+            try:
+                fields[field] = float(value.strip())
+            except ValueError:
+                raise ParamFileError(f"bad number {value.strip()!r}",
+                                     line=lineno) from None
 
     table: ParamTable = {}
     for (cls, lead), fields in raw.items():

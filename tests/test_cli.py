@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,63 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert run_cli(["synthesize", "--class", "NORMAL"]) == 1
+
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        """(exit code, stdout, stderr) of a parse that must end the parser."""
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+        return (info.value.code, *capsys.readouterr())
+
+    # each subcommand's required flags and one flag whose value is typed
+    _REQUIRED = {
+        "synthesize": (["--params", "p", "--class", "NORMAL", "--out", "o"], "--beats"),
+        "score": (["--input", "i", "--params", "p"], "--samples"),
+        "refine": (["--input", "i", "--params", "p", "--out", "o"], "--steps"),
+        "fit": (["--input", "i", "--init", "p", "--out", "o"], "--max-iter"),
+        "segment": (["--input", "i", "--out-dir", "d"], "--length"),
+        "check": (["--input", "i"], "--tol"),
+    }
+
+    @pytest.mark.parametrize("command", list(_REQUIRED))
+    @pytest.mark.parametrize("case", ["help", "missing flag", "unknown flag",
+                                      "bad typed value"])
+    def test_one_subcommand_parser_matches_full(self, command, case, capsys):
+        required, typed = self._REQUIRED[command]
+        argv = [command, *{"help": ["--help"], "missing flag": [],
+                           "unknown flag": [*required, "--bogus"],
+                           "bad typed value": [*required, typed, "x"]}[case]]
+        full = self._parse(cli.build_parser(), argv, capsys)
+        assert full[0] == (0 if case == "help" else 1)
+        assert full[1 if case == "help" else 2]
+        assert self._parse(cli.build_parser(command), argv, capsys) == full
+        assert run_cli(argv) == full[0]
+        assert capsys.readouterr() == full[1:]
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--version"], ["-h"]])
+    def test_calls_without_subcommand_use_full_parser(self, argv, capsys):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        if argv:
+            assert (code, out, err) == self._parse(cli.build_parser(), argv, capsys)
+        else:
+            assert (code, out) == (1, "")
+            cli.build_parser().print_usage()
+            assert err == capsys.readouterr().out
+        if argv == ["frobnicate"]:
+            assert "'synthesize', 'score', 'refine', 'fit', 'segment', 'check'" in err
+
+    @staticmethod
+    def _choices(parser):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    def test_named_subcommand_builds_one_subparser(self):
+        assert self._choices(cli.build_parser("fit")) == ["fit"]
+        every = ["synthesize", "score", "refine", "fit", "segment", "check"]
+        assert self._choices(cli.build_parser()) == every
+        assert self._choices(cli.build_parser("frobnicate")) == every
 
 
 class TestSynthesize:
@@ -186,6 +244,18 @@ class TestScore:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_huge_finite_beat_fails_before_header(self, params_file, tmp_path,
+                                                  capsys):
+        # every sample is finite, but the squared residuals overflow
+        src = tmp_path / "huge.csv"
+        write_beats_csv(src, [Heartbeat(grid=SamplingGrid(500.0, 500),
+                                        leads=np.full((12, 500), 1e300))] * 2)
+        assert run_cli(["score", "--input", str(src), "--params", params_file,
+                        "--samples", "2"]) == 2  # a RuntimeWarning would raise
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ecgdyn: beat 0: score is not finite\n"
+
     def test_multibeat_file_scores_like_single_beats(self, params_file, tmp_path,
                                                      capsys):
         out = tmp_path / "beats.csv"
@@ -309,6 +379,30 @@ class TestFit:
 
         table = read_param_file(out.read_text())
         assert ("NORMAL", "II") in table
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("n_beats", [1, 2])
+    def test_diverged_fit_prints_nothing(self, params_file, tmp_path, capsys,
+                                         n_beats):
+        src = tmp_path / "huge.csv"
+        write_beats_csv(src, [Heartbeat(grid=SamplingGrid(500.0, 500),
+                                        leads=np.full((12, 500), 1e300))] * n_beats)
+        assert run_cli(["fit", "--input", str(src), "--init", params_file,
+                        "--out", str(tmp_path / "o.params")]) == 3
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "o.params").exists()
+
+    def test_unconverged_fits_print_nothing(self, params_file, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        src = tmp_path / "noise.csv"
+        write_beats_csv(src, [Heartbeat(grid=SamplingGrid(500.0, 500),
+                                        leads=rng.uniform(-0.1, 0.1, (12, 500)))
+                              for _ in range(2)])
+        assert run_cli(["fit", "--input", str(src), "--init", params_file,
+                        "--max-iter", "1", "--out", str(tmp_path / "o.params")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "converged" in captured.err
 
     def test_unknown_lead_rejected_as_bad_input(self, zero_params_file, tmp_path):
         code = run_cli(["fit", "--input", "x.csv", "--lead", "QQ", "--init",
@@ -568,6 +662,17 @@ class TestCsvWriter:
     def test_beats_bytes_match(self, n_beats, fs, L, tmp_path):
         values = _EDGE_VALUES + list(_random_17_digit(300))
         beats = _beats(values, n_beats, fs, L)
+        write_beats_csv(tmp_path / "new.csv", beats)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_mixed_grid_beats_bytes_match(self, tmp_path):
+        # each grid's time column is formatted once and shared by its beats
+        values = _EDGE_VALUES + list(_random_17_digit(300))
+        beats = [beat for fs, L in [(500.0, 30), (491.37, 30), (500.0, 7)]
+                 for beat in _beats(values, 2, fs, L)]
+        beats = beats[::2] + beats[1::2]
         write_beats_csv(tmp_path / "new.csv", beats)
         oracle.write_beats_csv(tmp_path / "old.csv", beats)
         assert ((tmp_path / "new.csv").read_bytes()

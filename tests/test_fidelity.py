@@ -410,7 +410,7 @@ class TestBatchedMonteCarlo:
             [table["NORMAL", lead] for lead in LEAD_NAMES], 5, 13)
         assert got == want
 
-    def test_overflowing_signal_rejected(self, tmp_path):
+    def test_overflowing_signal_rejected(self, tmp_path, capsys):
         table = {key: replace(dist, gain_mean=1e-3, gain_std=0.0)
                  for key, dist in default_distributions().items()}
         beat = Heartbeat(grid=GRID, leads=np.full((12, GRID.L), 1e306),
@@ -421,10 +421,12 @@ class TestBatchedMonteCarlo:
         params = tmp_path / "tiny_gain.params"
         params.write_text(write_param_file(table), encoding="utf-8")
         write_beats_csv(tmp_path / "beat.csv", [beat])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = run_cli(["score", "--input", str(tmp_path / "beat.csv"),
-                            "--params", str(params)])
+        # score reports the overflow as the error alone: a RuntimeWarning
+        # would raise here
+        code = run_cli(["score", "--input", str(tmp_path / "beat.csv"),
+                        "--params", str(params)])
         assert code == 2
+        assert capsys.readouterr().err == "ecgdyn: samples must be finite\n"
 
     @pytest.mark.parametrize("field", [0, 1, 2], ids=["theta", "a", "b"])
     def test_non_finite_draw_rejected(self, field):

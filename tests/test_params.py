@@ -126,6 +126,35 @@ class TestFileFormat:
         with pytest.raises(ParamFileError, match="bad number"):
             read_param_file("NORMAL.II.gain_mean = abc\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# comment\nNORMAL.II.gain_mean 22\n", "line 2: expected 'key = value'"),
+        ("NORMAL.II.gain_mean = 22\n\nNORMAL.II.gain_mean=23\n",
+         "line 3: duplicate key NORMAL.II.gain_mean"),
+        ("NORMAL.gain_mean = 1\n", "line 1: unknown key NORMAL.gain_mean"),
+        ("NORMAL.II.gain_mean = 1\nNormal.II.gain_std = 1\n",
+         "line 2: bad class code 'Normal'"),
+        ("NORMAL.II.gain_mean = 1\nNORMAL.W9.gain_mean = 1\n",
+         "line 2: unknown lead 'W9'"),
+        ("NORMAL.II.gain_mean = 1\nNORMAL.II.R.c_mean = 1\n",
+         "line 2: unknown key NORMAL.II.R.c_mean"),
+        ("NORMAL.II.gain_mean =  1.5.0  # note\n", "line 1: bad number '1.5.0'"),
+        (None, "NORMAL.II: missing key T.b_std"),
+    ], ids=["no equals sign", "duplicate key", "two-part key", "bad class code",
+            "unknown lead", "unknown field", "bad number", "missing key"])
+    def test_error_messages(self, table, text, message):
+        if text is None:
+            text = "\n".join(ln for ln in write_param_file(table).splitlines()
+                             if not ln.startswith("NORMAL.II.T.b_std"))
+        with pytest.raises(ParamFileError) as info:
+            read_param_file(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pad", [" ", "\t", " \t ", "\x1f", "\xa0"])
+    def test_padded_value_parses(self, table, pad):
+        text = write_param_file(table).replace(
+            "NORMAL.II.gain_mean = 22\n", f"NORMAL.II.gain_mean ={pad}22.5{pad}\n")
+        assert read_param_file(text)[("NORMAL", "II")].gain_mean == 22.5
+
     def test_comments_and_blank_lines_ignored(self, table):
         text = "# header\n\n" + write_param_file(table) + "\n# footer\n"
         assert read_param_file(text) == read_param_file(write_param_file(table))
