@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
+import pickle
 import sys
 from itertools import islice, repeat
 from pathlib import Path
@@ -93,7 +95,8 @@ def write_beats_csv(path, beats: list[Heartbeat]) -> None:
         for k, beat in enumerate(beats):
             grid = beat.grid
             if grid not in times:
-                times[grid] = [f"{l * grid.dt:.9f}" for l in range(grid.L)]
+                dt = grid.dt
+                times[grid] = [f"{l * dt:.9f}" for l in range(grid.L)]
             _write_rows(fh, iter(times[grid]), beat.leads,
                         (repeat(str(k)),) if multi else ())
 
@@ -230,8 +233,10 @@ def _cmd_refine(args) -> int:
     weights = LossWeights(delta=args.delta)
     cfg = OptimConfig(max_iter=args.steps)
     beats = read_beats_csv(args.input, label=args.klass)
-    refined = [refine_waveform(b, table, weights, cfg, seed=args.seed,
-                               n_samples=args.samples) for b in beats]
+    # huge finite samples overflow the sums: exit 3 below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        refined = [refine_waveform(b, table, weights, cfg, seed=args.seed,
+                                   n_samples=args.samples) for b in beats]
     write_beats_csv(args.out, refined)
     print(f"refined {len(refined)} beat(s) to {args.out}", file=sys.stderr)
     return 0
@@ -246,16 +251,18 @@ def _cmd_fit(args) -> int:
     beats = read_beats_csv(args.input)
     signals = [LeadSignal(b.grid, b.lead(lead) / init.gain_mean, lead=lead)
                for b in beats]
-    if len(signals) == 1:
-        ref = reference_trajectory(init.rhythm, signals[0].grid)
-        results = [fit_params(signals[0], init.mean_eta, init.rhythm, ref, cfg)]
-        mean, std = tuple(eta_to_vector(results[0].eta)), (0.0,) * 15
-    else:
-        results = []
-        fitted = estimate_distribution(signals, args.klass, lead, cfg,
-                                       rhythm=init.rhythm, eta0=init.mean_eta,
-                                       results=results)
-        mean, std = fitted.mean, fitted.std
+    # huge finite samples overflow the sums: exit 3 below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(signals) == 1:
+            ref = reference_trajectory(init.rhythm, signals[0].grid)
+            results = [fit_params(signals[0], init.mean_eta, init.rhythm, ref, cfg)]
+            mean, std = tuple(eta_to_vector(results[0].eta)), (0.0,) * 15
+        else:
+            results = []
+            fitted = estimate_distribution(signals, args.klass, lead, cfg,
+                                           rhythm=init.rhythm, eta0=init.mean_eta,
+                                           results=results)
+            mean, std = fitted.mean, fitted.std
     dist = ParamDistribution(class_code=args.klass, lead=lead, mean=mean, std=std,
                              gain_mean=init.gain_mean, gain_std=0.0,
                              rhythm=init.rhythm)
@@ -270,16 +277,79 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _write_cycles(paths: list[Path], beats: list[Heartbeat]) -> None:
+    """Write beats[k] to paths[k], one beat a file, in order."""
+    for path, beat in zip(paths, beats):
+        write_beats_csv(path, [beat])
+
+
+def _fork_writer(paths: list[Path], beats: list[Heartbeat]):
+    """(pid, read end of its pipe) of a forked process that writes the
+    cycles and sends back its first exception pickled; None when this
+    platform or this moment cannot fork."""
+    if not hasattr(os, "fork"):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # the helper ends here, whatever happens: it never returns to the caller
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            _write_cycles(paths, beats)
+            code = 0
+        except BaseException as exc:  # the parent raises it, as its own
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+def _join_writer(pid: int, read_fd: int) -> BaseException | None:
+    """Reap the helper: the exception it sent, one for a helper that ended
+    without finishing, or None when it wrote every cycle."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            sent = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if sent:
+        return pickle.loads(sent)  # written by this program's own helper
+    code = os.waitstatus_to_exitcode(status)
+    return ChildProcessError(f"cycle writer exited with {code}") if code else None
+
+
 def _cmd_segment(args) -> int:
     record = read_record_csv(args.input, label=args.klass)
     peaks, beats = _segmentation(record, target_len=args.length)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    print("index,start,end,file")
-    for k, beat in enumerate(beats):
-        path = out_dir / f"{record.id}_cycle{k:03d}.csv"
-        write_beats_csv(path, [beat])
-        print(f"{k},{peaks[k]},{peaks[k + 1]},{path}")
+    paths = [out_dir / f"{record.id}_cycle{k:03d}.csv" for k in range(len(beats))]
+    # from two cycles on, one forked helper writes the second half while
+    # this process writes the first; a failure in the first half comes
+    # earlier, so it wins, as it would in one loop
+    split = (len(beats) + 1) // 2
+    helper = _fork_writer(paths[split:], beats[split:]) if len(beats) > 1 else None
+    if helper is None:
+        split = len(beats)
+    try:
+        _write_cycles(paths[:split], beats[:split])
+    finally:
+        failure = None if helper is None else _join_writer(*helper)
+    if failure is not None:
+        raise failure
+    # every file is written: only now does stdout get the table
+    print("\n".join(["index,start,end,file",
+                     *(f"{k},{peaks[k]},{peaks[k + 1]},{path}"
+                       for k, path in enumerate(paths))]))
     return 0
 
 

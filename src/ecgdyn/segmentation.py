@@ -118,16 +118,22 @@ def detect_r_peaks(signal, fs: float) -> np.ndarray:
 def resample_cycle(segment, target_len: int) -> np.ndarray:
     """Linear interpolation onto target_len uniform points over the segment.
 
+    ``segment`` is one 1-D segment or a (rows, n) array whose rows are
+    resampled on one shared grid; each row equals its own 1-D result.
     Endpoints are preserved exactly, and a segment already at the target
     length passes through unchanged.
     """
     seg = np.asarray(segment, dtype=float)
-    if seg.ndim != 1 or seg.size < 2:
-        raise ValueError("segment must be a 1-D array with at least 2 samples")
+    if seg.ndim not in (1, 2) or seg.shape[-1] < 2:
+        raise ValueError("segment must be a 1-D or 2-D array with at least 2 samples")
     if target_len < 2:
         raise ValueError("target length must be at least 2")
-    positions = np.linspace(0.0, seg.size - 1.0, target_len)
-    return np.interp(positions, np.arange(seg.size), seg)
+    positions = np.linspace(0.0, seg.shape[-1] - 1.0, target_len)
+    xp = np.arange(seg.shape[-1])
+    if seg.ndim == 1:
+        return np.interp(positions, xp, seg)
+    return np.array([np.interp(positions, xp, row) for row in seg]).reshape(
+        len(seg), target_len)
 
 
 def segment_record(record: Record, target_len: int = 512) -> list[Heartbeat]:
@@ -146,10 +152,7 @@ def _segmentation(record: Record, target_len: int) -> tuple[np.ndarray, list]:
     beats = []
     for start, end in zip(peaks[:-1], peaks[1:]):
         span = int(end) - int(start)
-        rows = np.vstack([
-            resample_cycle(record.channels[row, start:end], target_len)
-            for row in range(12)
-        ])
+        rows = resample_cycle(record.channels[:, start:end], target_len)
         # resampling rescales time; keep the cycle's real duration
         fs_eff = record.fs * target_len / span
         grid = SamplingGrid(fs=fs_eff, L=target_len)

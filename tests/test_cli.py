@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
 import argparse
+import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -332,7 +334,6 @@ class TestRefine:
         assert run_cli(args + ["--steps", "0", "--out", str(tmp_path / "o.csv")]) == 2
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_refine_diverged_exit_three(self, params_file, tmp_path, capsys):
         src = tmp_path / "huge.csv"
         from ecgdyn.integrate import SamplingGrid
@@ -380,7 +381,6 @@ class TestFit:
         table = read_param_file(out.read_text())
         assert ("NORMAL", "II") in table
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("n_beats", [1, 2])
     def test_diverged_fit_prints_nothing(self, params_file, tmp_path, capsys,
                                          n_beats):
@@ -408,6 +408,13 @@ class TestFit:
         code = run_cli(["fit", "--input", "x.csv", "--lead", "QQ", "--init",
                         zero_params_file, "--out", str(tmp_path / "o.params")])
         assert code == 2
+
+
+def _with_nan(lines):
+    """Record lines with one lead II sample replaced by nan."""
+    cells = lines[100].split(",")
+    cells[2] = "nan"
+    return lines[:100] + [",".join(cells)] + lines[101:]
 
 
 class TestSegment:
@@ -450,6 +457,143 @@ class TestSegment:
         code = run_cli(["segment", "--input", str(src), "--length", "512",
                         "--out-dir", str(tmp_path / "d")])
         assert code == 2
+
+    # nine cycles: this process writes cycles 0-4, the helper cycles 5-8
+    @staticmethod
+    def _record(tmp_path, n_beats=10, seed=5):
+        src = tmp_path / "record.csv"
+        write_record_csv(src, make_jittered_record(n_beats=n_beats, seed=seed)[0])
+        return src
+
+    @staticmethod
+    def _segment(src, out_dir, capsys, length=512):
+        code = run_cli(["segment", "--input", str(src), "--length", str(length),
+                        "--out-dir", str(out_dir), "--class", "NORMAL"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _spy_fork(monkeypatch):
+        """The calls made to os.fork, which still forks."""
+        calls, fork = [], os.fork
+
+        def counting():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def _spy_pipe(monkeypatch):
+        """The file descriptors os.pipe returns."""
+        fds, pipe = [], os.pipe
+
+        def spying():
+            fds.extend(pipe())
+            return fds[-2:]
+
+        monkeypatch.setattr(os, "pipe", spying)
+        return fds
+
+    @staticmethod
+    def _assert_closed(fds):
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_two_process_write_matches_serial(self, tmp_path, capsys, monkeypatch):
+        src, out_dir = self._record(tmp_path), tmp_path / "cycles"
+        forks = self._spy_fork(monkeypatch)
+        forked = self._segment(src, out_dir, capsys)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert forked[0] == 0 and len(forks) == 1 and len(files) == 9
+        shutil.rmtree(out_dir)
+        monkeypatch.delattr(os, "fork")
+        assert self._segment(src, out_dir, capsys) == forked
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
+
+    def test_helper_reaped_and_pipe_closed(self, tmp_path, capsys, monkeypatch):
+        src = self._record(tmp_path)
+        forks, fds = self._spy_fork(monkeypatch), self._spy_pipe(monkeypatch)
+        assert self._segment(src, tmp_path / "cycles", capsys)[0] == 0
+        assert len(forks) == 1 and len(fds) == 2
+        self._assert_closed(fds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_writes_serially(self, tmp_path, capsys, monkeypatch):
+        src, out_dir = self._record(tmp_path), tmp_path / "cycles"
+        want = self._segment(src, out_dir, capsys)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        shutil.rmtree(out_dir)
+
+        def failing():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        fds = self._spy_pipe(monkeypatch)
+        assert self._segment(src, out_dir, capsys) == want
+        assert len(fds) == 2
+        self._assert_closed(fds)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == files
+
+    @pytest.mark.parametrize("squatted", [[1], [6], [1, 6]],
+                             ids=["first half", "second half", "both halves"])
+    def test_squatted_cycle_fails_like_serial_loop(self, tmp_path, capsys,
+                                                   monkeypatch, squatted):
+        src, out_dir = self._record(tmp_path), tmp_path / "cycles"
+        for k in squatted:
+            (out_dir / f"record_cycle{k:03d}.csv").mkdir(parents=True)
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            code, out, err = self._segment(src, out_dir, capsys)
+        assert code == 2 and out == ""
+        assert f"record_cycle{squatted[0]:03d}.csv" in err
+        forks = self._spy_fork(monkeypatch)
+        assert self._segment(src, out_dir, capsys) == (code, out, err)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_dying_unreported_fails_the_call(self, tmp_path, capsys,
+                                                    monkeypatch):
+        src, out_dir = self._record(tmp_path), tmp_path / "cycles"
+        write, parent = cli.write_beats_csv, os.getpid()
+
+        def dying(path, beats):
+            if os.getpid() != parent:
+                os._exit(5)  # ends the helper before it can report anything
+            write(path, beats)
+
+        monkeypatch.setattr(cli, "write_beats_csv", dying)
+        code, out, err = self._segment(src, out_dir, capsys)
+        assert (code, out) == (2, "") and "cycle writer exited with 5" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cycle_record_never_forks(self, tmp_path, capsys, monkeypatch):
+        src, out_dir = self._record(tmp_path, n_beats=2, seed=0), tmp_path / "cycles"
+        forks = self._spy_fork(monkeypatch)
+        code, out, _ = self._segment(src, out_dir, capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+        assert [p.name for p in out_dir.iterdir()] == ["record_cycle000.csv"]
+        assert forks == []
+
+    @pytest.mark.parametrize("fault, length, message", [
+        (_with_nan, 512, "record samples must be finite"),
+        (lambda lines: lines[:400], 512, "record must span at least one second"),
+        (lambda lines: lines, 1, "target length must be at least 2"),
+    ], ids=["one NaN sample", "under one second", "length 1"])
+    def test_faulty_input_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                         fault, length, message):
+        src, out_dir = self._record(tmp_path), tmp_path / "cycles"
+        lines = src.read_text().splitlines()
+        src.write_text("\n".join(fault(lines)) + "\n")
+        forks = self._spy_fork(monkeypatch)
+        code, out, err = self._segment(src, out_dir, capsys, length)
+        assert (code, out) == (2, "") and message in err
+        assert not out_dir.exists() and forks == []
 
 
 class TestCsvRoundTrip:

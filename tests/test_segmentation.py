@@ -48,6 +48,21 @@ class TestResample:
         assert out.max() <= seg.max() + slack
         assert out.min() >= seg.min() - slack
 
+    def test_rows_equal_one_dimensional_results(self):
+        rng = np.random.default_rng(3)
+        seg = rng.standard_normal((12, 389))
+        seg[4, :7] = -0.0  # a signed zero shows in the bytes
+        for target in (2, 137, 389, 512):
+            out = resample_cycle(seg, target)
+            want = np.vstack([resample_cycle(row, target) for row in seg])
+            assert out.shape == (12, target)
+            assert out.tobytes() == want.tobytes()
+        assert resample_cycle(np.empty((0, 10)), 5).shape == (0, 5)
+        with pytest.raises(ValueError):
+            resample_cycle(np.zeros((2, 3, 4)), 10)
+        with pytest.raises(ValueError):
+            resample_cycle(np.zeros((12, 1)), 10)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             resample_cycle(np.array([1.0]), 10)
