@@ -847,7 +847,7 @@ class TestCsvWriter:
         first would peak ten times as high."""
         rng = np.random.default_rng(6)
         peaks = []
-        for n in (20_000, 200_000):
+        for n in (2 * cli._WRITE_BLOCK, 20 * cli._WRITE_BLOCK):
             record = Record(fs=500.0, channels=rng.standard_normal((12, n)),
                             id="long")
             tracemalloc.start()

@@ -1,5 +1,8 @@
 """R-peak detection, cycle cutting, resampling."""
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,94 @@ class TestDetector:
         for p in detect_r_peaks(x, record.fs):
             lo, hi = max(0, p - half), min(x.size, p + half + 1)
             assert x[p] == np.max(x[lo:hi])
+
+    def test_inverted_peaks_are_local_raw_minima(self):
+        record, _ = make_jittered_record(seed=3)
+        x = -record.channels[1]
+        half = int(round(0.05 * record.fs))
+        for p in detect_r_peaks(x, record.fs):
+            lo, hi = max(0, p - half), min(x.size, p + half + 1)
+            assert x[p] == np.min(x[lo:hi])
+
+    @pytest.mark.parametrize("at, bad", [(0, np.nan), (1234, np.inf), (-1, -np.inf)])
+    def test_non_finite_sample_rejected(self, at, bad):
+        record, _ = make_jittered_record(seed=5)
+        x = record.channels[1].copy()
+        x[at] = bad
+        with pytest.raises(ValueError, match=f"sample {at % x.size} is not finite"):
+            detect_r_peaks(x, record.fs)
+
+
+@functools.lru_cache(maxsize=None)
+def _lead_ii(fs):
+    """Lead II of a 30-beat jittered record and its true R samples."""
+    record, truth = make_jittered_record(fs=fs, n_beats=30, seed=11)
+    lead = record.channels[1].copy()
+    lead.setflags(write=False)  # shared by every case
+    return lead, record.fs, tuple(truth)
+
+
+def _hum(hz):
+    return lambda x, fs, truth: x + 0.2 * np.sin(2 * np.pi * hz * np.arange(x.size) / fs + 1.0)
+
+
+def _spike_on_beat(x, fs, truth):
+    # the spike's energy dwarfs every QRS; only the 4 spki cap on level
+    # updates keeps the threshold low enough for the beats after it
+    out = x.copy()
+    out[truth[14]] += 50.0
+    return out
+
+
+#: Faults on a 500 Hz lead II, each a function of (lead, fs, truth).
+FAULTS = {
+    "white-0.05mV": lambda x, fs, truth: x + np.random.default_rng(0).normal(0.0, 0.05, x.size),
+    "hum-50Hz-0.2mV": _hum(50.0),
+    "hum-60Hz-0.2mV": _hum(60.0),
+    "spike-50mV-on-beat": _spike_on_beat,
+    "inverted": lambda x, fs, truth: -x,
+}
+
+
+def _detect_quietly(x, fs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return detect_r_peaks(x, fs)
+
+
+class TestDetectorFaults:
+    """Recording faults on a 30-beat lead II: every true R is found within
+    20 ms, and no other peak is reported."""
+
+    @staticmethod
+    def _assert_exact(peaks, truth, fs):
+        assert len(peaks) == len(truth)
+        assert all(abs(int(p) - t) <= 0.02 * fs for p, t in zip(peaks, truth))
+
+    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    def test_fault(self, fault):
+        x, fs, truth = _lead_ii(500)
+        self._assert_exact(_detect_quietly(fault(x, fs, truth), fs), truth, fs)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upright", "inverted"])
+    @pytest.mark.parametrize("fs", [250, 360.5, 1000])
+    def test_sampling_rate(self, fs, sign):
+        x, fs, truth = _lead_ii(fs)
+        self._assert_exact(_detect_quietly(sign * x, fs), truth, fs)
+
+    def test_flat_dropout(self):
+        # a lead that reads 0 mV for 2 s: the beats inside it are not in
+        # the signal, so the right answer is every beat outside it and no
+        # peak within it
+        x, fs, truth = _lead_ii(500)
+        lo, hi = int(10 * fs), int(12 * fs)
+        x = x.copy()
+        x[lo:hi] = 0.0
+        peaks = _detect_quietly(x, fs)
+        outside = [t for t in truth if not lo <= t < hi]
+        assert len(outside) < len(truth)
+        assert all(np.min(np.abs(peaks - t)) <= 0.02 * fs for t in outside)
+        assert not np.any((peaks >= lo) & (peaks < hi))
 
 
 class TestSegmentRecord:
