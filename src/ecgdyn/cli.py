@@ -11,6 +11,9 @@ leading integer ``beat`` column. Record files use the single-beat layout
 with a continuous time column. A reader parses a file in one np.loadtxt
 pass; files that pass declines go to the line parser, which accepts them
 or names the offending line, so error messages keep their line numbers.
+A multi-beat file of over ``_WRITE_BLOCK`` samples is written by two
+processes that each hold one block of text at a time: a forked helper
+writes its second half to an unnamed spill file, appended after the join.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import io
 import os
 import pickle
 import sys
+import tempfile
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -87,18 +91,43 @@ def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
 
 
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:
-    """Serialize beats; a beat-index column appears only for multi-beat files."""
+    """Serialize beats; a beat-index column appears only for multi-beat files.
+    Past _WRITE_BLOCK samples, a forked helper writes the beats after the
+    boundary nearest half the samples to a spill that is appended last."""
     multi = len(beats) > 1
     times: dict[SamplingGrid, list[str]] = {}  # each grid's column, formatted once
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
-        for k, beat in enumerate(beats):
-            grid = beat.grid
+
+    def write(fh, first: int, stop: int) -> None:
+        for k in range(first, stop):
+            grid = beats[k].grid
             if grid not in times:
                 dt = grid.dt
                 times[grid] = [f"{l * dt:.9f}" for l in range(grid.L)]
-            _write_rows(fh, iter(times[grid]), beat.leads,
+            _write_rows(fh, iter(times[grid]), beats[k].leads,
                         (repeat(str(k)),) if multi else ())
+
+    ends = np.cumsum([beat.grid.L for beat in beats])  # samples up to each beat's end
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
+        try:  # unnamed: O_TMPFILE in path's directory where its file system has it
+            spill = (tempfile.TemporaryFile("w", encoding="utf-8", newline="\n",
+                                            dir=Path(path).parent)
+                     if multi and ends[-1] > _WRITE_BLOCK
+                     and hasattr(os, "copy_file_range") else None)
+        except OSError:
+            spill = None
+        if spill is None:
+            write(fh, 0, len(beats))
+            return
+        with spill:  # flushed by the helper: os._exit, its way out, flushes nothing
+            split = int(np.argmin(np.abs(2 * ends[:-1] - ends[-1]))) + 1
+            _fork_join(lambda: write(fh, 0, split),
+                       lambda: (write(spill, split, len(beats)), spill.flush()),
+                       "beat writer")
+            fh.flush()
+            src, size, done = spill.fileno(), os.fstat(spill.fileno()).st_size, 0
+            while done < size:  # copied in the kernel, to fh's position
+                done += os.copy_file_range(src, fh.fileno(), size - done, done)
 
 
 def _beat_arrays(rows: np.ndarray) -> tuple[float, np.ndarray]:
@@ -160,8 +189,10 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
     keys, table = _read_table(path)
-    split = (_beat_arrays(table[keys == key])
-             for key in dict.fromkeys(keys.tolist()))  # first appearance first
+    order = np.argsort(keys, kind="stable")  # each beat's rows stay in file order
+    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if len(keys) else []
+    split = (_beat_arrays(table[rows])
+             for rows in sorted(runs, key=lambda rows: rows[0]))  # first appearance first
     return [Heartbeat(grid=SamplingGrid(fs=fs, L=leads.shape[1]), leads=leads,
                       label=label) for fs, leads in split]
 
@@ -283,48 +314,50 @@ def _write_cycles(paths: list[Path], beats: list[Heartbeat]) -> None:
         write_beats_csv(path, [beat])
 
 
-def _fork_writer(paths: list[Path], beats: list[Heartbeat]):
-    """(pid, read end of its pipe) of a forked process that writes the
-    cycles and sends back its first exception pickled; None when this
-    platform or this moment cannot fork."""
-    if not hasattr(os, "fork"):
-        return None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    # the helper ends here, whatever happens: it never returns to the caller
-    code = 1
-    try:
-        os.close(read_fd)
+def _fork_join(main, side, name: str) -> None:
+    """Run side() in a forked helper while this process runs main(), then
+    reap it; or main() then side() here where os.fork is missing or fails.
+    main()'s failure wins, then the one the helper sends back pickled, then
+    ChildProcessError for a helper that ends without reporting. The helper
+    leaves by os._exit: it never returns to the caller."""
+    pid = None
+    if hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
         try:
-            _write_cycles(paths, beats)
-            code = 0
-        except BaseException as exc:  # the parent raises it, as its own
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
-    finally:
-        os._exit(code)
-
-
-def _join_writer(pid: int, read_fd: int) -> BaseException | None:
-    """Reap the helper: the exception it sent, one for a helper that ended
-    without finishing, or None when it wrote every cycle."""
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                side()
+                code = 0
+            except BaseException as exc:  # the parent raises it, as its own
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(code)
+    if pid is None:
+        main()
+        side()
+        return
+    os.close(write_fd)
     try:
-        with open(read_fd, "rb") as pipe:
-            sent = pipe.read()
+        main()
     finally:
-        status = os.waitpid(pid, 0)[1]
+        try:
+            with open(read_fd, "rb") as pipe:
+                sent = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
     if sent:
-        return pickle.loads(sent)  # written by this program's own helper
+        raise pickle.loads(sent)  # written by this program's own helper
     code = os.waitstatus_to_exitcode(status)
-    return ChildProcessError(f"cycle writer exited with {code}") if code else None
+    if code:
+        raise ChildProcessError(f"{name} exited with {code}")
 
 
 def _cmd_segment(args) -> int:
@@ -334,18 +367,14 @@ def _cmd_segment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{record.id}_cycle{k:03d}.csv" for k in range(len(beats))]
     # from two cycles on, one forked helper writes the second half while
-    # this process writes the first; a failure in the first half comes
-    # earlier, so it wins, as it would in one loop
+    # this process writes the first
     split = (len(beats) + 1) // 2
-    helper = _fork_writer(paths[split:], beats[split:]) if len(beats) > 1 else None
-    if helper is None:
-        split = len(beats)
-    try:
-        _write_cycles(paths[:split], beats[:split])
-    finally:
-        failure = None if helper is None else _join_writer(*helper)
-    if failure is not None:
-        raise failure
+    if len(beats) > 1:
+        _fork_join(lambda: _write_cycles(paths[:split], beats[:split]),
+                   lambda: _write_cycles(paths[split:], beats[split:]),
+                   "cycle writer")
+    else:
+        _write_cycles(paths, beats)
     # every file is written: only now does stdout get the table
     print("\n".join(["index,start,end,file",
                      *(f"{k},{peaks[k]},{peaks[k + 1]},{path}"

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
 import argparse
+import errno
 import os
 import shutil
 import tracemalloc
@@ -779,6 +780,27 @@ class TestCsvReader:
         assert np.array_equal(back.channels, record.channels)
         assert peak <= 2 * path.stat().st_size
 
+    def test_many_interleaved_beats_match_per_key_masks(self, tmp_path):
+        """2000 beats, each in two runs of rows far apart: one stable sort
+        groups them as a mask per key did, in order of first appearance."""
+        rng = np.random.default_rng(5)
+        keys = rng.choice(10 ** 6, 2000, replace=False) - 500_000
+        rows = [(key, l) for key in rng.permutation(keys) for l in (0, 1)]
+        rows += [(key, 2) for key in rng.permutation(keys)]
+        path = tmp_path / "beats.csv"
+        lines = [f"{key},{l / 2.0:.9f}," + ",".join(map(repr, values))
+                 for (key, l), values in zip(rows, rng.standard_normal((6000, 12)).tolist())]
+        path.write_text("\n".join([oracle.CSV_MULTI_HEADER, *lines, ""]), encoding="utf-8")
+        keys, table = cli._read_table(path)
+        want = [cli._beat_arrays(table[keys == key])
+                for key in dict.fromkeys(keys.tolist())]
+        got = read_beats_csv(path)
+        assert len(got) == len(want) == 2000
+        for beat, (fs, leads) in zip(got, want):
+            assert beat.grid == SamplingGrid(fs, 3)
+            assert _bits(beat.leads) == _bits(leads)
+            assert beat.leads.strides == leads.strides
+
 
 def _beats(values, n_beats=1, fs=500.0, L=None):
     """Beats holding ``values`` in order, cycled to fill 12 x L per beat."""
@@ -857,3 +879,130 @@ class TestCsvWriter:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not hasattr(os, "copy_file_range"),
+                    reason="the spill is appended with os.copy_file_range")
+class TestSplitWriter:
+    """A multi-beat file of over _WRITE_BLOCK samples: a forked helper
+    writes the beats after the boundary nearest half the samples."""
+
+    #: Five beats of 500 and 491.37 Hz. The split falls after beat 1, so
+    #: each process formats the (500 Hz, 1000) time column; the helper's
+    #: last beat is short enough to stay in its buffer until a flush.
+    LENGTHS = ((500.0, 1000), (491.37, 1300), (500.0, 1000), (491.37, 794), (500.0, 2))
+
+    def _beats(self, extra=0):
+        values = _EDGE_VALUES + list(_random_17_digit(300))  # signed zeros among them
+        lengths = [*self.LENGTHS[:-1], (500.0, self.LENGTHS[-1][1] + extra)]
+        beats = [beat for fs, L in lengths for beat in _beats(values, 1, fs, L)]
+        assert sum(beat.grid.L for beat in beats) == cli._WRITE_BLOCK + extra
+        return beats
+
+    @staticmethod
+    def _die_in_helper(monkeypatch, helper, parent=None):
+        """_write_rows, calling helper() first in a forked process and
+        parent() first in this one."""
+        rows, pid = cli._write_rows, os.getpid()
+
+        def dying(*args):
+            if os.getpid() != pid:
+                helper()
+            elif parent is not None:
+                parent()
+            rows(*args)
+
+        monkeypatch.setattr(cli, "_write_rows", dying)
+
+    @pytest.mark.parametrize("extra, forks", [(0, 0), (1, 1)],
+                             ids=["one block", "one block and a sample"])
+    def test_bytes_match(self, extra, forks, tmp_path, monkeypatch):
+        beats = self._beats(extra)
+        calls = TestSegment._spy_fork(monkeypatch)
+        write_beats_csv(tmp_path / "new.csv", beats)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+        assert len(calls) == forks
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_without_fork_writes_serially(self, fork, tmp_path, monkeypatch):
+        beats = self._beats(1)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def failing():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", failing)
+        fds = _open_fds()
+        write_beats_csv(tmp_path / "new.csv", beats)
+        assert _open_fds() == fds
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_helper_dying_unreported_fails_the_call(self, params_file, tmp_path,
+                                                    capsys, monkeypatch):
+        self._die_in_helper(monkeypatch, lambda: os._exit(5))
+        code = synth(tmp_path / "beats.csv", params_file, beats=10)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "beat writer exited with 5" in captured.err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_exception_raised_here(self, tmp_path, monkeypatch):
+        def full():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        self._die_in_helper(monkeypatch, full)
+        with pytest.raises(OSError) as caught:
+            write_beats_csv(tmp_path / "beats.csv", self._beats(1))
+        assert caught.value.errno == errno.ENOSPC
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_own_failure_wins_over_helper(self, tmp_path, monkeypatch):
+        def full():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def own():
+            raise ValueError("first half failed")
+
+        self._die_in_helper(monkeypatch, full, own)
+        with pytest.raises(ValueError, match="first half failed"):
+            write_beats_csv(tmp_path / "beats.csv", self._beats(1))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_spill_never_listed(self, tmp_path, monkeypatch):
+        out_dir, listed = tmp_path / "out", []
+        out_dir.mkdir()
+
+        def only_destination():
+            names = os.listdir(out_dir)
+            if names != ["beats.csv"]:  # raised here from the helper too
+                raise AssertionError(f"listed {names}")
+            listed.append(os.getpid())
+
+        self._die_in_helper(monkeypatch, only_destination, only_destination)
+        write_beats_csv(out_dir / "beats.csv", self._beats(1))
+        assert listed and os.listdir(out_dir) == ["beats.csv"]
+
+    def test_ten_beat_synthesize_forks_once(self, params_file, tmp_path, capsys,
+                                            monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.delattr(os, "fork")
+            assert synth(tmp_path / "serial.csv", params_file, beats=10) == 0
+        calls = TestSegment._spy_fork(monkeypatch)
+        assert synth(tmp_path / "forked.csv", params_file, beats=10) == 0
+        assert len(calls) == 1
+        assert ((tmp_path / "forked.csv").read_bytes()
+                == (tmp_path / "serial.csv").read_bytes())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
