@@ -383,6 +383,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     beats = read_beats_csv(args.input)
     print("beat,relation,deviation,status")
     all_pass = True

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationDiverged
-from .model import EdmParams, RhythmParams, State, baseline, make_rhs, wave_rate_sum
+from .model import EdmParams, RhythmParams, State, _circle_rate, baseline, wave_rate_sum
 
 #: Abort threshold: forward Euler with absurd parameters can blow up silently.
 DIVERGENCE_LIMIT = 1e6
@@ -42,6 +42,8 @@ class SamplingGrid:
 
 def beat_grid(fs: float, f: float) -> SamplingGrid:
     """Grid for one beat: L = round(fs/f), one cycle revolution per beat."""
+    if not (fs > 0.0 and math.isfinite(fs / f)):  # also rejects a NaN or infinite fs
+        raise ValueError(f"sampling frequency must be positive and finite over f, got {fs}")
     return SamplingGrid(fs=fs, L=int(round(fs / f)))
 
 
@@ -94,12 +96,11 @@ def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
     atan2(+-0.0, -1.0) starts the phase at +-pi.
     """
     dt = grid.dt
-    sqrt = math.sqrt
     x, y = map(float.fromhex, start)
     xs, ys = [x], [y]
     for _ in range(grid.L - 1):
-        alpha = 1.0 - sqrt(x * x + y * y)
-        x, y = x + (alpha * x - omega * y) * dt, y + (alpha * y + omega * x) * dt
+        dx, dy = _circle_rate(x, y, omega)
+        x, y = x + dx * dt, y + dy * dt
         xs.append(x)
         ys.append(y)
     xs, ys = np.array(xs), np.array(ys)
@@ -142,27 +143,43 @@ def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
                   init: State = DEFAULT_INIT) -> Trajectory:
     """Classical 4th-order Runge-Kutta on the same fixed grid.
 
-    Used as the accuracy reference for the first-order scheme.
+    Used as the accuracy reference for the first-order scheme. The (x, y)
+    stages ignore z and the waves, so a scalar loop steps them first and
+    records the phase of all four stages of every step. One
+    ``wave_rate_sum`` call over those 4(L-1) phases, plus z0 at t, t+h/2,
+    t+h/2 and t+h, gives each stage's drift d; the z-rate d - z is linear,
+    so z follows k1 = d1 - z, k2 = d2 - (z + h/2*k1), ..., k4 = d4 - (z + h*k3).
     """
-    rhs = make_rhs(eta, rhythm)
+    omega = rhythm.omega
     dt = grid.dt
     half = 0.5 * dt
-    t0 = init.t
-    n = grid.L
-    xs = np.empty(n)
-    ys = np.empty(n)
-    zs = np.empty(n)
-    x, y, z = init.x, init.y, init.z
-    xs[0], ys[0], zs[0] = x, y, z
-    for step in range(n - 1):
-        t = t0 + step * dt
-        k1x, k1y, k1z = rhs(x, y, z, t)
-        k2x, k2y, k2z = rhs(x + half * k1x, y + half * k1y, z + half * k1z, t + half)
-        k3x, k3y, k3z = rhs(x + half * k2x, y + half * k2y, z + half * k2z, t + half)
-        k4x, k4y, k4z = rhs(x + dt * k3x, y + dt * k3y, z + dt * k3z, t + dt)
+    atan2 = math.atan2
+    x, y = init.x, init.y
+    xs, ys, phase = [x], [y], []
+    for _ in range(grid.L - 1):
+        k1x, k1y = _circle_rate(x, y, omega)
+        x2, y2 = x + half * k1x, y + half * k1y
+        k2x, k2y = _circle_rate(x2, y2, omega)
+        x3, y3 = x + half * k2x, y + half * k2y
+        k3x, k3y = _circle_rate(x3, y3, omega)
+        x4, y4 = x + dt * k3x, y + dt * k3y
+        k4x, k4y = _circle_rate(x4, y4, omega)
+        phase += (atan2(y, x), atan2(y2, x2), atan2(y3, x3), atan2(y4, x4))
         x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y += (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z += (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        xs[step + 1], ys[step + 1], zs[step + 1] = x, y, z
+        xs.append(x)
+        ys.append(y)
+    t = (init.t + grid.times()[:-1])[:, None] + np.array([0.0, half, half, dt])
+    drift = wave_rate_sum(np.array(phase), eta) + baseline(t.ravel(), rhythm)
+    z = init.z
+    zs = [z]
+    for d1, d2, d3, d4 in drift.reshape(-1, 4).tolist():
+        k1 = d1 - z
+        k2 = d2 - (z + half * k1)
+        k3 = d3 - (z + half * k2)
+        k4 = d4 - (z + dt * k3)
+        z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        zs.append(z)
+    xs, ys, zs = np.array(xs), np.array(ys), np.array(zs)
     _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)

@@ -13,7 +13,8 @@ the consistency distances and fitting all evaluate W through it. It takes
 one ``EdmParams`` or a batch of parameter vectors, such as the
 (draws, leads, 15) array of a Monte-Carlo loss, and returns one W per
 vector on the phase grid, (draws, leads, N), summing wave by wave.
-``make_rhs`` keeps a scalar copy for the RK4 reference and ``eval_rhs``.
+``_circle_rate`` is the only copy of the (x, y) rate, stepped by both
+integrators and by ``eval_rhs``.
 """
 
 from __future__ import annotations
@@ -174,40 +175,10 @@ def baseline(t, rhythm: RhythmParams):
     return rhythm.A * math.sin(TWO_PI * rhythm.f2 * t)
 
 
-def make_rhs(eta: EdmParams, rhythm: RhythmParams):
-    """Build a fast scalar f(x, y, z, t) -> (dx, dy, dz) closure.
-
-    The RK4 reference integrator calls this once per run so the per-step
-    work is plain float arithmetic over precomputed wave constants.
-    """
-    waves = tuple((w.theta, w.a, 1.0 / (2.0 * w.b * w.b)) for w in eta.waves)
-    omega = rhythm.omega
-    amp = rhythm.A
-    wf2 = TWO_PI * rhythm.f2
-    sqrt, atan2, exp, sin = math.sqrt, math.atan2, math.exp, math.sin
-    pi = math.pi
-
-    def rhs(x: float, y: float, z: float, t: float):
-        alpha = 1.0 - sqrt(x * x + y * y)
-        phase = atan2(y, x)
-        acc = 0.0
-        for theta_i, a_i, inv2b2 in waves:
-            d = phase - theta_i
-            # phase in [-pi, pi], theta in [-pi, pi): one step suffices
-            if d >= pi:
-                d -= TWO_PI
-            elif d < -pi:
-                d += TWO_PI
-            acc += a_i * d * exp(-d * d * inv2b2)
-        dz = -acc - (z - amp * sin(wf2 * t))
-        return alpha * x - omega * y, alpha * y + omega * x, dz
-
-    return rhs
-
-
-def eval_rhs(s: State, eta: EdmParams, rhythm: RhythmParams) -> tuple[float, float, float]:
-    """Time derivatives (dx, dy, dz) of the oscillator at state s."""
-    return make_rhs(eta, rhythm)(s.x, s.y, s.z, s.t)
+def _circle_rate(x: float, y: float, omega: float) -> tuple[float, float]:
+    """Rate (dx, dy) of the attracting unit circle at (x, y), scalar."""
+    alpha = 1.0 - math.sqrt(x * x + y * y)
+    return alpha * x - omega * y, alpha * y + omega * x
 
 
 def _wave_terms(phase, eta, jac: bool = False):
@@ -221,8 +192,7 @@ def _wave_terms(phase, eta, jac: bool = False):
     allocated. Returns (W, J): J stacks the 15 dW/d(eta) rows in
     PARAM_NAMES order on W's shape, or is None without jac. phase must lie
     in [-pi, pi]; with theta in [-pi, pi) one conditional 2*pi shift then
-    wraps d, as in ``make_rhs``, and J treats that shift as locally
-    constant.
+    wraps d, and J treats that shift as locally constant.
     """
     phase = np.asarray(phase, dtype=float)
     if isinstance(eta, EdmParams):
@@ -259,6 +229,12 @@ def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:
     """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``;
     eta is an ``EdmParams`` or a (..., 15) array of parameter vectors."""
     return _wave_terms(phase, eta)[0]
+
+
+def eval_rhs(s: State, eta: EdmParams, rhythm: RhythmParams) -> tuple[float, float, float]:
+    """Time derivatives (dx, dy, dz) of the oscillator at state s."""
+    w = float(wave_rate_sum(np.array([math.atan2(s.y, s.x)]), eta)[0])
+    return (*_circle_rate(s.x, s.y, rhythm.omega), w + baseline(s.t, rhythm) - s.z)
 
 
 # Reference resting-beat parameters: visible P wave, dominant R, broad T.

@@ -62,6 +62,36 @@ def euler_trajectory(fs, n, f=1.0, theta=THETA, a=AMP, b=WIDTH,
     return xs, ys, zs
 
 
+def rk4_trajectory(fs, n, f=1.0, theta=THETA, a=AMP, b=WIDTH,
+                   wander=0.15, f2=0.25, x0=-1.0, y0=0.0, z0=0.0, t0=0.0):
+    """Classical RK4 on all three coordinates, one full rate per stage."""
+    dt = 1.0 / fs
+    omega = 2.0 * math.pi * f
+
+    def rate(u, t):
+        x, y, z = u
+        alpha = 1.0 - math.sqrt(x * x + y * y)
+        return (alpha * x - omega * y, alpha * y + omega * x,
+                fz(x, y, z, t, theta, a, b, wander, f2))
+
+    def shift(u, k, h):
+        return tuple(ui + h * ki for ui, ki in zip(u, k))
+
+    u = (x0, y0, z0)
+    path = [u]
+    for step in range(n - 1):
+        t = t0 + step * dt
+        k1 = rate(u, t)
+        k2 = rate(shift(u, k1, dt / 2.0), t + dt / 2.0)
+        k3 = rate(shift(u, k2, dt / 2.0), t + dt / 2.0)
+        k4 = rate(shift(u, k3, dt), t + dt)
+        u = tuple(ui + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                  for ui, a1, a2, a3, a4 in zip(u, k1, k2, k3, k4))
+        path.append(u)
+    xs, ys, zs = zip(*path)
+    return list(xs), list(ys), list(zs)
+
+
 def sim_distance(h, xs, ys, fs, theta=THETA, a=AMP, b=WIDTH,
                  wander=0.15, f2=0.25):
     """Direct summation of the squared one-step consistency residuals."""

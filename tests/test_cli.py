@@ -158,6 +158,17 @@ class TestSynthesize:
         assert captured.out == ""
         assert "--beats" in captured.err
 
+    @pytest.mark.parametrize("fs", ["inf", "nan"])
+    def test_non_finite_fs_rejected(self, params_file, tmp_path, capsys, fs):
+        out = tmp_path / "none.csv"
+        code = run_cli(["synthesize", "--params", params_file, "--class",
+                        "NORMAL", "--fs", fs, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampling frequency" in captured.err
+
     def test_missing_params_file(self, tmp_path):
         assert synth(tmp_path / "o.csv", str(tmp_path / "nope.params")) == 2
 
@@ -192,6 +203,20 @@ class TestCheck:
         bad = tmp_path / "x.csv"
         bad.write_text("not,a,beat\n1,2,3\n")
         assert run_cli(["check", "--input", str(bad), "--tol", "1e-9"]) == 2
+
+    @pytest.mark.parametrize("tol, code", [("nan", 2), ("-1", 2), ("inf", 0)])
+    def test_tol_validated_before_header(self, params_file,
+                                        tmp_path, capsys, tol, code):
+        out = tmp_path / "beats.csv"
+        synth(out, params_file, beats=2)
+        capsys.readouterr()
+        assert run_cli(["check", "--input", str(out), "--tol", tol]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert "--tol" in captured.err
+        else:
+            assert captured.out.count("pass") == 2 * 6
 
 
 class TestScore:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
+from ecgdyn import integrate
 from ecgdyn.errors import IntegrationDiverged
 from ecgdyn.integrate import (SamplingGrid, beat_grid, integrate_euler,
                               integrate_rk4)
@@ -15,6 +16,13 @@ from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, EdmParams, RhythmParams,
 
 def flat_eta():
     return EdmParams(*[WaveParams(w.theta, 0.0, w.b) for w in DEFAULT_ETA.waves])
+
+
+def r_amplitude(amp):
+    """DEFAULT_ETA with the R amplitude replaced by amp."""
+    return EdmParams(DEFAULT_ETA.P, DEFAULT_ETA.Q,
+                     WaveParams(DEFAULT_ETA.R.theta, amp, DEFAULT_ETA.R.b),
+                     DEFAULT_ETA.S, DEFAULT_ETA.T)
 
 
 QUIET = RhythmParams(f=1.0, A=0.0, f2=0.25)
@@ -34,6 +42,15 @@ class TestGrid:
     def test_beat_grid_rounds(self):
         assert beat_grid(500, 1.0).L == 500
         assert beat_grid(500, 1.3).L == round(500 / 1.3)
+
+    @pytest.mark.parametrize("fs, f", [
+        (math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0), (-500.0, 1.0),
+        (500.0, 1e-320)])
+    def test_beat_grid_rejects_before_rounding(self, fs, f):
+        # int(round(inf)) raises OverflowError and int(round(nan)) a
+        # ValueError that names no input
+        with pytest.raises(ValueError, match="sampling frequency"):
+            beat_grid(fs, f)
 
     def test_times(self):
         grid = SamplingGrid(fs=4.0, L=3)
@@ -94,12 +111,9 @@ class TestEuler:
     def test_divergence_guard_names_step(self):
         # the named step is the first whose state is non-finite or reaches
         # DIVERGENCE_LIMIT, whatever the integrator computes after it
-        huge_r = EdmParams(DEFAULT_ETA.P, DEFAULT_ETA.Q,
-                           WaveParams(DEFAULT_ETA.R.theta, 1e12, DEFAULT_ETA.R.b),
-                           DEFAULT_ETA.S, DEFAULT_ETA.T)
         cases = [(DEFAULT_ETA, RhythmParams(f=1e6, A=0.0, f2=0.25), 2),
                  (DEFAULT_ETA, RhythmParams(f=300.0, A=0.0, f2=0.25), 8),
-                 (huge_r, DEFAULT_RHYTHM, 220)]
+                 (r_amplitude(1e12), DEFAULT_RHYTHM, 220)]
         for eta, rhythm, step in cases:
             with pytest.raises(IntegrationDiverged) as err:
                 integrate_euler(eta, rhythm, SamplingGrid(500.0, 500))
@@ -113,9 +127,7 @@ class TestEuler:
         grid = beat_grid(500, 1.0)
         integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, grid)
         for amp in (1e9, 1e12, 1e15):
-            eta = EdmParams(DEFAULT_ETA.P, DEFAULT_ETA.Q,
-                            WaveParams(DEFAULT_ETA.R.theta, amp, DEFAULT_ETA.R.b),
-                            DEFAULT_ETA.S, DEFAULT_ETA.T)
+            eta = r_amplitude(amp)
             amps = list(oracle.AMP)
             amps[2] = amp
             _, _, zs = oracle.euler_trajectory(500, 500, a=tuple(amps))
@@ -182,11 +194,40 @@ class TestRk4:
             diffs[fs] = float(np.max(np.abs(euler.z - rk4.z)))
         assert 1.7 <= diffs[500] / diffs[1000] <= 2.3
 
+    def test_matches_naive_oracle(self):
+        # waves and wander on, from a non-zero start time
+        for fs in (500, 2000):
+            traj = integrate_rk4(DEFAULT_ETA, DEFAULT_RHYTHM, beat_grid(fs, 1.0),
+                                 State(-1.0, 0.0, 0.05, 0.37))
+            xs, ys, zs = oracle.rk4_trajectory(fs, fs, z0=0.05, t0=0.37)
+            assert np.max(np.abs(traj.x - xs)) < 1e-12
+            assert np.max(np.abs(traj.y - ys)) < 1e-12
+            assert np.max(np.abs(traj.z - zs)) < 1e-12
+
+    def test_one_wave_evaluation_per_run(self, monkeypatch):
+        # every stage's W comes from one wave_rate_sum call over the four
+        # stage phases of every step
+        calls = []
+        wave_rate_sum = integrate.wave_rate_sum
+
+        def counted(phase, eta):
+            calls.append(np.shape(phase))
+            return wave_rate_sum(phase, eta)
+
+        monkeypatch.setattr(integrate, "wave_rate_sum", counted)
+        grid = SamplingGrid(500.0, 500)
+        integrate_rk4(DEFAULT_ETA, DEFAULT_RHYTHM, grid)
+        assert calls == [(4 * (grid.L - 1),)]
+
     def test_divergence_guard_names_step(self):
-        for f, step in ((1e6, 1), (300.0, 6)):
+        cases = [(DEFAULT_ETA, RhythmParams(f=1e6, A=0.0, f2=0.25), 1),
+                 (DEFAULT_ETA, RhythmParams(f=300.0, A=0.0, f2=0.25), 6),
+                 (r_amplitude(1e9), DEFAULT_RHYTHM, 243),
+                 (r_amplitude(1e12), DEFAULT_RHYTHM, 220),
+                 (r_amplitude(1e15), DEFAULT_RHYTHM, 208)]
+        for eta, rhythm, step in cases:
             with pytest.raises(IntegrationDiverged) as err:
-                integrate_rk4(DEFAULT_ETA, RhythmParams(f=f, A=0.0, f2=0.25),
-                              SamplingGrid(500.0, 500))
+                integrate_rk4(eta, rhythm, SamplingGrid(500.0, 500))
             assert err.value.step == step
 
     def test_limit_cycle_attraction_quick(self):
