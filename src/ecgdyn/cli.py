@@ -250,8 +250,7 @@ def _cmd_score(args) -> int:
         # huge finite samples overflow the sums: an error below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             l1, l2, per_lead = loss_components(beat, table, args.samples, args.seed)
-        combined = weights.delta * l1 + (1.0 - weights.delta) * l2
-        scores = [combined, *(per_lead[lead] for lead in LEAD_NAMES)]
+        scores = [weights.combine(l1, l2), *(per_lead[lead] for lead in LEAD_NAMES)]
         if not np.all(np.isfinite(scores)):
             raise ValueError(f"beat {k}: score is not finite")
         rows.append(",".join([str(k), *map(_fmt_value, scores)]))

@@ -11,24 +11,26 @@ to the dynamics of the leads that generate them.
 
 Both distances are differentiable in closed form with respect to the
 waveform and the wave parameters. They are quadratic in the waveform, which
-refinement minimizes exactly; parameter fitting forms the single-lead
-residual itself and takes its parameter Jacobian from ``model._wave_terms``.
+refinement minimizes exactly. ``_lead_residual`` alone forms the
+single-lead residual and, for the gradient and parameter fitting, its
+Jacobian from ``model._wave_terms``.
 
 The combined loss averages these terms over Monte-Carlo draws of the wave
-parameters. ``_mc_terms`` is the one place that builds them: scoring
-(``loss_components``) and waveform refinement both read its terms. It
-draws every lead's parameters and gain for all draws as one
-(draws, 12, 15) and one (draws, 12) array, evaluates W through
-``model._wave_terms`` (still the one W) in one ``wave_rate_sum`` call per
-rhythm, and returns drifts and gains as (draws, terms, L-1) and
+parameters. Scoring (``loss_components``) and refinement share every step
+of it, so refinement's loss is the score: ``_term_losses`` reduces the
+terms and ``LossWeights.combine`` weights the two means. ``_mc_terms``, the
+one place that builds the terms, draws every lead's parameters and gain for
+all draws as one (draws, 12, 15) and one (draws, 12) array, evaluates W
+through ``model._wave_terms`` (still the one W) in one ``wave_rate_sum``
+call per rhythm, and returns drifts and gains as (draws, terms, L-1) and
 (draws, terms) arrays. Each drift is evaluated once per (lead, rhythm)
-pair, so a limb identity reuses the drifts of its source leads' own
-terms. Every term's squared residuals are summed as a dot product over
-its own contiguous row, in draw order, so the loss is bit-identical to
-scoring one term at a time. Every beat of a file shares the grid, the
-class table, the draws and the seed, so one term set serves them all:
-``_mc_terms`` keeps the last one built for an int seed, as read-only
-arrays, and builds afresh when any of these changes.
+pair, so a limb identity reuses the drifts of its source leads' own terms.
+Every term's squared residuals are summed as a dot product over its own
+contiguous row, in draw order, so the loss is bit-identical to scoring one
+term at a time. Every beat of a file shares the grid, the class table, the
+draws and the seed, so one term set serves them all: ``_mc_terms`` keeps
+the last one built for an int seed, as read-only arrays, and builds afresh
+when any of these changes.
 """
 
 from __future__ import annotations
@@ -75,8 +77,11 @@ class LossWeights:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
 
+    def combine(self, l1: float, l2: float) -> float:
+        """The combined loss delta*l1 + (1 - delta)*l2."""
+        return self.delta * l1 + (1.0 - self.delta) * l2
 
-@lru_cache(maxsize=128)
+
 def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
                          init: State = DEFAULT_INIT) -> Trajectory:
     """Euler reference (x, y) path for a rhythm/grid pair, cached.
@@ -84,13 +89,23 @@ def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
     The circular subsystem is independent of z and of the wave set, so one
     path serves every distance evaluation on the same grid. It is the
     read-only circle ``integrate_euler`` integrates z along; no wave drives
-    the reference, so its z is all zero.
+    the reference, so its z is all zero. The cache tells signed zeros in
+    init's x and y apart, as ``_circle`` does: they start the phase at +-pi.
     """
+    return _reference(rhythm, grid, init, (float(init.x).hex(), float(init.y).hex()))
+
+
+@lru_cache(maxsize=128)
+def _reference(rhythm: RhythmParams, grid: SamplingGrid, init: State, start) -> Trajectory:
     xs, ys, _ = _circle(rhythm.omega, grid, init)
     _check_paths(xs, ys)
     z = np.zeros(grid.L)
     z.flags.writeable = False
     return Trajectory(grid=grid, x=xs, y=ys, z=z)
+
+
+reference_trajectory.cache_info, reference_trajectory.cache_clear = (
+    _reference.cache_info, _reference.cache_clear)
 
 
 def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
@@ -127,6 +142,20 @@ def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
     return np.diff(h) / dt - (drift - z_coeff * h[..., :-1])
 
 
+def _lead_residual(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
+                   ref: Trajectory, jac: bool = False):
+    """The L-1 residuals of h under eta along ref; with jac, also the
+    (15, L-1) rows J of ``_wave_terms``, d(r)/d(eta) = -J^T, which refuse
+    widths below B_FLOOR, where their b**-3 factor explodes."""
+    _check_same_grid(h, ref)
+    for wave in eta.waves if jac else ():
+        if wave.b < B_FLOOR:
+            raise ValueError(f"width {wave.b} below floor {B_FLOOR}")
+    w, rows = _wave_terms(_ref_phase(ref), eta, jac)
+    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
+    return (r, rows) if jac else r
+
+
 def sim_distance(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
                  ref: Trajectory) -> float:
     """Sum of squared one-step consistency residuals of h under eta.
@@ -137,8 +166,7 @@ def sim_distance(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
     the forward-Euler z-trajectory generated by the same eta, rhythm and
     initial state.
     """
-    _check_same_grid(h, ref)
-    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm))
+    r = _lead_residual(h, eta, rhythm, ref)
     return float(r @ r)
 
 
@@ -166,9 +194,8 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
 def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
                             ref: Trajectory) -> np.ndarray:
     """d(sim_distance)/d(h_k) for every sample k."""
-    _check_same_grid(h, ref)
     dt = h.grid.dt
-    r = _residuals(h.samples, dt, _drift_rate(ref, eta, rhythm))
+    r = _lead_residual(h, eta, rhythm, ref)
     # residual r_l sees h_{l+1} through the difference quotient (weight 1/dt)
     # and h_l through both the quotient and the rate term (weight 1 - 1/dt).
     grad = np.zeros_like(h.samples)
@@ -186,13 +213,7 @@ def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
     away from the wrap seam. Widths below B_FLOOR are rejected: the b**-3
     factor makes the derivative explode there.
     """
-    _check_same_grid(h, ref)
-    for w in eta.waves:
-        if w.b < B_FLOOR:
-            raise ValueError(f"width {w.b} below floor {B_FLOOR}")
-    w, jac = _wave_terms(_ref_phase(ref), eta, jac=True)
-    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
-    # the residual subtracts the rate, so d(r)/d(eta) = -J
+    r, jac = _lead_residual(h, eta, rhythm, ref, jac=True)
     return -2.0 * (jac @ r)
 
 
@@ -216,13 +237,7 @@ def draw_param_samples(table: ParamTable, label: str, n_samples: int, seed):
             for draw_params, draw_gains in zip(params, gains)]
 
 
-def _beat_label(beat: Heartbeat) -> str:
-    if beat.label is None:
-        raise ConfigurationError("heartbeat carries no class label")
-    return beat.label
-
-
-def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
+def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
               n_samples: int, seed, leads=LEAD_NAMES):
     """The Monte-Carlo terms of the combined loss, as two blocks of arrays.
 
@@ -244,6 +259,8 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str,
     int seed with an int n_samples is kept; None, a Generator (whose draws
     move on) or a SeedSequence builds fresh terms on every call.
     """
+    if label is None:
+        raise ConfigurationError("heartbeat carries no class label")
     dists = tuple(_dists(table, label))
     if type(seed) is int and type(n_samples) is int:
         return _build_mc_terms(grid, dists, n_samples, seed, tuple(leads))
@@ -284,19 +301,35 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     return own, related
 
 
-def _term_residuals(rows, dt: float, block, signals: bool = False) -> np.ndarray:
-    """(n_samples, T, L-1) residuals of a block's terms, rows[lead] being
-    the lead's samples. The result is C-contiguous whatever the layout of
-    rows, so each term's sum of squares is the dot product over one
-    contiguous row that scoring the term alone takes; a strided row sums
-    in another order. With signals set, every lead divided by its gain
-    must be a finite ``LeadSignal``.
+def _term_residuals(leads: np.ndarray, dt: float, block, signals=False) -> np.ndarray:
+    """(n_samples, T, L-1) residuals of a block's terms on a (12, L) lead
+    matrix. The result is C-contiguous whatever the matrix layout, so each
+    term's sum of squares is the dot product over one contiguous row that
+    scoring the term alone takes; a strided row sums in another order. With
+    signals set, every lead divided by its gain must be a finite ``LeadSignal``.
     """
     names, coeffs, gains, drifts = block
-    h = np.stack([rows[lead] for lead in names]) / gains[..., None]
+    h = leads[[LEAD_INDEX[lead] for lead in names]] / gains[..., None]
     if signals and not np.all(np.isfinite(h)):
         raise ValueError("samples must be finite")
     return np.ascontiguousarray(_residuals(h, dt, drifts, coeffs[:, None]))
+
+
+def _term_losses(leads: np.ndarray, dt: float, own, related, signals=False):
+    """The (l1, l2, per_lead) of ``loss_components`` for a (12, L) lead
+    matrix and the two blocks of ``_mc_terms``; per_lead holds the own
+    block's leads."""
+    n_samples = len(own[2])
+    per_lead = dict.fromkeys(own[0], 0.0)
+    for draw in _term_residuals(leads, dt, own, signals):
+        for lead, r in zip(own[0], draw):
+            per_lead[lead] += float(r @ r)
+    l2 = 0.0
+    for r in _term_residuals(leads, dt, related, signals).reshape(-1, leads.shape[1] - 1):
+        l2 += float(r @ r)
+    per_lead = {lead: v / n_samples for lead, v in per_lead.items()}
+    return (sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS),
+            l2 / (n_samples * len(limb_relations())), per_lead)
 
 
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
@@ -308,20 +341,8 @@ def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
     over draws and the 6 limb identities, and per_lead holds every lead's
     own mean single-lead distance (reporting only).
     """
-    own, related = _mc_terms(beat.grid, table, _beat_label(beat), n_samples, seed)
-    rows = dict(zip(LEAD_NAMES, beat.leads))
-    per_lead = {lead: 0.0 for lead in LEAD_NAMES}
-    for draw in _term_residuals(rows, beat.grid.dt, own, signals=True):
-        for lead, r in zip(own[0], draw):
-            per_lead[lead] += float(r @ r)
-    l2_total = 0.0
-    for r in _term_residuals(rows, beat.grid.dt, related,
-                             signals=True).reshape(-1, beat.grid.L - 1):
-        l2_total += float(r @ r)
-    per_lead = {lead: v / n_samples for lead, v in per_lead.items()}
-    l1 = sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS)
-    l2 = l2_total / (n_samples * len(limb_relations()))
-    return l1, l2, per_lead
+    terms = _mc_terms(beat.grid, table, beat.label, n_samples, seed)
+    return _term_losses(beat.leads, beat.grid.dt, *terms, signals=True)
 
 
 def euler_loss_combined(beat: Heartbeat, table: ParamTable,
@@ -334,4 +355,4 @@ def euler_loss_combined(beat: Heartbeat, table: ParamTable,
     Deterministic for a fixed seed.
     """
     l1, l2, _ = loss_components(beat, table, n_samples=n_samples, seed=seed)
-    return weights.delta * l1 + (1.0 - weights.delta) * l2
+    return weights.combine(l1, l2)

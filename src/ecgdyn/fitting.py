@@ -3,9 +3,9 @@
 Three consumers of the same machinery: recover wave parameters from an
 observed lead, turn a pile of beats into a per-class Gaussian, and polish
 a full 12-lead beat by minimizing the combined loss over its free leads.
-Parameter fitting is Levenberg-Marquardt on the residual of the
-single-lead distance, whose Jacobian is the one ``model._wave_terms``
-returns with W; refinement minimizes an exact quadratic in O(L).
+Parameter fitting is Levenberg-Marquardt on ``fidelity._lead_residual``
+and its Jacobian; refinement minimizes, in O(L), an exact quadratic that
+is the score of the free leads' ``leads.assemble_leads`` matrix.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FitDiverged, InsufficientDataError
+from .errors import FitDiverged, InsufficientDataError
 from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
-                       _check_same_grid, _drift_rate, _mc_terms, _ref_phase,
-                       _residuals, _term_residuals)
+                       _lead_residual, _mc_terms, _term_losses)
 from .integrate import SamplingGrid, Trajectory, _euler_z
-from .leads import FREE_LEADS, Heartbeat, LEAD_NAMES, derive_limb_rows, limb_relations
-from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, _project_eta_vector,
-                    _wave_terms, eta_to_vector, vector_to_eta)
+from .leads import FREE_LEADS, Heartbeat, assemble_leads, derive_limb_rows, limb_relations
+from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, eta_to_vector,
+                    project_eta_vector, vector_to_eta)
 from .params import ParamDistribution, ParamTable, default_eta_for_lead
 
 #: Losses at or below this are floating-point noise around an exact optimum;
@@ -77,16 +76,11 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
     decreases the loss, which counts as converged. Widths are kept at or above B_FLOOR
     and centers re-wrapped after every step.
     """
-    _check_same_grid(h, ref)
-    phase = _ref_phase(ref)
-
     def evaluate(v):
-        eta = vector_to_eta(v)
-        w, jac = _wave_terms(phase, eta, jac=True)
-        r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
+        r, jac = _lead_residual(h, vector_to_eta(v), rhythm, ref, jac=True)
         return float(r @ r), r, jac
 
-    v = _project_eta_vector(eta_to_vector(eta0))
+    v = project_eta_vector(eta_to_vector(eta0))
     loss, r, jac = evaluate(v)
     if not math.isfinite(loss):
         raise FitDiverged(f"non-finite starting loss {loss!r}")
@@ -100,7 +94,7 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
         damping = np.diag(np.maximum(scale, 1e-12 * max(float(np.max(scale)), 1.0)))
         g = jac @ r  # the residual subtracts the rate, so d(r)/d(eta) = -J^T
         while True:
-            trial = _project_eta_vector(v + np.linalg.solve(a + lam * damping, g))
+            trial = project_eta_vector(v + np.linalg.solve(a + lam * damping, g))
             trial_loss, trial_r, trial_jac = evaluate(trial)
             if not math.isfinite(trial_loss):
                 raise FitDiverged(
@@ -237,44 +231,30 @@ def _solve_limb_pair(groups, dt: float, length: int) -> np.ndarray:
 
 
 class _RefineProblem:
-    """Precomputed combined-loss objective over the 8 free lead rows.
+    """The combined loss over the 8 free lead rows, terms drawn up front.
 
-    The model rate is linear in the waveform, so everything that does not
-    depend on the optimization variables (wave-sum drifts per Monte-Carlo
-    draw, gains, weights) is evaluated once up front; each loss evaluation
-    is then pure vector arithmetic. The terms are the two blocks
-    ``fidelity._mc_terms`` builds for ``loss_components``: the free leads'
-    own terms weighted by w1, then the limb identities' terms weighted by
-    w2, each block (weight, names, coeffs, gains, drifts) and kept only
-    when its weight is positive.
+    The terms are the two blocks ``fidelity._mc_terms`` builds for
+    ``loss_components``, the own block holding the free leads alone, and
+    the loss is the score's. ``blocks`` holds each block as (weight, names,
+    coeffs, gains, drifts), weighted by its terms' share of the combined
+    loss and kept only when that weight is positive.
     """
 
     def __init__(self, beat: Heartbeat, table: ParamTable,
                  weights: LossWeights, n_samples: int, seed):
-        if beat.label is None:
-            raise ConfigurationError("refinement requires a labeled heartbeat")
-        self.grid = beat.grid
         self.dt = beat.grid.dt
-        own, related = _mc_terms(beat.grid, table, beat.label, n_samples, seed,
-                                 leads=FREE_LEADS)
-        w1 = weights.delta / (n_samples * len(FREE_LEADS))
-        w2 = (1.0 - weights.delta) / (n_samples * len(limb_relations()))
+        self.weights = weights
+        own, related = self.terms = _mc_terms(beat.grid, table, beat.label,
+                                              n_samples, seed, leads=FREE_LEADS)
+        # a term's weight is the combination's slope in its mean
+        w1 = weights.combine(1.0, 0.0) / (n_samples * len(FREE_LEADS))
+        w2 = weights.combine(0.0, 1.0) / (n_samples * len(limb_relations()))
         self.blocks = [(w,) + block for w, block in ((w1, own), (w2, related))
                        if w > 0.0]
 
-    def _rows(self, u: np.ndarray) -> dict[str, np.ndarray]:
-        rows = {lead: u[j] for j, lead in enumerate(FREE_LEADS)}
-        rows.update(derive_limb_rows(u[0], u[1]))
-        return rows
-
     def loss(self, u: np.ndarray) -> float:
-        rows = self._rows(u)
-        total = 0.0
-        for weight, *block in self.blocks:
-            r = _term_residuals(rows, self.dt, block)
-            for row in r.reshape(-1, r.shape[-1]):  # draws outermost
-                total += weight * float(row @ row)
-        return total
+        l1, l2, _ = _term_losses(assemble_leads(u), self.dt, *self.terms)
+        return self.weights.combine(l1, l2)
 
     def solve(self, u0: np.ndarray) -> np.ndarray:
         """The free rows minimizing the loss; of several, the nearest u0.
@@ -302,11 +282,6 @@ class _RefineProblem:
         if set(limb) - {("I", 1.0), ("II", 1.0)}:  # identities couple I and II
             u[:2] = _solve_limb_pair(limb, self.dt, u0.shape[1])
         return u
-
-    def assemble(self, u: np.ndarray, label: str | None) -> Heartbeat:
-        rows = self._rows(u)
-        matrix = np.vstack([rows[name] for name in LEAD_NAMES])
-        return Heartbeat(grid=self.grid, leads=matrix, label=label)
 
 
 def refine_waveform(beat0: Heartbeat, table: ParamTable,
@@ -337,4 +312,4 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
         raise FitDiverged("non-finite refined leads")
     if history is not None:
         history.extend([loss, problem.loss(u)])
-    return problem.assemble(u, beat0.label)
+    return Heartbeat(grid=beat0.grid, leads=assemble_leads(u), label=beat0.label)

@@ -3,7 +3,8 @@
 Only 8 channels of a standard 12-lead recording are electrically
 independent: I, II and the six precordials V1..V6. The remaining limb
 leads are linear combinations (Einthoven's triangle and Goldberger's
-augmented leads), which this module derives and verifies.
+augmented leads), which this module derives and verifies. Synthesis and
+refinement both turn 8 free rows into a 12-row beat by ``assemble_leads``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,14 @@ def derive_limb_rows(lead_i: np.ndarray, lead_ii: np.ndarray) -> dict[str, np.nd
     }
 
 
+def assemble_leads(free) -> np.ndarray:
+    """The (12, L) lead matrix, rows in LEAD_NAMES order, from the 8 free
+    rows in FREE_LEADS order; III, aVR, aVL and aVF are derived."""
+    rows = dict(zip(FREE_LEADS, free))
+    rows.update(derive_limb_rows(rows["I"], rows["II"]))
+    return np.vstack([rows[name] for name in LEAD_NAMES])
+
+
 def synthesize_heartbeat(lead_params: dict[str, EdmParams],
                          rhythm: RhythmParams,
                          grid: SamplingGrid,
@@ -121,15 +130,13 @@ def synthesize_heartbeat(lead_params: dict[str, EdmParams],
     and computes the rest.
     """
     gains = gains or {}
-    rows: dict[str, np.ndarray] = {}
+    free = []
     for name in FREE_LEADS:
         if name not in lead_params:
             raise ConfigurationError(f"missing parameter set for lead {name}")
         traj = integrate_euler(lead_params[name], rhythm, grid, init)
-        rows[name] = float(gains.get(name, 1.0)) * traj.z
-    rows.update(derive_limb_rows(rows["I"], rows["II"]))
-    matrix = np.vstack([rows[name] for name in LEAD_NAMES])
-    return Heartbeat(grid=grid, leads=matrix, label=label)
+        free.append(float(gains.get(name, 1.0)) * traj.z)
+    return Heartbeat(grid=grid, leads=assemble_leads(free), label=label)
 
 
 @dataclass

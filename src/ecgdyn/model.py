@@ -100,7 +100,7 @@ PARAM_NAMES = tuple(
 N_PARAMS = len(PARAM_NAMES)  # 15
 
 
-def _project_eta_vector(v: np.ndarray) -> np.ndarray:
+def project_eta_vector(v: np.ndarray) -> np.ndarray:
     """Wrap the centers to [-pi, pi) and clamp the widths at B_FLOOR, in place.
 
     v is a 15-vector or a (..., 15) array of them. A non-finite value

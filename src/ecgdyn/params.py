@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ParamFileError
 from .leads import LEAD_INDEX, LEAD_NAMES
 from .model import (B_FLOOR, N_PARAMS, PARAM_NAMES, RhythmParams, EdmParams,
-                    _project_eta_vector, eta_to_vector, vector_to_eta,
+                    eta_to_vector, project_eta_vector, vector_to_eta,
                     DEFAULT_ETA, DEFAULT_RHYTHM, WAVE_NAMES)
 
 _CLASS_RE = re.compile(r"^[A-Z0-9]+$")
@@ -96,7 +96,7 @@ def _draw(dists, n_samples: int, rng: np.random.Generator):
     z = rng.standard_normal((n_samples, len(dists), N_PARAMS + 1))
     mean = np.array([d.mean for d in dists])
     std = np.array([d.std for d in dists])
-    params = _project_eta_vector(mean + std * z[..., :N_PARAMS])
+    params = project_eta_vector(mean + std * z[..., :N_PARAMS])
     gain_mean = np.array([d.gain_mean for d in dists])
     gain_std = np.array([d.gain_std for d in dists])
     gains = np.maximum(gain_mean + gain_std * z[..., N_PARAMS], GAIN_FLOOR)

@@ -95,17 +95,9 @@ def detect_r_peaks(signal, fs: float) -> np.ndarray:
     if candidates.size == 0:
         raise NoRhythmError("no rhythmic activity found")
 
-    # one candidate per energy burst: within the refractory span keep the
-    # tallest local maximum, not the first ripple of the plateau
+    # one candidate per energy burst: its tallest local maximum, not a ripple
     refractory = int(round(REFRACTORY_S * fs))
-    merged: list[int] = []
-    for idx in candidates:
-        if merged and idx - merged[-1] < refractory:
-            if integrated[idx] > integrated[merged[-1]]:
-                merged[-1] = int(idx)
-        else:
-            merged.append(int(idx))
-
+    merged = _keep_tallest(candidates.tolist(), integrated, refractory)
     beats = _classify(integrated, merged, int(round(2.0 * fs)))
     if len(beats) < 2:
         raise NoRhythmError(f"found {len(beats)} peak(s), need at least 2")
@@ -117,18 +109,23 @@ def detect_r_peaks(signal, fs: float) -> np.ndarray:
     down = _median(centre - windows.min(axis=1))
     polarity = 1.0 if up >= down else -1.0
     snaps = rows[np.arange(len(beats)), np.argmax(polarity * windows, axis=1)]
-
-    peaks: list[int] = []
-    for snapped in snaps.tolist():
-        if peaks and snapped - peaks[-1] < refractory:
-            if polarity * x[snapped] > polarity * x[peaks[-1]]:
-                peaks[-1] = snapped
-        elif not peaks or snapped > peaks[-1]:
-            peaks.append(snapped)
-
+    peaks = _keep_tallest(snaps.tolist(), polarity * x, refractory)
     if len(peaks) < 2:
         raise NoRhythmError(f"found {len(peaks)} peak(s), need at least 2")
     return np.asarray(peaks, dtype=int)
+
+
+def _keep_tallest(indices: list[int], height: np.ndarray, span: int) -> list[int]:
+    """indices in order, where one closer than span to the last kept index
+    replaces it if taller; of equal heights the earlier stays."""
+    kept: list[int] = []
+    for idx in indices:
+        if kept and idx - kept[-1] < span:
+            if height[idx] > height[kept[-1]]:
+                kept[-1] = idx
+        else:
+            kept.append(idx)
+    return kept
 
 
 def _classify(integrated: np.ndarray, candidates: list[int], block: int) -> list[int]:

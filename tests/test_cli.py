@@ -971,6 +971,20 @@ class TestSplitWriter:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
+    def test_spill_failure_writes_serially(self, tmp_path, monkeypatch):
+        # no spill file can be made: the process writes every beat itself
+        def no_spill(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        beats = self._beats(1)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_spill)
+        calls = TestSegment._spy_fork(monkeypatch)
+        write_beats_csv(tmp_path / "new.csv", beats)
+        assert calls == []
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
     def test_helper_dying_unreported_fails_the_call(self, params_file, tmp_path,
                                                     capsys, monkeypatch):
         self._die_in_helper(monkeypatch, lambda: os._exit(5))

@@ -13,11 +13,11 @@ from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              loss_components, reference_trajectory, sim_distance,
                              sim_distance_interlead)
 from ecgdyn.cli import read_beats_csv, run_cli, write_beats_csv
-from ecgdyn.integrate import beat_grid, integrate_euler
+from ecgdyn.integrate import DEFAULT_INIT, beat_grid, integrate_euler
 from ecgdyn.leads import (FREE_LEADS, LEAD_NAMES, Heartbeat, LeadRelation,
                           limb_relations, synthesize_heartbeat)
 from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
-                          eta_to_vector, vector_to_eta)
+                          State, eta_to_vector, vector_to_eta)
 from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
                            zero_variance)
 from ecgdyn.fidelity import draw_param_samples
@@ -543,5 +543,16 @@ class TestGradients:
 class TestReferenceCache:
     def test_same_arguments_share_trajectory(self):
         a = reference_trajectory(DEFAULT_RHYTHM, GRID)
+        hits = reference_trajectory.cache_info().hits
         b = reference_trajectory(DEFAULT_RHYTHM, GRID)
         assert a is b
+        assert reference_trajectory.cache_info().hits == hits + 1
+
+    def test_signed_zero_starts_kept_apart(self):
+        # State(-1, -0.0) == State(-1, 0.0), yet atan2 starts the first at
+        # -pi and the second at +pi
+        neg = reference_trajectory(DEFAULT_RHYTHM, GRID, State(-1.0, -0.0, 0.0))
+        for pos in (reference_trajectory(DEFAULT_RHYTHM, GRID, DEFAULT_INIT),
+                    reference_trajectory(DEFAULT_RHYTHM, GRID)):
+            assert str(pos.y[0]) == "0.0" and str(neg.y[0]) == "-0.0"
+            assert fidelity._ref_phase(pos)[0] == -fidelity._ref_phase(neg)[0] == np.pi

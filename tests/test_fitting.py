@@ -7,15 +7,16 @@ import pytest
 
 import naive_reference as oracle
 from ecgdyn import fidelity, fitting
-from ecgdyn.errors import FitDiverged, InsufficientDataError
+from ecgdyn.errors import ConfigurationError, FitDiverged, InsufficientDataError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              reference_trajectory, sim_distance)
 from ecgdyn.fitting import (OptimConfig, _RefineProblem, estimate_distribution,
                             fit_params, refine_waveform)
 from ecgdyn.integrate import SamplingGrid, beat_grid, integrate_euler
-from ecgdyn.leads import FREE_LEADS, Heartbeat, check_lead_consistency, synthesize_heartbeat
-from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, eta_to_vector,
-                          vector_to_eta, wrap_angle)
+from ecgdyn.leads import (FREE_LEADS, Heartbeat, assemble_leads, check_lead_consistency,
+                          synthesize_heartbeat)
+from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
+                          eta_to_vector, vector_to_eta, wrap_angle)
 from ecgdyn.params import (ParamDistribution, default_distributions,
                            sample_eta, zero_variance)
 from ecgdyn.fidelity import draw_param_samples
@@ -128,7 +129,7 @@ class TestFitParams:
         # every residual the fit forms takes W and its Jacobian from one
         # _wave_terms call, and W is never evaluated on its own
         calls, residuals = [], []
-        wave_terms, residual = fitting._wave_terms, fitting._residuals
+        wave_terms, residual = fidelity._wave_terms, fidelity._residuals
 
         def counted_terms(phase, eta, jac=False):
             calls.append(jac)
@@ -138,8 +139,8 @@ class TestFitParams:
             residuals.append(1)
             return residual(*args)
 
-        monkeypatch.setattr(fitting, "_wave_terms", counted_terms)
-        monkeypatch.setattr(fitting, "_residuals", counted_residuals)
+        monkeypatch.setattr(fidelity, "_wave_terms", counted_terms)
+        monkeypatch.setattr(fidelity, "_residuals", counted_residuals)
         monkeypatch.setattr(fidelity, "wave_rate_sum", None)
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         res = fit_params(LeadSignal(GRID, traj.z),
@@ -176,14 +177,14 @@ class TestFitParams:
         budget = 1 + 2 * cfg.max_iter + 2 + math.ceil(
             math.log10(fitting._LM_LAMBDA_MAX) - math.log10(fitting._LM_LAMBDA0))
         calls = []
-        wave_terms = fitting._wave_terms
+        wave_terms = fidelity._wave_terms
 
         def counted_terms(phase, eta, jac=False):
             calls.append(1)
             assert len(calls) <= budget, "damping loop did not terminate"
             return wave_terms(phase, eta, jac)
 
-        monkeypatch.setattr(fitting, "_wave_terms", counted_terms)
+        monkeypatch.setattr(fidelity, "_wave_terms", counted_terms)
         rng = np.random.default_rng(51)
         h = LeadSignal(GRID, 0.01 * rng.standard_normal(GRID.L))
         res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
@@ -204,6 +205,22 @@ class TestFitParams:
         h = LeadSignal(GRID, np.full(GRID.L, 1e160))
         with pytest.raises(FitDiverged):
             fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+
+    def test_non_finite_trial_raises(self, ref, monkeypatch):
+        # every residual after the starting one is NaN: the first trial
+        # fails, where a rejected trial would only grow the damping
+        calls, residual = [], fitting._lead_residual
+
+        def poisoned(*args, **kwargs):
+            r, jac = residual(*args, **kwargs)
+            calls.append(1)
+            return (r if len(calls) == 1 else np.full_like(r, np.nan)), jac
+
+        monkeypatch.setattr(fitting, "_lead_residual", poisoned)
+        h = LeadSignal(GRID, 0.01 * np.random.default_rng(52).standard_normal(GRID.L))
+        with pytest.raises(FitDiverged, match="non-finite loss at iteration 1"):
+            fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        assert len(calls) == 2
 
     def test_iterations_within_budget(self, ref):
         rng = np.random.default_rng(51)
@@ -245,6 +262,24 @@ class TestEstimateDistribution:
                 assert abs(got - true) <= 0.02 * abs(true) + 1e-9
             else:
                 assert abs(got) <= 0.02
+
+    def test_own_rate_without_rhythm(self):
+        # with no rhythm given, each beat is fit at one revolution per beat
+        # of its own grid, here 1.25 Hz, with the default wander
+        grid = beat_grid(500, 1.25)
+        own = RhythmParams(f=grid.fs / grid.L, A=DEFAULT_RHYTHM.A,
+                           f2=DEFAULT_RHYTHM.f2)
+        v = eta_to_vector(DEFAULT_ETA)
+        draws = [v * s for s in (0.98, 1.0, 1.02)]
+        beats = [LeadSignal(grid, integrate_euler(vector_to_eta(d), own, grid).z)
+                 for d in draws]
+        results = []
+        dist = estimate_distribution(beats, "NORMAL", "II", eta0=DEFAULT_ETA,
+                                     results=results)
+        assert dist.rhythm == own != DEFAULT_RHYTHM
+        assert all(r.converged and r.final_distance <= 1e-6 * grid.L
+                   for r in results)
+        assert np.allclose(dist.mean, np.mean(draws, axis=0), rtol=1e-3, atol=1e-3)
 
     def test_too_few_beats_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -375,16 +410,23 @@ class TestRefineWaveform:
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_loss_matches_combined_score(self, delta):
-        # refine and score read one Monte-Carlo term list, so on a beat
-        # that satisfies the limb identities their losses agree
+        # refine and score read one Monte-Carlo term list through one
+        # reduction, so on a beat that satisfies the limb identities their
+        # losses agree bit for bit
         table = default_distributions()
-        problem = _RefineProblem(_noise_beat(seed=23), table,
-                                 LossWeights(delta), n_samples=3, seed=4)
-        u = np.vstack([_noise_beat(seed=24).lead(lead) for lead in FREE_LEADS])
-        beat = problem.assemble(u, "NORMAL")
-        assert problem.loss(u) == pytest.approx(
-            euler_loss_combined(beat, table, LossWeights(delta), n_samples=3,
-                                seed=4), rel=1e-12)
+        for seed in range(23, 38):
+            problem = _RefineProblem(_noise_beat(seed=seed), table,
+                                     LossWeights(delta), n_samples=3, seed=4)
+            u = np.vstack([_noise_beat(seed=seed + 100).lead(lead)
+                           for lead in FREE_LEADS])
+            beat = Heartbeat(grid=GRID, leads=assemble_leads(u), label="NORMAL")
+            assert problem.loss(u) == euler_loss_combined(
+                beat, table, LossWeights(delta), n_samples=3, seed=4)
+
+    def test_unlabeled_beat_rejected(self):
+        beat = Heartbeat(grid=GRID, leads=_noise_beat().leads)
+        with pytest.raises(ConfigurationError, match="no class label"):
+            refine_waveform(beat, default_distributions())
 
     def test_label_preserved(self):
         table = default_distributions()

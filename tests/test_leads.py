@@ -5,8 +5,8 @@ import pytest
 
 from ecgdyn.errors import ConfigurationError
 from ecgdyn.integrate import beat_grid, integrate_euler
-from ecgdyn.leads import (FREE_LEADS, Heartbeat, LEAD_NAMES, LeadRelation,
-                          check_lead_consistency, derive_limb_rows,
+from ecgdyn.leads import (FREE_LEADS, ConsistencyReport, Heartbeat, LEAD_NAMES,
+                          LeadRelation, check_lead_consistency, derive_limb_rows,
                           limb_relations, relation_for, synthesize_heartbeat)
 from ecgdyn.model import DEFAULT_RHYTHM
 from ecgdyn.params import default_distributions, default_eta_for_lead
@@ -117,6 +117,13 @@ class TestConsistencyCheck:
         beat = Heartbeat(grid=grid, leads=np.vstack(rows))
         report = check_lead_consistency(beat, tol=1e-3)
         assert not report.passed
+
+    def test_report_text(self):
+        failed = ConsistencyReport(deviations={"I": 2.5e-4, "aVF": 1.25e-3},
+                                   tol=1e-6, passed=False)
+        assert str(failed) == "lead consistency FAIL (worst 1.250e-03 mV, tol 1.0e-06)"
+        passed = ConsistencyReport(deviations={"III": 0.0}, tol=1e-9, passed=True)
+        assert str(passed) == "lead consistency pass (worst 0.000e+00 mV, tol 1.0e-09)"
 
     def test_heartbeat_validation(self):
         grid = beat_grid(500, 1.0)

@@ -12,7 +12,8 @@ from ecgdyn.integrate import beat_grid
 from ecgdyn.leads import FREE_LEADS, LEAD_NAMES, synthesize_heartbeat
 from ecgdyn.model import RhythmParams
 from ecgdyn.params import default_eta_for_lead
-from ecgdyn.segmentation import Record, detect_r_peaks, resample_cycle, segment_record
+from ecgdyn.segmentation import (Record, _classify, detect_r_peaks, resample_cycle,
+                                 segment_record)
 
 
 class TestResample:
@@ -93,6 +94,18 @@ class TestDetector:
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             detect_r_peaks(np.zeros(100), 500.0)
+
+    def test_searchback_recovers_skipped_beat(self):
+        # bursts of 10 every 100 samples and one of 2 at 500: below the
+        # threshold of a quarter of the signal level, so it is skipped, but
+        # above half of it; the 250-sample gap to 650 exceeds 1.66 mean RR
+        integrated = np.zeros(700)
+        integrated[[100, 200, 300, 400, 650]] = 10.0
+        integrated[500] = 2.0
+        candidates = [100, 200, 300, 400, 500, 650]
+        assert _classify(integrated, candidates, 100) == candidates
+        integrated[500] = 1.0  # below half the threshold: stays skipped
+        assert _classify(integrated, candidates, 100) == [100, 200, 300, 400, 650]
 
     def test_strictly_increasing_with_refractory(self):
         record, _ = make_jittered_record(seed=12)
