@@ -145,9 +145,10 @@ def _beat_arrays(rows: np.ndarray) -> tuple[float, np.ndarray]:
     return fs, np.ascontiguousarray(rows[:, 1:]).T
 
 
-def _parse_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The line parser over a file's bytes; splitlines() takes CRLF and a
+    lone CR as the one break that read_text()'s newline translation makes."""
+    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].strip()
@@ -184,7 +185,7 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
             return rows["key"] if keyed else np.zeros(len(rows), int), rows["row"]
         except ValueError:
             pass
-    return _parse_rows(path)
+    return _parse_rows(path, data)
 
 
 def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
@@ -261,11 +262,11 @@ def _cmd_score(args) -> int:
 def _cmd_refine(args) -> int:
     table = _load_table(args.params)
     weights = LossWeights(delta=args.delta)
-    cfg = OptimConfig(max_iter=args.steps)
+    OptimConfig(max_iter=args.steps)  # checks --steps, which the exact solve ignores
     beats = read_beats_csv(args.input, label=args.klass)
     # huge finite samples overflow the sums: exit 3 below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        refined = [refine_waveform(b, table, weights, cfg, seed=args.seed,
+        refined = [refine_waveform(b, table, weights, seed=args.seed,
                                    n_samples=args.samples) for b in beats]
     write_beats_csv(args.out, refined)
     print(f"refined {len(refined)} beat(s) to {args.out}", file=sys.stderr)

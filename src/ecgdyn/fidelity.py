@@ -91,7 +91,11 @@ def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
     read-only circle ``integrate_euler`` integrates z along; no wave drives
     the reference, so its z is all zero. The cache tells signed zeros in
     init's x and y apart, as ``_circle`` does: they start the phase at +-pi.
+    A Trajectory has no time axis and the drift starts at t = 0, so init.t
+    must be 0.
     """
+    if init.t != 0.0:
+        raise ValueError(f"the reference starts at t = 0, got init.t = {init.t}")
     return _reference(rhythm, grid, init, (float(init.x).hex(), float(init.y).hex()))
 
 
@@ -164,7 +168,7 @@ def sim_distance(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
     samples l and l+1 for l = 0..L-2 (0-based; the first sample anchors
     the first term). Exactly zero (up to accumulated rounding) iff h is
     the forward-Euler z-trajectory generated by the same eta, rhythm and
-    initial state.
+    initial state, started at t = 0 as ``ref`` is.
     """
     r = _lead_residual(h, eta, rhythm, ref)
     return float(r @ r)

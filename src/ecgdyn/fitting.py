@@ -286,7 +286,6 @@ class _RefineProblem:
 
 def refine_waveform(beat0: Heartbeat, table: ParamTable,
                     weights: LossWeights = LossWeights(),
-                    cfg: OptimConfig = OptimConfig(max_iter=500),
                     seed=0, n_samples: int = 8,
                     history: list | None = None) -> Heartbeat:
     """Move the 8 free leads of a beat to the minimum of the combined loss.
@@ -297,8 +296,7 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
     from leads I and II, so the output satisfies the limb identities to
     rounding. The Monte-Carlo parameter draws are taken once up front from
     the seed, making the objective a fixed deterministic function. Pass a
-    list as ``history`` to receive the loss before and after. ``cfg`` is
-    accepted for compatibility and bounds nothing: the solve is exact.
+    list as ``history`` to receive the loss before and after.
     """
     problem = _RefineProblem(beat0, table, weights, n_samples, seed)
     u0 = np.vstack([beat0.lead(lead) for lead in FREE_LEADS])

@@ -42,6 +42,8 @@ class SamplingGrid:
 
 def beat_grid(fs: float, f: float) -> SamplingGrid:
     """Grid for one beat: L = round(fs/f), one cycle revolution per beat."""
+    if not (f > 0.0 and math.isfinite(f)):
+        raise ValueError(f"beat frequency f must be positive and finite, got {f}")
     if not (fs > 0.0 and math.isfinite(fs / f)):  # also rejects a NaN or infinite fs
         raise ValueError(f"sampling frequency must be positive and finite over f, got {fs}")
     return SamplingGrid(fs=fs, L=int(round(fs / f)))

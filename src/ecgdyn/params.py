@@ -4,6 +4,8 @@ Each (class, lead) pair carries an independent diagonal Gaussian over the
 15 wave parameters plus an affine gain (mV per model unit) and the rhythm
 settings used when synthesizing or scoring that lead. The on-disk format
 is flat ``key = value`` text so files diff cleanly and round-trip exactly.
+The shipped NORMAL table is the file ``data/normal.params``; the defaults
+here read it, and its header states the rules its values follow.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParamFileError
 from .leads import LEAD_INDEX, LEAD_NAMES
 from .model import (B_FLOOR, N_PARAMS, PARAM_NAMES, RhythmParams, EdmParams,
-                    eta_to_vector, project_eta_vector, vector_to_eta,
-                    DEFAULT_ETA, DEFAULT_RHYTHM, WAVE_NAMES)
+                    project_eta_vector, vector_to_eta)
 
 _CLASS_RE = re.compile(r"^[A-Z0-9]+$")
 
@@ -116,15 +118,12 @@ def sample_eta(dist: ParamDistribution, seed) -> tuple[EdmParams, float]:
 # ---------------------------------------------------------------------------
 # file format
 
-_WAVE_FIELDS = tuple(
-    f"{wave}.{field}_{stat}"
-    for wave in WAVE_NAMES
-    for field in ("theta", "a", "b")
-    for stat in ("mean", "std")
-)
-_SCALAR_FIELDS = ("gain_mean", "gain_std", "rhythm.f", "rhythm.A", "rhythm.f2")
-_ENTRY_FIELDS = _SCALAR_FIELDS + _WAVE_FIELDS
-_FIELD_SET = frozenset(_ENTRY_FIELDS)
+#: The keys of one (class, lead) entry, in the order they are written: the
+#: writer lists an entry's values in this order and the reader slices them
+#: back out of it, so the two cannot disagree on the layout.
+_FIELDS = ("rhythm.f", "rhythm.A", "rhythm.f2", "gain_mean", "gain_std",
+           *(f"{name}_{stat}" for name in PARAM_NAMES for stat in ("mean", "std")))
+_FIELD_SET = frozenset(_FIELDS)
 
 
 def _fmt(v: float) -> str:
@@ -140,15 +139,11 @@ def write_param_file(table: ParamTable) -> str:
             dist = table.get((cls, lead))
             if dist is None:
                 continue
-            prefix = f"{cls}.{lead}"
-            lines.append(f"{prefix}.rhythm.f = {_fmt(dist.rhythm.f)}")
-            lines.append(f"{prefix}.rhythm.A = {_fmt(dist.rhythm.A)}")
-            lines.append(f"{prefix}.rhythm.f2 = {_fmt(dist.rhythm.f2)}")
-            lines.append(f"{prefix}.gain_mean = {_fmt(dist.gain_mean)}")
-            lines.append(f"{prefix}.gain_std = {_fmt(dist.gain_std)}")
-            for i, name in enumerate(PARAM_NAMES):
-                lines.append(f"{prefix}.{name}_mean = {_fmt(dist.mean[i])}")
-                lines.append(f"{prefix}.{name}_std = {_fmt(dist.std[i])}")
+            r = dist.rhythm
+            values = (r.f, r.A, r.f2, dist.gain_mean, dist.gain_std,
+                      *(v for pair in zip(dist.mean, dist.std) for v in pair))
+            lines.extend(f"{cls}.{lead}.{field} = {_fmt(v)}"
+                         for field, v in zip(_FIELDS, values))
         lines.append("")
     return "\n".join(lines)
 
@@ -195,18 +190,15 @@ def read_param_file(text: str) -> ParamTable:
 
     table: ParamTable = {}
     for (cls, lead), fields in raw.items():
-        missing = [f for f in _ENTRY_FIELDS if f not in fields]
+        missing = [f for f in _FIELDS if f not in fields]
         if missing:
             raise ParamFileError(f"{cls}.{lead}: missing key {missing[0]}")
-        mean = tuple(fields[f"{name}_mean"] for name in PARAM_NAMES)
-        std = tuple(fields[f"{name}_std"] for name in PARAM_NAMES)
+        values = [fields[f] for f in _FIELDS]
         try:
-            rhythm = RhythmParams(f=fields["rhythm.f"], A=fields["rhythm.A"],
-                                  f2=fields["rhythm.f2"])
             table[(cls, lead)] = ParamDistribution(
-                class_code=cls, lead=lead, mean=mean, std=std,
-                gain_mean=fields["gain_mean"], gain_std=fields["gain_std"],
-                rhythm=rhythm)
+                class_code=cls, lead=lead, mean=values[5::2], std=values[6::2],
+                gain_mean=values[3], gain_std=values[4],
+                rhythm=RhythmParams(*values[:3]))
         except ValueError as exc:
             raise ParamFileError(f"{cls}.{lead}: {exc}") from None
     return table
@@ -215,64 +207,24 @@ def read_param_file(text: str) -> ParamTable:
 # ---------------------------------------------------------------------------
 # shipped defaults
 
-# Plausible resting-beat amplitude sets per lead. Precordials follow the
-# usual R-wave progression with deep S in V1/V2; limb-lead entries for the
-# derived leads exist so scoring can invert their gains.
-_LEAD_AMPS = {
-    "I":   (0.8, -3.5, 22.0, -4.5, 0.55),
-    "II":  (1.2, -5.0, 30.0, -7.5, 0.75),
-    "III": (1.2, -5.0, 30.0, -7.5, 0.75),
-    "aVR": (1.2, -5.0, 30.0, -7.5, 0.75),
-    "aVL": (1.2, -5.0, 30.0, -7.5, 0.75),
-    "aVF": (1.2, -5.0, 30.0, -7.5, 0.75),
-    "V1":  (0.4, 2.0, 8.0, -22.0, -0.4),
-    "V2":  (0.5, 1.5, 12.0, -20.0, 0.9),
-    "V3":  (0.6, -1.0, 18.0, -14.0, 1.0),
-    "V4":  (0.8, -2.5, 26.0, -9.0, 0.9),
-    "V5":  (0.9, -3.5, 28.0, -6.0, 0.8),
-    "V6":  (0.9, -4.0, 25.0, -4.0, 0.7),
-}
 
-# mV per model unit, calibrated so the lead II R peak sits near 1 mV.
-# The gain models shared electrode calibration and is uniform across leads;
-# per-lead amplitude differences belong to the wave amplitudes above.
-_DEFAULT_GAIN = 22.0
+def default_param_path() -> str:
+    """Path of the shipped NORMAL parameter file."""
+    from importlib.resources import files
 
-_REL_A_STD = 0.03
-_THETA_STD = 0.02
-_REL_B_STD = 0.02
-_REL_GAIN_STD = 0.02
-
-
-def default_eta_for_lead(lead: str) -> EdmParams:
-    """Reference wave set for one lead: canonical angles and widths,
-    lead-specific amplitudes."""
-    base = eta_to_vector(DEFAULT_ETA)
-    amps = _LEAD_AMPS[lead]
-    for i in range(5):
-        base[3 * i + 1] = amps[i]
-    return vector_to_eta(base)
+    return str(files("ecgdyn").joinpath("data/normal.params"))
 
 
 def default_distributions() -> ParamTable:
-    """The shipped NORMAL table: all 12 leads, mild morphological spread."""
-    table: ParamTable = {}
-    for lead in LEAD_NAMES:
-        mean = eta_to_vector(default_eta_for_lead(lead))
-        std = np.empty(N_PARAMS)
-        for i, name in enumerate(PARAM_NAMES):
-            if name.endswith(".theta"):
-                std[i] = _THETA_STD
-            elif name.endswith(".a"):
-                std[i] = _REL_A_STD * abs(mean[i])
-            else:
-                std[i] = _REL_B_STD * mean[i]
-        table[("NORMAL", lead)] = ParamDistribution(
-            class_code="NORMAL", lead=lead,
-            mean=tuple(mean), std=tuple(std),
-            gain_mean=_DEFAULT_GAIN, gain_std=_REL_GAIN_STD * _DEFAULT_GAIN,
-            rhythm=DEFAULT_RHYTHM)
-    return table
+    """The shipped NORMAL table, all 12 leads: a fresh parse of the file at
+    ``default_param_path()``, which is the table's one copy. Its header
+    states the rules the values follow."""
+    return read_param_file(Path(default_param_path()).read_text(encoding="utf-8"))
+
+
+def default_eta_for_lead(lead: str) -> EdmParams:
+    """Mean wave set of one lead in the shipped NORMAL table."""
+    return default_distributions()[("NORMAL", lead)].mean_eta
 
 
 def zero_variance(table: ParamTable) -> ParamTable:
@@ -284,10 +236,3 @@ def zero_variance(table: ParamTable) -> ParamTable:
             mean=dist.mean, std=(0.0,) * N_PARAMS,
             gain_mean=dist.gain_mean, gain_std=0.0, rhythm=dist.rhythm)
     return out
-
-
-def default_param_path() -> str:
-    """Path of the shipped NORMAL parameter file."""
-    from importlib.resources import files
-
-    return str(files("ecgdyn").joinpath("data/normal.params"))

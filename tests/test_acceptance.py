@@ -213,8 +213,7 @@ def test_criterion_8_refinement_efficacy():
                       label="NORMAL")
     weights = LossWeights(delta=0.6)
     initial = euler_loss_combined(beat0, table, weights, n_samples=8, seed=42)
-    refined = refine_waveform(beat0, table, weights, OptimConfig(max_iter=500),
-                              seed=42)
+    refined = refine_waveform(beat0, table, weights, seed=42)
     final = euler_loss_combined(refined, table, weights, n_samples=8, seed=42)
     ratio = final / initial
 

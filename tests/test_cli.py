@@ -5,6 +5,7 @@ import errno
 import os
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -779,13 +780,32 @@ class TestCsvReader:
     def test_plain_file_skips_line_parser(self, tmp_path, monkeypatch):
         from ecgdyn import cli
 
-        def refuse(path):
+        def refuse(path, data):
             raise AssertionError("line parser called on a plain file")
 
         path = tmp_path / "beats.csv"
         path.write_text(_MULTI, encoding="utf-8")
         monkeypatch.setattr(cli, "_parse_rows", refuse)
         assert len(read_beats_csv(path)) == 2
+
+    def test_declined_file_read_once(self, tmp_path, monkeypatch):
+        # CRLF declines the array pass; the line parser takes the same bytes
+        path = tmp_path / "beats.csv"
+        path.write_bytes(_MULTI.replace("\n", "\r\n").encode("utf-8"))
+        reads = []
+
+        def counted(method):
+            def read(self, *args, **kwargs):
+                reads.append(self)
+                return method(self, *args, **kwargs)
+            return read
+
+        for name in ("read_bytes", "read_text"):
+            monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
+        got = read_beats_csv(path)
+        assert reads == [path]
+        assert [_bits(b.leads) for b in got] == \
+            [_bits(b.leads) for b in _old_beats(path)]
 
     def test_reading_peaks_below_twice_the_file(self, tmp_path):
         """The array pass holds the file once, plus about 0.43x for the

@@ -548,6 +548,16 @@ class TestReferenceCache:
         assert a is b
         assert reference_trajectory.cache_info().hits == hits + 1
 
+    def test_late_start_rejected(self):
+        # the drift runs from t = 0, so a later start would score the exact
+        # Euler path from that state as far from zero
+        late = State(-1.0, 0.0, 0.0, t=0.37)
+        with pytest.raises(ValueError, match="init.t = 0.37"):
+            reference_trajectory(DEFAULT_RHYTHM, GRID, late)
+        h = LeadSignal(GRID, integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID).z)
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID, replace(late, t=0.0))
+        assert sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref) < 1e-20
+
     def test_signed_zero_starts_kept_apart(self):
         # State(-1, -0.0) == State(-1, 0.0), yet atan2 starts the first at
         # -pi and the second at +pi

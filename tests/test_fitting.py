@@ -302,16 +302,14 @@ class TestRefineWaveform:
         beat = synthesize_heartbeat(
             {lead: entry[lead][0] for lead in FREE_LEADS}, DEFAULT_RHYTHM, GRID,
             gains={lead: entry[lead][1] for lead in FREE_LEADS}, label="NORMAL")
-        out = refine_waveform(beat, table, LossWeights(1.0),
-                              OptimConfig(max_iter=50), seed=4)
+        out = refine_waveform(beat, table, LossWeights(1.0), seed=4)
         assert out is beat
 
     def test_noise_refinement_improves_and_stays_consistent(self):
         table = default_distributions()
         beat0 = _noise_beat()
         hist = []
-        out = refine_waveform(beat0, table, LossWeights(0.6),
-                              OptimConfig(max_iter=200), seed=11, history=hist)
+        out = refine_waveform(beat0, table, LossWeights(0.6), seed=11, history=hist)
         assert all(b <= a for a, b in zip(hist, hist[1:]))
         assert hist[-1] < 0.05 * hist[0]
         assert check_lead_consistency(out, tol=1e-9).passed
@@ -322,12 +320,9 @@ class TestRefineWaveform:
     def test_delta_extremes_monotone_but_different(self):
         table = default_distributions()
         beat0 = _noise_beat(seed=6)
-        cfg = OptimConfig(max_iter=60)
         h0, h1 = [], []
-        out0 = refine_waveform(beat0, table, LossWeights(0.0), cfg, seed=2,
-                               history=h0)
-        out1 = refine_waveform(beat0, table, LossWeights(1.0), cfg, seed=2,
-                               history=h1)
+        out0 = refine_waveform(beat0, table, LossWeights(0.0), seed=2, history=h0)
+        out1 = refine_waveform(beat0, table, LossWeights(1.0), seed=2, history=h1)
         assert all(b <= a for a, b in zip(h0, h0[1:]))
         assert all(b <= a for a, b in zip(h1, h1[1:]))
         assert not np.array_equal(out0.leads, out1.leads)
@@ -335,9 +330,8 @@ class TestRefineWaveform:
     def test_seeded_determinism(self):
         table = default_distributions()
         beat0 = _noise_beat(seed=12)
-        cfg = OptimConfig(max_iter=40)
-        a = refine_waveform(beat0, table, LossWeights(0.6), cfg, seed=5)
-        b = refine_waveform(beat0, table, LossWeights(0.6), cfg, seed=5)
+        a = refine_waveform(beat0, table, LossWeights(0.6), seed=5)
+        b = refine_waveform(beat0, table, LossWeights(0.6), seed=5)
         assert np.array_equal(a.leads, b.leads)
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
@@ -430,8 +424,7 @@ class TestRefineWaveform:
 
     def test_label_preserved(self):
         table = default_distributions()
-        out = refine_waveform(_noise_beat(seed=13), table, LossWeights(0.6),
-                              OptimConfig(max_iter=10), seed=1)
+        out = refine_waveform(_noise_beat(seed=13), table, LossWeights(0.6), seed=1)
         assert out.label == "NORMAL"
 
 

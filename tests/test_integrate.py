@@ -52,6 +52,15 @@ class TestGrid:
         with pytest.raises(ValueError, match="sampling frequency"):
             beat_grid(fs, f)
 
+    @pytest.mark.parametrize("fs, f, blamed", [
+        (500.0, 0.0, "beat frequency f"), (500.0, -1.0, "beat frequency f"),
+        (500.0, math.nan, "beat frequency f"), (500.0, math.inf, "beat frequency f"),
+        (math.nan, 0.0, "beat frequency f"), (-500.0, 1.0, "sampling frequency")])
+    def test_beat_grid_names_the_bad_input(self, fs, f, blamed):
+        # f = 0 used to raise ZeroDivisionError, and f = nan blamed fs
+        with pytest.raises(ValueError, match=blamed):
+            beat_grid(fs, f)
+
     def test_times(self):
         grid = SamplingGrid(fs=4.0, L=3)
         assert np.array_equal(grid.times(), [0.0, 0.25, 0.5])

@@ -7,11 +7,12 @@ import pytest
 
 from ecgdyn.errors import ConfigurationError, ParamFileError
 from ecgdyn.leads import LEAD_NAMES
-from ecgdyn.model import DEFAULT_RHYTHM, N_PARAMS, eta_to_vector
+from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, N_PARAMS, PARAM_NAMES,
+                          eta_to_vector)
 from ecgdyn.params import (ParamDistribution, check_class_code,
-                           default_distributions, default_param_path,
-                           read_param_file, require_dist, sample_eta,
-                           write_param_file, zero_variance)
+                           default_distributions, default_eta_for_lead,
+                           default_param_path, read_param_file, require_dist,
+                           sample_eta, write_param_file, zero_variance)
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +86,8 @@ class TestFileFormat:
         assert write_param_file(read_param_file(text)) == text
 
     def test_shipped_file_parses_with_all_leads(self):
-        text = Path(default_param_path()).read_text()
-        table = read_param_file(text)
-        assert {lead for cls, lead in table if cls == "NORMAL"} == set(LEAD_NAMES)
-        assert table == default_distributions()
+        table = read_param_file(Path(default_param_path()).read_text())
+        assert list(table) == [("NORMAL", lead) for lead in LEAD_NAMES]
 
     def test_zero_width_rejected_naming_key(self, table):
         text = write_param_file(table).replace(
@@ -139,8 +138,11 @@ class TestFileFormat:
          "line 2: unknown key NORMAL.II.R.c_mean"),
         ("NORMAL.II.gain_mean =  1.5.0  # note\n", "line 1: bad number '1.5.0'"),
         (None, "NORMAL.II: missing key T.b_std"),
+        ("NORMAL.II.gain_mean = 22\nNORMAL.II.T.b_std = 0\n",
+         "NORMAL.II: missing key rhythm.f"),
     ], ids=["no equals sign", "duplicate key", "two-part key", "bad class code",
-            "unknown lead", "unknown field", "bad number", "missing key"])
+            "unknown lead", "unknown field", "bad number", "missing key",
+            "first missing key in file order"])
     def test_error_messages(self, table, text, message):
         if text is None:
             text = "\n".join(ln for ln in write_param_file(table).splitlines()
@@ -158,6 +160,49 @@ class TestFileFormat:
     def test_comments_and_blank_lines_ignored(self, table):
         text = "# header\n\n" + write_param_file(table) + "\n# footer\n"
         assert read_param_file(text) == read_param_file(write_param_file(table))
+
+
+def _check_shipped_rules(table):
+    """The rules the header of the shipped file states."""
+    canonical = eta_to_vector(DEFAULT_ETA)
+    kept = [i for i, name in enumerate(PARAM_NAMES) if not name.endswith(".a")]
+    for (_, lead), dist in table.items():
+        mean, std = np.array(dist.mean), np.array(dist.std)
+        assert mean[kept].tolist() == canonical[kept].tolist(), lead
+        for i, name in enumerate(PARAM_NAMES):
+            rule = {"theta": 0.02, "a": 0.03 * abs(mean[i]),
+                    "b": 0.02 * mean[i]}[name.split(".")[1]]
+            assert std[i] == pytest.approx(rule, rel=1e-12, abs=0.0), (lead, name)
+        assert dist.gain_mean == 22.0, lead
+        assert dist.gain_std == pytest.approx(0.02 * 22.0, rel=1e-12), lead
+        assert dist.rhythm == DEFAULT_RHYTHM, lead
+    lead_ii = table[("NORMAL", "II")].mean
+    assert lead_ii == tuple(canonical)
+    for lead in ("III", "aVR", "aVL", "aVF"):
+        assert table[("NORMAL", lead)].mean == lead_ii, lead
+
+
+class TestShippedTable:
+    @pytest.fixture(scope="class")
+    def text(self):
+        return Path(default_param_path()).read_text(encoding="utf-8")
+
+    def test_file_follows_its_header_rules(self, text):
+        _check_shipped_rules(read_param_file(text))
+
+    def test_rules_catch_one_edited_spread(self, text):
+        edited = text.replace("NORMAL.V3.Q.a_std = 0.029999999999999999",
+                              "NORMAL.V3.Q.a_std = 0.031")
+        assert edited != text
+        with pytest.raises(AssertionError):
+            _check_shipped_rules(read_param_file(edited))
+
+    def test_defaults_are_fresh_parses_of_the_file(self, text):
+        a, b = default_distributions(), default_distributions()
+        assert a == b == read_param_file(text) and a is not b
+        for lead in LEAD_NAMES:
+            assert default_eta_for_lead(lead) == a[("NORMAL", lead)].mean_eta
+        assert default_eta_for_lead("II") == DEFAULT_ETA
 
 
 class TestValidation:
