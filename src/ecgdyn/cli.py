@@ -91,9 +91,11 @@ def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
 
 
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:
-    """Serialize beats; a beat-index column appears only for multi-beat files.
+    """Serialize one or more beats; a beat column appears only for several.
     Past _WRITE_BLOCK samples, a forked helper writes the beats after the
     boundary nearest half the samples to a spill that is appended last."""
+    if not beats:
+        raise ValueError("no beats to write")
     multi = len(beats) > 1
     times: dict[SamplingGrid, list[str]] = {}  # each grid's column, formatted once
 
@@ -130,14 +132,18 @@ def write_beats_csv(path, beats: list[Heartbeat]) -> None:
                 done += os.copy_file_range(src, fh.fileno(), size - done, done)
 
 
-def _beat_arrays(rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sampling rate and (12, L) leads of one beat's (L, 13) rows."""
+def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
+    """Sampling rate and (12, L) leads of one beat's (L, 13) rows, whose
+    time column must increase strictly; an error names the beat key."""
     if len(rows) < 2:
         raise ValueError("need at least two samples to infer the rate")
-    span = float(rows[-1, 0] - rows[0, 0])
-    if span <= 0:
-        raise ValueError("time column must be increasing")
-    fs = (len(rows) - 1) / span
+    t = rows[:, 0]
+    rising = np.diff(t) > 0  # False at a NaN stamp too
+    if not rising.all():
+        l = int(np.argmin(rising)) + 1
+        raise ValueError(f"{'' if key is None else f'beat {key}: '}time must increase "
+                         f"strictly: sample {l} at {float(t[l])} after {float(t[l - 1])}")
+    fs = (len(rows) - 1) / float(t[-1] - t[0])
     snapped = round(fs)
     # written timestamps carry 9 decimals; snap to the integer rate they encode
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
@@ -190,9 +196,11 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
     keys, table = _read_table(path)
+    if not len(keys):
+        raise ValueError(f"{path}: no beats")
     order = np.argsort(keys, kind="stable")  # each beat's rows stay in file order
-    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if len(keys) else []
-    split = (_beat_arrays(table[rows])
+    runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    split = (_beat_arrays(table[rows], keys[rows[0]])
              for rows in sorted(runs, key=lambda rows: rows[0]))  # first appearance first
     return [Heartbeat(grid=SamplingGrid(fs=fs, L=leads.shape[1]), leads=leads,
                       label=label) for fs, leads in split]

@@ -41,11 +41,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import DEFAULT_INIT, SamplingGrid, State, Trajectory, _check_paths, _circle
+from .integrate import (DEFAULT_INIT, SamplingGrid, State, Trajectory, _circle,
+                        _circle_cache, _drift)
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
                     check_lead, limb_relations)
-from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, baseline,
-                    vector_to_eta, wave_rate_sum)
+from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, vector_to_eta,
+                    wave_rate_sum)
 from .params import ParamTable, _draw, require_dist
 
 
@@ -86,30 +87,19 @@ def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
                          init: State = DEFAULT_INIT) -> Trajectory:
     """Euler reference (x, y) path for a rhythm/grid pair, cached.
 
-    The circular subsystem is independent of z and of the wave set, so one
-    path serves every distance evaluation on the same grid. It is the
-    read-only circle ``integrate_euler`` integrates z along; no wave drives
-    the reference, so its z is all zero. The cache tells signed zeros in
-    init's x and y apart, as ``_circle`` does: they start the phase at +-pi.
-    A Trajectory has no time axis and the drift starts at t = 0, so init.t
-    must be 0.
+    The circle is independent of z and of the waves, so one path serves
+    every distance on the grid: the entry of ``integrate._circle`` whose x
+    and y ``integrate_euler`` integrates z along, with z all zero and every
+    array read-only; ``cache_info`` and ``cache_clear`` are that cache's.
+    The drift starts at t = 0, so init.t must be 0.
     """
     if init.t != 0.0:
         raise ValueError(f"the reference starts at t = 0, got init.t = {init.t}")
-    return _reference(rhythm, grid, init, (float(init.x).hex(), float(init.y).hex()))
-
-
-@lru_cache(maxsize=128)
-def _reference(rhythm: RhythmParams, grid: SamplingGrid, init: State, start) -> Trajectory:
-    xs, ys, _ = _circle(rhythm.omega, grid, init)
-    _check_paths(xs, ys)
-    z = np.zeros(grid.L)
-    z.flags.writeable = False
-    return Trajectory(grid=grid, x=xs, y=ys, z=z)
+    return _circle(rhythm.omega, grid, init)[0]
 
 
 reference_trajectory.cache_info, reference_trajectory.cache_clear = (
-    _reference.cache_info, _reference.cache_clear)
+    _circle_cache.cache_info, _circle_cache.cache_clear)
 
 
 def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
@@ -121,22 +111,6 @@ def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
 def _ref_phase(ref: Trajectory) -> np.ndarray:
     """Cycle phase atan2(y_l, x_l) at the start of every forward step."""
     return np.arctan2(ref.y[:-1], ref.x[:-1])
-
-
-def _drift_rate(ref: Trajectory, eta, rhythm: RhythmParams,
-                w: np.ndarray | None = None) -> np.ndarray:
-    """z-independent part of the rate along the reference: W_l + z0(t_l).
-
-    The full model rate is f_z = W + z0 - z, linear in z; precomputing
-    W + z0 reduces every distance evaluation to vector arithmetic. eta is
-    an ``EdmParams`` or a (..., 15) array of parameter vectors, giving a
-    (..., L-1) drift. Pass w to reuse a W already evaluated on the
-    reference phase.
-    """
-    if w is None:
-        w = wave_rate_sum(_ref_phase(ref), eta)
-    t = np.arange(ref.grid.L - 1) * ref.grid.dt
-    return w + baseline(t, rhythm)
 
 
 def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
@@ -156,7 +130,7 @@ def _lead_residual(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
         if wave.b < B_FLOOR:
             raise ValueError(f"width {wave.b} below floor {B_FLOOR}")
     w, rows = _wave_terms(_ref_phase(ref), eta, jac)
-    r = _residuals(h.samples, h.grid.dt, _drift_rate(ref, eta, rhythm, w))
+    r = _residuals(h.samples, h.grid.dt, _drift(w, rhythm, ref.grid))
     return (r, rows) if jac else r
 
 
@@ -186,8 +160,9 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
     if rel.target != h.lead:
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    drift = (rel.beta * _drift_rate(ref, eta1, rhythm)
-             + rel.gamma * _drift_rate(ref, eta2, rhythm))
+    phase = _ref_phase(ref)
+    drift = (rel.beta * _drift(wave_rate_sum(phase, eta1), rhythm, ref.grid)
+             + rel.gamma * _drift(wave_rate_sum(phase, eta2), rhythm, ref.grid))
     r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
     return float(r @ r)
 
@@ -287,8 +262,9 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     drift = {}
     for via in dict.fromkeys(r for _, r in pairs):
         group = [lead for lead, r in pairs if r == via]
-        rates = _drift_rate(reference_trajectory(via, grid),
-                            params[:, [LEAD_INDEX[lead] for lead in group]], via)
+        phase = _circle(via.omega, grid, DEFAULT_INIT)[1]
+        cols = [LEAD_INDEX[lead] for lead in group]
+        rates = _drift(wave_rate_sum(phase, params[:, cols]), via, grid)
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
     targets = tuple(rel.target for rel in rels)
     own = (tuple(leads), np.ones(len(leads)),

@@ -71,9 +71,7 @@ class Trajectory:
 def _check_paths(*paths: np.ndarray) -> None:
     """Raise IntegrationDiverged at the first step where any path is
     non-finite or reaches DIVERGENCE_LIMIT; sample 0 is the given init."""
-    bad = np.zeros(len(paths[0]) - 1, dtype=bool)
-    for p in paths:
-        bad |= ~(np.abs(p[1:]) < DIVERGENCE_LIMIT)
+    bad = ~np.all([np.abs(p[1:]) < DIVERGENCE_LIMIT for p in paths], axis=0)
     if bad.any():
         raise IntegrationDiverged(int(np.argmax(bad)) + 1)
 
@@ -90,12 +88,13 @@ def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
-    """Forward-Euler (x, y) path of the cycle and its phase, cached.
+    """The reference trajectory of the cycle and its phase, cached.
 
-    Returns read-only arrays x and y of length L and the phase
-    atan2(y_l, x_l) at the start of every step. start holds x0 and y0 as
-    ``float.hex`` strings: signed zeros compare equal as floats, yet
-    atan2(+-0.0, -1.0) starts the phase at +-pi.
+    Returns the forward-Euler (x, y) path from x0, y0 as a Trajectory with
+    z all zero, every array read-only, and the phase atan2(y_l, x_l) at the
+    start of every step. The path is checked for divergence once, here.
+    start holds x0 and y0 as ``float.hex`` strings: signed zeros compare
+    equal as floats, yet atan2(+-0.0, -1.0) starts the phase at +-pi.
     """
     dt = grid.dt
     x, y = map(float.fromhex, start)
@@ -105,40 +104,47 @@ def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
         x, y = x + dx * dt, y + dy * dt
         xs.append(x)
         ys.append(y)
-    xs, ys = np.array(xs), np.array(ys)
+    xs, ys, zs = np.array(xs), np.array(ys), np.zeros(grid.L)
+    _check_paths(xs, ys)
     phase = np.arctan2(ys[:-1], xs[:-1])
-    for arr in (xs, ys, phase):
+    for arr in (xs, ys, zs, phase):
         arr.flags.writeable = False
-    return xs, ys, phase
+    return Trajectory(grid=grid, x=xs, y=ys, z=zs), phase
 
 
 def _circle(omega: float, grid: SamplingGrid, init: State):
-    """The cached (x, y, phase) path of the cycle from init's x and y."""
+    """The cached (reference, phase) of the cycle from init's x and y."""
     return _circle_cache(omega, grid, (float(init.x).hex(), float(init.y).hex()))
+
+
+def _drift(w: np.ndarray, rhythm: RhythmParams, grid: SamplingGrid,
+           t0: float = 0.0) -> np.ndarray:
+    """The z-independent part of the z-rate, w + z0(t_l), at the start of
+    every step t_l = t0 + l*dt; w holds W(phase_l) along the last axis."""
+    return w + baseline(t0 + grid.times()[:-1], rhythm)
 
 
 def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
                     init: State = DEFAULT_INIT) -> Trajectory:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
 
-    The (x, y) circle does not depend on z or on the waves, so it comes
-    from the cache of ``_circle``, shared by every lead and the reference;
-    its x and y arrays are read-only. The z-rate is linear in z, so its
-    z-independent part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated
-    over the whole path at once, and z follows the recurrence
-    z[l+1] = z[l] + dt*(drift[l] - z[l]). Divergence is checked once over
-    the finished paths and reported at the first bad step.
+    The (x, y) circle does not depend on z or on the waves, so it comes,
+    read-only and checked, from the cache of ``_circle``, shared by every
+    lead and the reference. The z-rate is linear in z, so its z-independent
+    part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated over the
+    whole path at once, and z follows the recurrence
+    z[l+1] = z[l] + dt*(drift[l] - z[l]). Divergence of z is checked once
+    over the finished path and reported at the first bad step.
 
     Sample times run t_l = init.t + l*dt, so a record can be integrated in
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
-    xs, ys, phase = _circle(rhythm.omega, grid, init)
-    t = init.t + grid.times()[:-1]
-    drift = wave_rate_sum(phase, eta) + baseline(t, rhythm)
+    ref, phase = _circle(rhythm.omega, grid, init)
+    drift = _drift(wave_rate_sum(phase, eta), rhythm, grid, init.t)
     zs = _euler_z(init.z, drift, grid.dt)
-    _check_paths(xs, ys, zs)
-    return Trajectory(grid=grid, x=xs, y=ys, z=zs)
+    _check_paths(zs)
+    return Trajectory(grid=grid, x=ref.x, y=ref.y, z=zs)
 
 
 def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,

@@ -283,13 +283,15 @@ def write_record_csv(path, record):
             fh.write(",".join(cells) + "\n")
 
 
-def infer_fs(times):
+def infer_fs(times, key=None):
     if times.size < 2:
         raise ValueError("need at least two samples to infer the rate")
-    span = float(times[-1] - times[0])
-    if span <= 0:
-        raise ValueError("time column must be increasing")
-    fs = (times.size - 1) / span
+    for l in range(1, times.size):
+        if not times[l] > times[l - 1]:
+            where = "" if key is None else f"beat {key}: "
+            raise ValueError(f"{where}time must increase strictly: sample {l} "
+                             f"at {float(times[l])} after {float(times[l - 1])}")
+    fs = (times.size - 1) / float(times[-1] - times[0])
     snapped = round(fs)
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
         return float(snapped)
@@ -335,10 +337,12 @@ def read_beats_csv(path):
             grouped[beat] = []
             order.append(beat)
         grouped[beat].append((t, values))
+    if not order:
+        raise ValueError(f"{path}: no beats")
     beats = []
     for key in order:
         rows = grouped[key]
-        fs = infer_fs(np.array([t for t, _ in rows]))
+        fs = infer_fs(np.array([t for t, _ in rows]), key)
         beats.append((fs, np.array([vals for _, vals in rows]).T))
     return beats
 

@@ -847,6 +847,107 @@ class TestCsvReader:
             assert beat.leads.strides == leads.strides
 
 
+#: Edits of a beat's data lines at its sample 7 (500 Hz), with the sample
+#: and the two stamps the error names: (sample, stamp, previous stamp).
+_TIME_FAULTS = {
+    "duplicated row": (lambda rows: rows[:8] + rows[7:], (8, 0.014, 0.014)),
+    "swapped rows": (lambda rows: rows[:7] + [rows[8], rows[7]] + rows[9:],
+                     (8, 0.014, 0.016)),
+    "NaN stamp": (lambda rows: rows[:7] + [_set_time(rows[7], "nan")] + rows[8:],
+                  (7, "nan", 0.012)),
+}
+
+
+def _set_time(line, stamp):
+    """A data line with its time cell (after the beat key, if any) replaced."""
+    cells = line.split(",")
+    cells[len(cells) - 13] = stamp
+    return ",".join(cells)
+
+
+def _time_fault(path, fault, beat):
+    """Apply a _TIME_FAULTS edit to the rows of the beat'th beat of a 500 Hz
+    file of 500-sample beats; returns the message's tail."""
+    edit, (sample, stamp, prev) = _TIME_FAULTS[fault]
+    header, *rows = path.read_text().splitlines()
+    start = 500 * beat
+    rows[start:start + 500] = edit(rows[start:start + 500])
+    path.write_text("\n".join([header, *rows, ""]))
+    return f"time must increase strictly: sample {sample} at {stamp} after {prev}"
+
+
+@pytest.mark.parametrize("fault", sorted(_TIME_FAULTS))
+class TestTimeColumn:
+    """Every beat's time column must increase strictly: a repeated, swapped
+    or NaN stamp is an error naming the beat key, the sample and both
+    stamps, in both readers and in the line parser's oracle."""
+
+    def test_beat_reader_names_beat(self, fault, params_file, tmp_path, capsys):
+        path = tmp_path / "beats.csv"
+        synth(path, params_file, beats=2)
+        tail = _time_fault(path, fault, beat=1)
+        for read in (read_beats_csv, _old_beats):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == f"beat 1: {tail}"
+
+    def test_record_reader(self, fault, params_file, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        synth(path, params_file, beats=1)
+        tail = _time_fault(path, fault, beat=0)
+        for read in (read_record_csv, _old_record):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == tail
+        with pytest.raises(ValueError, match=f"^beat 0: {tail}$"):
+            read_beats_csv(path)
+
+    def test_commands_exit_two(self, fault, params_file, tmp_path, capsys):
+        beats, record = tmp_path / "beats.csv", tmp_path / "rec.csv"
+        synth(beats, params_file, beats=2)
+        synth(record, params_file, beats=1)
+        tail = _time_fault(beats, fault, beat=1)
+        _time_fault(record, fault, beat=0)
+        capsys.readouterr()
+        calls = [["score", "--input", str(beats), "--params", params_file],
+                 ["check", "--input", str(beats)],
+                 ["fit", "--input", str(beats), "--init", params_file,
+                  "--out", str(tmp_path / "fit.params")],
+                 ["refine", "--input", str(beats), "--params", params_file,
+                  "--out", str(tmp_path / "refined.csv")]]
+        for argv in calls:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr() == ("", f"ecgdyn: beat 1: {tail}\n")
+        assert run_cli(["segment", "--input", str(record),
+                        "--out-dir", str(tmp_path / "cycles")]) == 2
+        assert capsys.readouterr() == ("", f"ecgdyn: {tail}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv", "rec.csv"]
+
+
+class TestHeaderOnly:
+    """A beat file with a header and no rows is an error for every command,
+    and the writer refuses to make one."""
+
+    @pytest.mark.parametrize("header", [oracle.CSV_HEADER, oracle.CSV_MULTI_HEADER],
+                             ids=["single", "multi"])
+    @pytest.mark.parametrize("command", ["score", "check", "refine", "fit"])
+    def test_command_exits_two(self, command, header, params_file, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        flags = {"score": ["--params", params_file],
+                 "check": [],
+                 "refine": ["--params", params_file, "--out", str(tmp_path / "out.csv")],
+                 "fit": ["--init", params_file, "--out", str(tmp_path / "out.params")]}
+        assert run_cli([command, "--input", str(path), *flags[command]]) == 2
+        assert capsys.readouterr() == ("", f"ecgdyn: {path}: no beats\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+
+    def test_writer_refuses_no_beats(self, tmp_path):
+        with pytest.raises(ValueError, match="no beats to write"):
+            write_beats_csv(tmp_path / "empty.csv", [])
+        assert not (tmp_path / "empty.csv").exists()
+
+
 def _beats(values, n_beats=1, fs=500.0, L=None):
     """Beats holding ``values`` in order, cycled to fill 12 x L per beat."""
     L = L or max(2, -(-len(values) // 12))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
-from ecgdyn import fidelity, model
+from ecgdyn import fidelity, integrate, model
 from ecgdyn.errors import ConfigurationError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              grad_sim_distance_wrt_eta, grad_sim_distance_wrt_h,
@@ -566,3 +566,33 @@ class TestReferenceCache:
                     reference_trajectory(DEFAULT_RHYTHM, GRID)):
             assert str(pos.y[0]) == "0.0" and str(neg.y[0]) == "-0.0"
             assert fidelity._ref_phase(pos)[0] == -fidelity._ref_phase(neg)[0] == np.pi
+
+    def test_reference_is_the_integration_circle(self):
+        # one cache holds the circle: an integration fills it, and the
+        # reference is that entry, sharing the integration's x and y
+        reference_trajectory.cache_clear()
+        traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
+        info = reference_trajectory.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert ref.x is traj.x and ref.y is traj.y
+        assert ref is integrate._circle(DEFAULT_RHYTHM.omega, GRID, DEFAULT_INIT)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            ref.z[0] = 1.0
+
+    def test_term_build_reads_cached_phase(self, monkeypatch):
+        # the terms take each rhythm's phase from the circle cache
+        fidelity._build_mc_terms.cache_clear()
+        calls = count_calls(monkeypatch, fidelity, "_ref_phase")
+        loss_components(_noise_beat(),
+                        with_rhythms(default_distributions(), MIXED_RHYTHMS),
+                        n_samples=2, seed=1)
+        assert calls == []
+
+    def test_interlead_phase_computed_once(self, monkeypatch):
+        rel = limb_relations()[0]
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
+        h = LeadSignal(GRID, ref.z, lead=rel.target)
+        calls = count_calls(monkeypatch, fidelity, "_ref_phase")
+        sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, DEFAULT_RHYTHM, ref)
+        assert len(calls) == 1

@@ -204,6 +204,18 @@ class TestShippedTable:
             assert default_eta_for_lead(lead) == a[("NORMAL", lead)].mean_eta
         assert default_eta_for_lead("II") == DEFAULT_ETA
 
+    def test_data_files_are_package_data(self):
+        # an installed package holds only the data files its package-data
+        # globs name, and the shipped table exists nowhere else
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["ecgdyn"]
+        package = root / "src" / "ecgdyn"
+        shipped = {path for pattern in globs for path in package.glob(pattern)}
+        files = {path for path in (package / "data").rglob("*") if path.is_file()}
+        assert files and files <= shipped, sorted(map(str, files - shipped))
+
 
 class TestValidation:
     def test_negative_std_rejected(self, dist):
