@@ -5,15 +5,13 @@ Exit codes: 0 success, 1 usage error, 2 invalid input data,
 to stdout only; every diagnostic goes to stderr.
 
 Beat files: header ``time,I,II,III,aVR,aVL,aVF,V1,...,V6``; time in
-seconds with 9 decimals, values in millivolts with shortest round-trip
-formatting, LF endings, no quoting. Files holding several beats carry a
-leading integer ``beat`` column. Record files use the single-beat layout
-with a continuous time column. A reader parses a file in one np.loadtxt
+seconds with 9 decimals, values in millivolts as ``repr`` writes them
+(its shortest round-trip digits, written by Ryu through orjson), LF
+endings, no quoting. Files holding several beats carry a leading integer
+``beat`` column. Record files use the single-beat layout with a
+continuous time column. A reader parses a file in one np.loadtxt
 pass; files that pass declines go to the line parser, which accepts them
 or names the offending line, so error messages keep their line numbers.
-A multi-beat file of over ``_WRITE_BLOCK`` samples is written by two
-processes that each hold one block of text at a time: a forked helper
-writes its second half to an unnamed spill file, appended after the join.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import io
 import os
 import pickle
 import sys
-import tempfile
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -40,7 +37,7 @@ from .leads import (FREE_LEADS, Heartbeat, LEAD_NAMES, check_lead,
 from .model import eta_to_vector
 from .params import (ParamDistribution, ParamTable, check_class_code,
                      read_param_file, require_dist, write_param_file)
-from .segmentation import Record, _segmentation
+from .segmentation import Record, _median, _segmentation
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -80,69 +77,66 @@ def _fmt_value(v: float) -> str:
 
 def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
     """Rows of _WRITE_BLOCK samples per write: a cell from each iterator in
-    key, a time from times, then the samples by repr. A beat is one block."""
+    key, a time from times, then the samples as repr writes them. A beat
+    is one block."""
+    import orjson  # loaded by the first write, so readers never pay for it
+
     for start in range(0, leads.shape[1], _WRITE_BLOCK):
-        block = leads[:, start:start + _WRITE_BLOCK].tolist()
+        block = np.ascontiguousarray(leads[:, start:start + _WRITE_BLOCK].T, float)
+        # orjson's Ryu digits are repr's, "[[row],[row]]", except where repr
+        # takes exponent form: a row holding such a value is written by repr
+        rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+        rows = rows.decode("ascii").split("],[")
+        size = np.abs(block)
+        plain = ((size >= 1e-4) & (size < 1e16) | (block == 0.0)).all(axis=1)
+        for r in np.flatnonzero(~plain).tolist():
+            rows[r] = ",".join(map(repr, block[r].tolist()))
         # islice stops zip before it takes the next block's first time
-        columns = [*key, islice(times, _WRITE_BLOCK),
-                   *(map(repr, lead) for lead in block)]
+        columns = [*key, islice(times, _WRITE_BLOCK), rows]
         # the empty last item ends the final row without copying the text
         fh.write("\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 def write_beats_csv(path, beats: list[Heartbeat]) -> None:
-    """Serialize one or more beats; a beat column appears only for several.
-    Past _WRITE_BLOCK samples, a forked helper writes the beats after the
-    boundary nearest half the samples to a spill that is appended last."""
+    """Serialize one or more beats; a beat column appears only for several."""
     if not beats:
         raise ValueError("no beats to write")
     multi = len(beats) > 1
     times: dict[SamplingGrid, list[str]] = {}  # each grid's column, formatted once
-
-    def write(fh, first: int, stop: int) -> None:
-        for k in range(first, stop):
-            grid = beats[k].grid
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
+        for k, beat in enumerate(beats):
+            grid = beat.grid
             if grid not in times:
                 dt = grid.dt
                 times[grid] = [f"{l * dt:.9f}" for l in range(grid.L)]
-            _write_rows(fh, iter(times[grid]), beats[k].leads,
+            _write_rows(fh, iter(times[grid]), beat.leads,
                         (repeat(str(k)),) if multi else ())
-
-    ends = np.cumsum([beat.grid.L for beat in beats])  # samples up to each beat's end
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write((_MULTI_HEADER if multi else _HEADER) + "\n")
-        try:  # unnamed: O_TMPFILE in path's directory where its file system has it
-            spill = (tempfile.TemporaryFile("w", encoding="utf-8", newline="\n",
-                                            dir=Path(path).parent)
-                     if multi and ends[-1] > _WRITE_BLOCK
-                     and hasattr(os, "copy_file_range") else None)
-        except OSError:
-            spill = None
-        if spill is None:
-            write(fh, 0, len(beats))
-            return
-        with spill:  # flushed by the helper: os._exit, its way out, flushes nothing
-            split = int(np.argmin(np.abs(2 * ends[:-1] - ends[-1]))) + 1
-            _fork_join(lambda: write(fh, 0, split),
-                       lambda: (write(spill, split, len(beats)), spill.flush()),
-                       "beat writer")
-            fh.flush()
-            src, size, done = spill.fileno(), os.fstat(spill.fileno()).st_size, 0
-            while done < size:  # copied in the kernel, to fh's position
-                done += os.copy_file_range(src, fh.fileno(), size - done, done)
 
 
 def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
     """Sampling rate and (12, L) leads of one beat's (L, 13) rows, whose
-    time column must increase strictly; an error names the beat key."""
+    time column must increase strictly, each step within half the median
+    step of it; an error names the beat key."""
     if len(rows) < 2:
         raise ValueError("need at least two samples to infer the rate")
     t = rows[:, 0]
-    rising = np.diff(t) > 0  # False at a NaN stamp too
+    where = "" if key is None else f"beat {key}: "
+    with np.errstate(over="ignore"):  # a step between huge stamps is inf
+        step = np.diff(t)
+    rising = step > 0  # False at a NaN stamp too
     if not rising.all():
         l = int(np.argmin(rising)) + 1
-        raise ValueError(f"{'' if key is None else f'beat {key}: '}time must increase "
-                         f"strictly: sample {l} at {float(t[l])} after {float(t[l - 1])}")
+        raise ValueError(f"{where}time must increase strictly: "
+                         f"sample {l} at {float(t[l])} after {float(t[l - 1])}")
+    # half a step of slack also reads stamps written with under 9 decimals
+    median = _median(step)
+    with np.errstate(invalid="ignore"):  # an inf step less an inf median is NaN
+        on_grid = np.abs(step - median) <= 0.5 * median
+    if not on_grid.all():
+        l = int(np.argmin(on_grid)) + 1
+        raise ValueError(f"{where}time is off the uniform grid: "
+                         f"sample {l} at {float(t[l])} after {float(t[l - 1])}")
     fs = (len(rows) - 1) / float(t[-1] - t[0])
     snapped = round(fs)
     # written timestamps carry 9 decimals; snap to the integer rate they encode

@@ -275,12 +275,14 @@ class _RefineProblem:
                 sums[key] = (total, acc)
         groups = {key: (total, acc / total) for key, (total, acc) in sums.items()}
         u = u0.copy()
-        for j, lead in enumerate(FREE_LEADS):
-            if (lead, 1.0) in groups:
-                u[j] = _nearest_chain(u0[j], groups[lead, 1.0][1], self.dt)
         limb = {key: g for key, g in groups.items() if key[0] not in FREE_LEADS[2:]}
+        chained = range(len(FREE_LEADS))
         if set(limb) - {("I", 1.0), ("II", 1.0)}:  # identities couple I and II
             u[:2] = _solve_limb_pair(limb, self.dt, u0.shape[1])
+            chained = range(2, len(FREE_LEADS))  # the pair solve set I and II
+        for j in chained:
+            if (FREE_LEADS[j], 1.0) in groups:
+                u[j] = _nearest_chain(u0[j], groups[FREE_LEADS[j], 1.0][1], self.dt)
         return u
 
 

@@ -286,10 +286,18 @@ def write_record_csv(path, record):
 def infer_fs(times, key=None):
     if times.size < 2:
         raise ValueError("need at least two samples to infer the rate")
+    where = "" if key is None else f"beat {key}: "
     for l in range(1, times.size):
         if not times[l] > times[l - 1]:
-            where = "" if key is None else f"beat {key}: "
             raise ValueError(f"{where}time must increase strictly: sample {l} "
+                             f"at {float(times[l])} after {float(times[l - 1])}")
+    # every step within half the median step of it
+    steps = [float(times[l]) - float(times[l - 1]) for l in range(1, times.size)]
+    ordered = sorted(steps)
+    median = 0.5 * (ordered[(len(steps) - 1) // 2] + ordered[len(steps) // 2])
+    for l, step in enumerate(steps, start=1):
+        if not abs(step - median) <= 0.5 * median:
+            raise ValueError(f"{where}time is off the uniform grid: sample {l} "
                              f"at {float(times[l])} after {float(times[l - 1])}")
     fs = (times.size - 1) / float(times[-1] - times[0])
     snapped = round(fs)

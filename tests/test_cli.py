@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, exit codes, formats, determinism."""
 
 import argparse
-import errno
 import os
+import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -607,6 +609,16 @@ class TestSegment:
         assert [p.name for p in out_dir.iterdir()] == ["record_cycle000.csv"]
         assert forks == []
 
+    def test_record_with_rows_cut_out_writes_nothing(self, tmp_path, capsys):
+        # a 2 s gap would otherwise pass as one long cycle among the rest
+        src, out_dir = self._record(tmp_path, n_beats=60), tmp_path / "cycles"
+        lines = src.read_text().splitlines()
+        src.write_text("\n".join(lines[:10001] + lines[11001:]) + "\n")
+        code, out, err = self._segment(src, out_dir, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"ecgdyn: {_OFF_GRID.format(10000, 22.0, 19.998)}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("fault, length, message", [
         (_with_nan, 512, "record samples must be finite"),
         (lambda lines: lines[:400], 512, "record must span at least one second"),
@@ -695,6 +707,13 @@ def _cell(text, line, col, value=None):
     return "\n".join(lines)
 
 
+def _times(text, stamps):
+    """text with the time cells of its first data lines set to stamps."""
+    for line, stamp in enumerate(stamps, start=2):
+        text = _cell(text, line, 0, stamp)
+    return text
+
+
 def _second_beat_key(key):
     """The two-beat file with every row of its second beat keyed ``key``."""
     text = _MULTI
@@ -738,6 +757,9 @@ READER_CASES = {
                              + "\n".join(_grid_rows([5, 5, 3, 3, 3, 5, 5])) + "\n"),
     "non-finite value": _cell(_SINGLE, 2, 4, "nan"),
     "decreasing time": _cell(_SINGLE, 5, 0, "-1.0"),
+    "time off the grid": _cell(_SINGLE, 5, 0, "3.0"),
+    "time step overflows": _times(_SINGLE, ["-1.7e308", "1.7e308", "1.75e308",
+                                            "1.79e308"]),
     "unknown header": _SINGLE.replace("V6", "V7", 1),
 }
 
@@ -847,14 +869,23 @@ class TestCsvReader:
             assert beat.leads.strides == leads.strides
 
 
-#: Edits of a beat's data lines at its sample 7 (500 Hz), with the sample
-#: and the two stamps the error names: (sample, stamp, previous stamp).
+_STRICT = "time must increase strictly: sample {} at {} after {}"
+_OFF_GRID = "time is off the uniform grid: sample {} at {} after {}"
+
+#: Edits of a 500 Hz beat's 500 data lines, with the error they cause.
 _TIME_FAULTS = {
-    "duplicated row": (lambda rows: rows[:8] + rows[7:], (8, 0.014, 0.014)),
+    "duplicated row": (lambda rows: rows[:8] + rows[7:],
+                       _STRICT.format(8, 0.014, 0.014)),
     "swapped rows": (lambda rows: rows[:7] + [rows[8], rows[7]] + rows[9:],
-                     (8, 0.014, 0.016)),
+                     _STRICT.format(8, 0.014, 0.016)),
     "NaN stamp": (lambda rows: rows[:7] + [_set_time(rows[7], "nan")] + rows[8:],
-                  (7, "nan", 0.012)),
+                  _STRICT.format(7, "nan", 0.012)),
+    "last stamp 1e300": (lambda rows: rows[:-1] + [_set_time(rows[-1], "1e300")],
+                         _OFF_GRID.format(499, 1e300, 0.996)),
+    "last stamp inf": (lambda rows: rows[:-1] + [_set_time(rows[-1], "inf")],
+                       _OFF_GRID.format(499, "inf", 0.996)),
+    "rows cut out": (lambda rows: rows[:100] + rows[300:],
+                     _OFF_GRID.format(100, 0.6, 0.198)),
 }
 
 
@@ -868,19 +899,20 @@ def _set_time(line, stamp):
 def _time_fault(path, fault, beat):
     """Apply a _TIME_FAULTS edit to the rows of the beat'th beat of a 500 Hz
     file of 500-sample beats; returns the message's tail."""
-    edit, (sample, stamp, prev) = _TIME_FAULTS[fault]
+    edit, tail = _TIME_FAULTS[fault]
     header, *rows = path.read_text().splitlines()
     start = 500 * beat
     rows[start:start + 500] = edit(rows[start:start + 500])
     path.write_text("\n".join([header, *rows, ""]))
-    return f"time must increase strictly: sample {sample} at {stamp} after {prev}"
+    return tail
 
 
 @pytest.mark.parametrize("fault", sorted(_TIME_FAULTS))
 class TestTimeColumn:
-    """Every beat's time column must increase strictly: a repeated, swapped
-    or NaN stamp is an error naming the beat key, the sample and both
-    stamps, in both readers and in the line parser's oracle."""
+    """Every beat's time column must increase strictly, in steps within
+    half the median step of it: a repeated, swapped, NaN or off-grid stamp
+    is an error naming the beat key, the sample and both stamps, in both
+    readers and in the line parser's oracle."""
 
     def test_beat_reader_names_beat(self, fault, params_file, tmp_path, capsys):
         path = tmp_path / "beats.csv"
@@ -899,7 +931,7 @@ class TestTimeColumn:
             with pytest.raises(ValueError) as err:
                 read(path)
             assert str(err.value) == tail
-        with pytest.raises(ValueError, match=f"^beat 0: {tail}$"):
+        with pytest.raises(ValueError, match=f"^beat 0: {re.escape(tail)}$"):
             read_beats_csv(path)
 
     def test_commands_exit_two(self, fault, params_file, tmp_path, capsys):
@@ -956,8 +988,12 @@ def _beats(values, n_beats=1, fs=500.0, L=None):
             for chunk in np.split(flat, n_beats)]
 
 
+#: orjson writes repr's digits for 1e-4 <= |v| < 1e16 only: the bounds and
+#: their neighbours on both sides are among these, with either sign.
 _EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e22, -1e22,
-                0.1 + 0.2, 1.0, 123456789.0, 2.0 ** -1074 * 3]
+                0.1 + 0.2, 1.0, 123456789.0, 2.0 ** -1074 * 3,
+                *(sign * float(v) for edge in (1e-4, 1e16) for sign in (1.0, -1.0)
+                  for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)))]
 
 
 def _random_17_digit(n, seed=0):
@@ -967,6 +1003,10 @@ def _random_17_digit(n, seed=0):
 
 class TestCsvWriter:
     """The writers against the row-by-row writers they replaced."""
+
+    #: Five beats of 500 and 491.37 Hz, _WRITE_BLOCK samples in all.
+    BLOCK_LENGTHS = ((500.0, 1000), (491.37, 1300), (500.0, 1000), (491.37, 794),
+                     (500.0, 2))
 
     @pytest.mark.parametrize("n_beats", [1, 12])
     @pytest.mark.parametrize("fs, L", [(500.0, None), (491.37, None),
@@ -1026,143 +1066,80 @@ class TestCsvWriter:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0]
 
-
-def _open_fds():
-    return sorted(os.listdir("/proc/self/fd"))
-
-
-@pytest.mark.skipif(not hasattr(os, "copy_file_range"),
-                    reason="the spill is appended with os.copy_file_range")
-class TestSplitWriter:
-    """A multi-beat file of over _WRITE_BLOCK samples: a forked helper
-    writes the beats after the boundary nearest half the samples."""
-
-    #: Five beats of 500 and 491.37 Hz. The split falls after beat 1, so
-    #: each process formats the (500 Hz, 1000) time column; the helper's
-    #: last beat is short enough to stay in its buffer until a flush.
-    LENGTHS = ((500.0, 1000), (491.37, 1300), (500.0, 1000), (491.37, 794), (500.0, 2))
-
-    def _beats(self, extra=0):
-        values = _EDGE_VALUES + list(_random_17_digit(300))  # signed zeros among them
-        lengths = [*self.LENGTHS[:-1], (500.0, self.LENGTHS[-1][1] + extra)]
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one block", "one block and a sample"])
+    def test_block_boundary_bytes_match(self, extra, tmp_path):
+        values = _EDGE_VALUES + list(_random_17_digit(300))
+        lengths = [*self.BLOCK_LENGTHS[:-1], (500.0, self.BLOCK_LENGTHS[-1][1] + extra)]
         beats = [beat for fs, L in lengths for beat in _beats(values, 1, fs, L)]
         assert sum(beat.grid.L for beat in beats) == cli._WRITE_BLOCK + extra
-        return beats
+        write_beats_csv(tmp_path / "new.csv", beats)
+        oracle.write_beats_csv(tmp_path / "old.csv", beats)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
 
     @staticmethod
-    def _die_in_helper(monkeypatch, helper, parent=None):
-        """_write_rows, calling helper() first in a forked process and
-        parent() first in this one."""
-        rows, pid = cli._write_rows, os.getpid()
-
-        def dying(*args):
-            if os.getpid() != pid:
-                helper()
-            elif parent is not None:
-                parent()
-            rows(*args)
-
-        monkeypatch.setattr(cli, "_write_rows", dying)
-
-    @pytest.mark.parametrize("extra, forks", [(0, 0), (1, 1)],
-                             ids=["one block", "one block and a sample"])
-    def test_bytes_match(self, extra, forks, tmp_path, monkeypatch):
-        beats = self._beats(extra)
-        calls = TestSegment._spy_fork(monkeypatch)
-        write_beats_csv(tmp_path / "new.csv", beats)
-        oracle.write_beats_csv(tmp_path / "old.csv", beats)
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "old.csv").read_bytes())
-        assert len(calls) == forks
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-    @pytest.mark.parametrize("fork", ["missing", "failing"])
-    def test_without_fork_writes_serially(self, fork, tmp_path, monkeypatch):
-        beats = self._beats(1)
-        oracle.write_beats_csv(tmp_path / "old.csv", beats)
-        if fork == "missing":
-            monkeypatch.delattr(os, "fork")
+    def _writers_match(writer, rows, tmp_path):
+        """Both writers' bytes against the oracle's for an (n, 12) array of
+        samples, as 10 beats or as one record."""
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        if writer == "beats":
+            beats = [Heartbeat(grid=SamplingGrid(491.37, len(chunk)), leads=chunk.T)
+                     for chunk in np.array_split(rows, 10)]
+            write_beats_csv(new, beats)
+            oracle.write_beats_csv(old, beats)
         else:
-            def failing():
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            monkeypatch.setattr(os, "fork", failing)
-        fds = _open_fds()
-        write_beats_csv(tmp_path / "new.csv", beats)
-        assert _open_fds() == fds
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "old.csv").read_bytes())
+            record = Record(fs=250.0, channels=rows.T, id="r")
+            write_record_csv(new, record)
+            oracle.write_record_csv(old, record)
+        assert new.read_bytes() == old.read_bytes()
 
-    def test_spill_failure_writes_serially(self, tmp_path, monkeypatch):
-        # no spill file can be made: the process writes every beat itself
-        def no_spill(*args, **kwargs):
-            raise OSError(errno.EMFILE, "Too many open files")
+    @pytest.mark.parametrize("writer", ["beats", "record"])
+    def test_edge_values_in_plain_rows_bytes_match(self, writer, tmp_path):
+        # orjson writes a row only when every value in it is plain, so each
+        # edge value sits in each column of a row of otherwise plain values
+        n = len(_EDGE_VALUES) * 12
+        rows = np.full((n, 12), 0.5)
+        rows[np.arange(n), np.arange(n) % 12] = np.repeat(_EDGE_VALUES, 12)
+        self._writers_match(writer, rows, tmp_path)
 
-        beats = self._beats(1)
-        oracle.write_beats_csv(tmp_path / "old.csv", beats)
-        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_spill)
-        calls = TestSegment._spy_fork(monkeypatch)
-        write_beats_csv(tmp_path / "new.csv", beats)
-        assert calls == []
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "old.csv").read_bytes())
+    @pytest.mark.parametrize("writer", ["beats", "record"])
+    def test_random_bit_patterns_bytes_match(self, writer, tmp_path):
+        # rows of any exponent, then rows of exponents 2^-14..2^53, most of
+        # which orjson writes: the 1e-4 and 1e16 bounds fall inside them
+        rng = np.random.default_rng(8)
+        sign = rng.integers(0, 2, 60_000, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(1023 - 14, 1023 + 54, 60_000).astype(np.uint64)
+        fraction = rng.integers(0, 2 ** 52, 60_000, dtype=np.uint64)
+        bits = np.concatenate([rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64),
+                               sign | exponent << np.uint64(52) | fraction])
+        values = bits.view(float)
+        values = values[np.isfinite(values)][:102_000]
+        assert values.size == 102_000
+        self._writers_match(writer, values.reshape(-1, 12), tmp_path)
 
-    def test_helper_dying_unreported_fails_the_call(self, params_file, tmp_path,
-                                                    capsys, monkeypatch):
-        self._die_in_helper(monkeypatch, lambda: os._exit(5))
-        code = synth(tmp_path / "beats.csv", params_file, beats=10)
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert "beat writer exited with 5" in captured.err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_ten_beat_synthesize_never_forks(self, params_file, tmp_path, capsys,
+                                             monkeypatch):
+        forks = TestSegment._spy_fork(monkeypatch)
+        assert synth(tmp_path / "beats.csv", params_file, beats=10) == 0
+        assert forks == []
 
-    def test_helper_exception_raised_here(self, tmp_path, monkeypatch):
-        def full():
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        self._die_in_helper(monkeypatch, full)
-        with pytest.raises(OSError) as caught:
-            write_beats_csv(tmp_path / "beats.csv", self._beats(1))
-        assert caught.value.errno == errno.ENOSPC
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_own_failure_wins_over_helper(self, tmp_path, monkeypatch):
-        def full():
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        def own():
-            raise ValueError("first half failed")
-
-        self._die_in_helper(monkeypatch, full, own)
-        with pytest.raises(ValueError, match="first half failed"):
-            write_beats_csv(tmp_path / "beats.csv", self._beats(1))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_spill_never_listed(self, tmp_path, monkeypatch):
-        out_dir, listed = tmp_path / "out", []
-        out_dir.mkdir()
-
-        def only_destination():
-            names = os.listdir(out_dir)
-            if names != ["beats.csv"]:  # raised here from the helper too
-                raise AssertionError(f"listed {names}")
-            listed.append(os.getpid())
-
-        self._die_in_helper(monkeypatch, only_destination, only_destination)
-        write_beats_csv(out_dir / "beats.csv", self._beats(1))
-        assert listed and os.listdir(out_dir) == ["beats.csv"]
-
-    def test_ten_beat_synthesize_forks_once(self, params_file, tmp_path, capsys,
-                                            monkeypatch):
-        with monkeypatch.context() as serial:
-            serial.delattr(os, "fork")
-            assert synth(tmp_path / "serial.csv", params_file, beats=10) == 0
-        calls = TestSegment._spy_fork(monkeypatch)
-        assert synth(tmp_path / "forked.csv", params_file, beats=10) == 0
-        assert len(calls) == 1
-        assert ((tmp_path / "forked.csv").read_bytes()
-                == (tmp_path / "serial.csv").read_bytes())
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_only_writers_load_orjson(self, params_file, tmp_path, capsys):
+        # its load costs milliseconds that a reading command never needs
+        beats = tmp_path / "beats.csv"
+        synth(beats, params_file, beats=2)
+        script = "\n".join([
+            "import sys",
+            "from ecgdyn.cli import run_cli",
+            "assert 'orjson' not in sys.modules, 'loaded by the import'",
+            f"assert run_cli(['check', '--input', {str(beats)!r}]) == 0",
+            "assert 'orjson' not in sys.modules, 'loaded by check'",
+            f"assert run_cli(['synthesize', '--params', {str(params_file)!r}, "
+            f"'--class', 'NORMAL', '--out', {str(tmp_path / 'out.csv')!r}]) == 0",
+            "assert 'orjson' in sys.modules, 'not loaded by synthesize'",
+        ])
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -358,6 +358,26 @@ class TestRefineWaveform:
 
         assert np.max(np.abs(slopes(u))) <= 1e-9 * np.max(np.abs(slopes(u0)))
 
+    @pytest.mark.parametrize("delta, chains", [(0.0, 0), (0.6, 6), (1.0, 8)])
+    def test_chains_only_leads_the_pair_solve_keeps(self, delta, chains,
+                                                    monkeypatch):
+        # where the limb identities couple I and II, the pair solve sets
+        # both rows, so chaining them first is wasted
+        calls, chain = [], fitting._nearest_chain
+
+        def counting(*args):
+            calls.append(1)
+            return chain(*args)
+
+        beat = _noise_beat(seed=21)
+        problem = _RefineProblem(beat, default_distributions(),
+                                 LossWeights(delta), n_samples=2, seed=3)
+        u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
+        want = problem.solve(u0)
+        monkeypatch.setattr(fitting, "_nearest_chain", counting)
+        assert np.array_equal(problem.solve(u0), want)
+        assert len(calls) == chains
+
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_matches_dense_least_squares(self, delta):
         # the normal equations square the conditioning of the difference
