@@ -9,17 +9,17 @@ seconds with 9 decimals, values in millivolts as ``repr`` writes them
 (its shortest round-trip digits, written by Ryu through orjson), LF
 endings, no quoting. Files holding several beats carry a leading integer
 ``beat`` column. Record files use the single-beat layout with a
-continuous time column. A reader parses a file in one np.loadtxt
-pass; files that pass declines go to the line parser, which accepts them
-or names the offending line, so error messages keep their line numbers.
+continuous time column. Readers parse with orjson's number parser; a file
+it could read otherwise goes to the line parser, which accepts it or
+names the offending line, so error messages keep their line numbers.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import pickle
+import re
 import sys
 from itertools import islice, repeat
 from pathlib import Path
@@ -45,18 +45,15 @@ DIVERGED = 3
 
 _HEADER = "time," + ",".join(LEAD_NAMES)
 _MULTI_HEADER = "beat," + _HEADER
-#: The row of each header's file; np.loadtxt rejects other column counts.
-_ROW_DTYPES = {_HEADER.encode(): np.dtype([("row", float, 13)]),
-               _MULTI_HEADER.encode(): np.dtype([("key", int), ("row", float, 13)])}
+#: Whether each header's file has a beat key column.
+_KEYED = {_HEADER.encode(): 0, _MULTI_HEADER.encode(): 1}
+#: Bytes per orjson.loads call in a read, rounded up to whole lines.
+_READ_BLOCK = 1 << 16
 
 #: Samples written per write() call: a record's text is built a block at
 #: a time, so writing it peaks at a fixed size, while a beat of up to this
 #: many samples still goes out in one write.
 _WRITE_BLOCK = 4096
-
-#: Line breaks to str.splitlines besides LF, and \x1f, which np.loadtxt
-#: strips as whitespace but float() rejects: the line parser takes these.
-_DECLINED = b"\r\v\f\x1c\x1d\x1e\x1f"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -70,10 +67,6 @@ class _CliParser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # CSV io
-
-def _fmt_value(v: float) -> str:
-    return str(float(v))
-
 
 def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
     """Rows of _WRITE_BLOCK samples per write: a cell from each iterator in
@@ -115,29 +108,29 @@ def write_beats_csv(path, beats: list[Heartbeat]) -> None:
 
 
 def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
-    """Sampling rate and (12, L) leads of one beat's (L, 13) rows, whose
-    time column must increase strictly, each step within half the median
-    step of it; an error names the beat key."""
+    """Sampling rate and (12, L) leads of one beat's (L, 13) rows. Time must
+    increase strictly, in steps within half the median step (which reads
+    stamps of under 9 decimals), over a span of finite rate; errors name the key."""
     if len(rows) < 2:
         raise ValueError("need at least two samples to infer the rate")
     t = rows[:, 0]
     where = "" if key is None else f"beat {key}: "
-    with np.errstate(over="ignore"):  # a step between huge stamps is inf
+    # huge stamps step by inf, and inf less an inf median is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         step = np.diff(t)
-    rising = step > 0  # False at a NaN stamp too
-    if not rising.all():
-        l = int(np.argmin(rising)) + 1
-        raise ValueError(f"{where}time must increase strictly: "
-                         f"sample {l} at {float(t[l])} after {float(t[l - 1])}")
-    # half a step of slack also reads stamps written with under 9 decimals
-    median = _median(step)
-    with np.errstate(invalid="ignore"):  # an inf step less an inf median is NaN
+        median = _median(step)
         on_grid = np.abs(step - median) <= 0.5 * median
-    if not on_grid.all():
-        l = int(np.argmin(on_grid)) + 1
-        raise ValueError(f"{where}time is off the uniform grid: "
-                         f"sample {l} at {float(t[l])} after {float(t[l - 1])}")
-    fs = (len(rows) - 1) / float(t[-1] - t[0])
+    for ok, fault in ((step > 0, "must increase strictly"),  # False at a NaN stamp
+                      (on_grid, "is off the uniform grid")):
+        if not ok.all():
+            l = int(np.argmin(ok)) + 1
+            raise ValueError(f"{where}time {fault}: "
+                             f"sample {l} at {float(t[l])} after {float(t[l - 1])}")
+    # Python floats: a span that overflows gives 0.0, not a warning
+    fs = (len(rows) - 1) / (float(t[-1]) - float(t[0]))
+    if not 0.0 < fs < np.inf:
+        raise ValueError(f"{where}time span from {float(t[0])} to {float(t[-1])} "
+                         "gives no finite sampling rate")
     snapped = round(fs)
     # written timestamps carry 9 decimals; snap to the integer rate they encode
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
@@ -152,15 +145,13 @@ def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].strip()
-    if header not in (_HEADER, _MULTI_HEADER):
+    if (keyed := _KEYED.get(header.encode())) is None:
         raise ValueError(f"{path}: unrecognized header {header!r}")
-    keyed = int(header == _MULTI_HEADER)
-    expected = 13 + keyed
     keys, rows = [], []
     for n, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != expected:
-            raise ValueError(f"{path}:{n}: expected {expected} columns")
+        if len(cells) != 13 + keyed:
+            raise ValueError(f"{path}:{n}: expected {13 + keyed} columns")
         try:
             keys.append(int(cells[0]) if keyed else 0)
             rows.append([float(c) for c in cells[keyed:]])
@@ -170,21 +161,35 @@ def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Beat keys and an (n, 13) array of time and leads, one row per sample:
-    one np.loadtxt pass for a plain file, the line parser for any other."""
+    """Beat keys and (n, 13) time and leads: JSON rows parsed by orjson a
+    _READ_BLOCK of lines at a time, or the line parser where JSON could read
+    otherwise (other headers, bytes or widths, integer -0s, non-int64 keys)."""
+    import orjson  # loaded by the first read, not by the import
+
     data = Path(path).read_bytes()
     header = data[:len(_MULTI_HEADER) + 1].partition(b"\n")[0]
-    dtype = _ROW_DTYPES.get(header)
-    body = len(header) + 1
-    if (dtype is not None and data[body:body + 1] not in (b"", b"\n")
-            and data.isascii() and not any(c in data for c in _DECLINED)):
-        try:
-            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
-                              skiprows=1, comments=None, ndmin=1, encoding="utf-8")
-            keyed = "key" in dtype.names
-            return rows["key"] if keyed else np.zeros(len(rows), int), rows["row"]
-        except ValueError:
-            pass
+    start, stop = len(header) + 1, len(data) - data.endswith(b"\n")
+    try:
+        keyed, keys, row = _KEYED[header], [], 0
+        table = np.empty((data.count(b"\n", start, stop) + 1, 13 + keyed))
+        while start < stop:
+            end = data.find(b"\n", start + _READ_BLOCK, stop)
+            block = data[start:stop if end < 0 else end]
+            start += len(block) + 1
+            text = b"[[" + block.replace(b"\n", b"],[") + b"]]"
+            rows = orjson.loads(text)
+            # numpy broadcasts rows of one cell (ragged rows raise); JSON's -0 is +0
+            if (len(rows[0]) != 13 + keyed or re.search(rb"-0[,\]]", text)
+                    or block.translate(None, b"0123456789.-+eE,\n")):
+                raise ValueError("not plain rows")
+            table[row:row + len(rows)] = rows
+            keys += [r[0] for r in rows] if keyed else []
+            row += len(rows)
+        keys = np.array(keys) if keyed else np.zeros(row, np.int64)
+        if keys.dtype == np.int64:  # not a float, nor an int past int64
+            return keys, table[:row, keyed:]  # no rows: a header and blank lines
+    except (KeyError, ValueError, OverflowError):  # JSONDecodeError is a ValueError
+        pass
     return _parse_rows(path, data)
 
 
@@ -256,7 +261,7 @@ def _cmd_score(args) -> int:
         scores = [weights.combine(l1, l2), *(per_lead[lead] for lead in LEAD_NAMES)]
         if not np.all(np.isfinite(scores)):
             raise ValueError(f"beat {k}: score is not finite")
-        rows.append(",".join([str(k), *map(_fmt_value, scores)]))
+        rows.append(",".join([str(k), *(str(float(v)) for v in scores)]))
     print("\n".join(rows))
     return 0
 
@@ -304,16 +309,10 @@ def _cmd_fit(args) -> int:
     # every fit and the file succeeded: only now does stdout get the table
     print("\n".join(["beat,lead,iterations,converged,final_distance",
                      *(f"{k},{lead},{r.iterations},{int(r.converged)},"
-                       f"{_fmt_value(r.final_distance)}"
+                       f"{float(r.final_distance)}"
                        for k, r in enumerate(results))]))
     print(f"wrote fitted parameters to {args.out}", file=sys.stderr)
     return 0
-
-
-def _write_cycles(paths: list[Path], beats: list[Heartbeat]) -> None:
-    """Write beats[k] to paths[k], one beat a file, in order."""
-    for path, beat in zip(paths, beats):
-        write_beats_csv(path, [beat])
 
 
 def _fork_join(main, side, name: str) -> None:
@@ -368,15 +367,19 @@ def _cmd_segment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"{record.id}_cycle{k:03d}.csv" for k in range(len(beats))]
+
+    def write(cycles: range) -> None:  # cycle k to paths[k], one beat a file
+        for k in cycles:
+            write_beats_csv(paths[k], [beats[k]])
+
     # from two cycles on, one forked helper writes the second half while
     # this process writes the first
     split = (len(beats) + 1) // 2
     if len(beats) > 1:
-        _fork_join(lambda: _write_cycles(paths[:split], beats[:split]),
-                   lambda: _write_cycles(paths[split:], beats[split:]),
-                   "cycle writer")
+        _fork_join(lambda: write(range(split)),
+                   lambda: write(range(split, len(beats))), "cycle writer")
     else:
-        _write_cycles(paths, beats)
+        write(range(len(beats)))
     # every file is written: only now does stdout get the table
     print("\n".join(["index,start,end,file",
                      *(f"{k},{peaks[k]},{peaks[k + 1]},{path}"
@@ -393,8 +396,7 @@ def _cmd_check(args) -> int:
     for k, beat in enumerate(beats):
         report = check_lead_consistency(beat, tol=args.tol)
         for target, dev in report.deviations.items():
-            ok = dev <= args.tol
-            print(f"{k},{target},{_fmt_value(dev)},{'pass' if ok else 'fail'}")
+            print(f"{k},{target},{float(dev)},{'pass' if dev <= args.tol else 'fail'}")
         all_pass = all_pass and report.passed
     if not all_pass:
         print("lead identities violated", file=sys.stderr)
@@ -468,12 +470,10 @@ def run_cli(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (FitDiverged, IntegrationDiverged) as exc:
-        print(f"ecgdyn: {exc}", file=sys.stderr)
-        return DIVERGED
     except (EcgDynError, ValueError, OSError) as exc:
         print(f"ecgdyn: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        diverged = isinstance(exc, (FitDiverged, IntegrationDiverged))
+        return DIVERGED if diverged else DATA_ERROR
 
 
 def main() -> None:

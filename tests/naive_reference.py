@@ -299,7 +299,11 @@ def infer_fs(times, key=None):
         if not abs(step - median) <= 0.5 * median:
             raise ValueError(f"{where}time is off the uniform grid: sample {l} "
                              f"at {float(times[l])} after {float(times[l - 1])}")
-    fs = (times.size - 1) / float(times[-1] - times[0])
+    # a span past the float range has no rate, nor one too short to invert
+    fs = (times.size - 1) / (float(times[-1]) - float(times[0]))
+    if not 0.0 < fs < float("inf"):
+        raise ValueError(f"{where}time span from {float(times[0])} to "
+                         f"{float(times[-1])} gives no finite sampling rate")
     snapped = round(fs)
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
         return float(snapped)

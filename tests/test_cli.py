@@ -669,6 +669,11 @@ def _old_record(path):
     return Record(fs=fs, channels=channels, id=path.stem)
 
 
+def _refuse(path, data):
+    """Stands in for the line parser where the orjson pass must read."""
+    raise AssertionError(f"line parser called on {path}")
+
+
 def _outcome(read, path):
     """What a reader makes of a file: its result, or its error message."""
     try:
@@ -714,16 +719,30 @@ def _times(text, stamps):
     return text
 
 
-def _second_beat_key(key):
-    """The two-beat file with every row of its second beat keyed ``key``."""
+def _beat_key(key, beat=1):
+    """The two-beat file with every row of one beat keyed ``key``."""
     text = _MULTI
-    for line in (5, 6, 7):
+    for line in range(2 + 3 * beat, 5 + 3 * beat):
         text = _cell(text, line, 0, key)
     return text
 
 
-#: Files on both sides of the array pass; each must read exactly as the
-#: line parser it replaced reads it.
+#: Files longer than one read block, single and multi: a row straddles the
+#: first block edge, which falls mid-line.
+_LONG = oracle.CSV_HEADER + "\n" + "\n".join(_grid_rows([None] * 600, seed=1)) + "\n"
+_LONG_MULTI = (oracle.CSV_MULTI_HEADER + "\n"
+               + "\n".join(_grid_rows([0] * 300 + [1] * 300, seed=2)) + "\n")
+
+
+def _edge_line(text):
+    """The 1-based line of text that holds the first read block's edge."""
+    edge = text.index("\n") + 1 + cli._READ_BLOCK
+    assert text[edge - 1] != "\n" and text[edge] != "\n"
+    return text.count("\n", 0, edge) + 1
+
+
+#: Files on both sides of the orjson pass; each must read exactly as the
+#: line parser reads it.
 READER_CASES = {
     "plain multi": _MULTI,
     "plain single": _SINGLE,
@@ -733,9 +752,9 @@ READER_CASES = {
     "empty cell": _cell(_MULTI, 5, 2, ""),
     "last cell 1#2": _cell(_SINGLE, 3, 12, "1#2"),
     "beat 1.0": _cell(_MULTI, 5, 0, "1.0"),
-    "beat 1_0": _second_beat_key("1_0"),
+    "beat 1_0": _beat_key("1_0"),
     "value 1_0.5": _cell(_SINGLE, 2, 3, "1_0.5"),
-    "huge beat index": _second_beat_key(str(10 ** 20)),
+    "huge beat index": _beat_key(str(10 ** 20)),
     "padded cells": _cell(_cell(_MULTI, 2, 1, " 0.0\t"), 3, 0, " 0 "),
     "unit separator": _cell(_SINGLE, 2, 3, "1.5\x1f"),
     "CRLF": _MULTI.replace("\n", "\r\n"),
@@ -752,6 +771,7 @@ READER_CASES = {
     "header only": oracle.CSV_MULTI_HEADER + "\n",
     "header only, single": oracle.CSV_HEADER,
     "blank lines after header": oracle.CSV_HEADER + "\n\n\n",
+    "one blank line after header": oracle.CSV_HEADER + "\n\n",
     "single data row": oracle.CSV_HEADER + "\n" + _grid_rows([None])[0] + "\n",
     "non-contiguous beats": (oracle.CSV_MULTI_HEADER + "\n"
                              + "\n".join(_grid_rows([5, 5, 3, 3, 3, 5, 5])) + "\n"),
@@ -761,6 +781,38 @@ READER_CASES = {
     "time step overflows": _times(_SINGLE, ["-1.7e308", "1.7e308", "1.75e308",
                                             "1.79e308"]),
     "unknown header": _SINGLE.replace("V6", "V7", 1),
+    "time span overflows": _times(_SINGLE, ["-1.5e308", "-5e307", "5e307", "1.5e308"]),
+    "time span of subnormals": _times(_SINGLE, ["0.0", "5e-324", "1e-323", "1.5e-323"]),
+    # tokens JSON reads and float() rejects
+    **{f"value {token}": _cell(_SINGLE, 3, 5, token)
+       for token in ("true", "null", '"1.5"', "[1]")},
+    # number forms JSON and float() treat differently, or that parse alike
+    **{f"value {token}": _cell(_MULTI, 6, 7, token)
+       for token in ("+1", ".5", "1.", "01", "1e400", "-1e400", "-0", "0", "-0.0",
+                     "1E5", "4.9e-324", "1e-400", "-1e-400", "1e+05", "1e-05",
+                     "1234567890123456789012345", "18446744073709551615")},
+    "time -0": _cell(_SINGLE, 2, 0, "-0"),
+    # numpy broadcasts a row of one cell to any width
+    "rows of one cell": oracle.CSV_HEADER + "\n0.0\n0.5\n1.0\n",
+    "rows of one cell, multi": oracle.CSV_MULTI_HEADER + "\n0\n0\n1\n",
+    "beat -0": _beat_key("-0", beat=0),
+    "beats 2**53 and 2**53 + 1": _beat_key(str(2 ** 53 + 1)).replace(
+        "\n0,", f"\n{2 ** 53},"),
+    "beat 9007199254740993": _beat_key("9007199254740993"),
+    "beat 2**63": _beat_key(str(2 ** 63)),
+    "beat 2**63 - 1": _beat_key(str(2 ** 63 - 1)),
+    "beat -2**63": _beat_key(str(-2 ** 63), beat=0),
+    "beat 1e0": _beat_key("1e0"),
+    # read blocks: rows across an edge, a fault on the edge's row, a line
+    # longer than a block
+    "rows across a block edge": _LONG,
+    "beats across a block edge": _LONG_MULTI,
+    "non-numeric cell on a block edge": _cell(_LONG, _edge_line(_LONG), 4, "abc"),
+    "value -0 on a block edge": _cell(_LONG_MULTI, _edge_line(_LONG_MULTI), 9, "-0"),
+    "column missing on a block edge": _cell(_LONG_MULTI, _edge_line(_LONG_MULTI), 13),
+    "line longer than a block": _cell(_LONG, 300, 2, "1." + "0" * (1 << 17)),
+    "line longer than a block, first": _cell(_LONG, 2, 2, "0." + "0" * (1 << 17) + "5"),
+    "line longer than a block, last": _cell(_LONG, 601, 12, "-1." + "1" * (1 << 17)),
 }
 
 
@@ -800,18 +852,31 @@ class TestCsvReader:
         assert got.channels.strides == want.channels.strides
 
     def test_plain_file_skips_line_parser(self, tmp_path, monkeypatch):
-        from ecgdyn import cli
-
-        def refuse(path, data):
-            raise AssertionError("line parser called on a plain file")
-
         path = tmp_path / "beats.csv"
         path.write_text(_MULTI, encoding="utf-8")
-        monkeypatch.setattr(cli, "_parse_rows", refuse)
+        monkeypatch.setattr(cli, "_parse_rows", _refuse)
         assert len(read_beats_csv(path)) == 2
 
+    @pytest.mark.parametrize("case", ["rows across a block edge",
+                                      "beats across a block edge",
+                                      "line longer than a block"])
+    def test_long_plain_file_skips_line_parser(self, case, tmp_path, monkeypatch):
+        path = tmp_path / "beats.csv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        monkeypatch.setattr(cli, "_parse_rows", _refuse)
+        assert read_beats_csv(path)
+
+    @pytest.mark.parametrize("case", ["header only", "header only, single",
+                                      "blank lines after header",
+                                      "one blank line after header"])
+    def test_no_rows_read_as_empty_table(self, case, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        keys, table = cli._read_table(path)
+        assert keys.shape == (0,) and table.shape == (0, 13)
+
     def test_declined_file_read_once(self, tmp_path, monkeypatch):
-        # CRLF declines the array pass; the line parser takes the same bytes
+        # CRLF declines the orjson pass; the line parser takes the same bytes
         path = tmp_path / "beats.csv"
         path.write_bytes(_MULTI.replace("\n", "\r\n").encode("utf-8"))
         reads = []
@@ -830,9 +895,11 @@ class TestCsvReader:
             [_bits(b.leads) for b in _old_beats(path)]
 
     def test_reading_peaks_below_twice_the_file(self, tmp_path):
-        """The array pass holds the file once, plus about 0.43x for the
-        parsed values; splitting the text into cells or decoding it to
-        str would show here, not only in the benchmark's peak RSS."""
+        """The orjson pass holds the file once, plus about 0.43x for the
+        parsed values and one read block's text and objects: 1.5x in all.
+        Parsing the whole file at once, splitting its text into cells or
+        decoding it to str would show here, not only in the benchmark's
+        peak RSS."""
         rng = np.random.default_rng(4)
         record = Record(fs=500.0, channels=rng.standard_normal((12, 20000)),
                         id="big")
@@ -871,6 +938,7 @@ class TestCsvReader:
 
 _STRICT = "time must increase strictly: sample {} at {} after {}"
 _OFF_GRID = "time is off the uniform grid: sample {} at {} after {}"
+_SPAN = "time span from {} to {} gives no finite sampling rate"
 
 #: Edits of a 500 Hz beat's 500 data lines, with the error they cause.
 _TIME_FAULTS = {
@@ -886,6 +954,13 @@ _TIME_FAULTS = {
                        _OFF_GRID.format(499, "inf", 0.996)),
     "rows cut out": (lambda rows: rows[:100] + rows[300:],
                      _OFF_GRID.format(100, 0.6, 0.198)),
+    # uniform steps whose span overflows, or whose rate does
+    "span past the float range": (
+        lambda rows: [_set_time(r, repr((l - 250) * 4e305)) for l, r in enumerate(rows)],
+        _SPAN.format(-250 * 4e305, 249 * 4e305)),
+    "span of subnormals": (
+        lambda rows: [_set_time(r, repr(l * 5e-324)) for l, r in enumerate(rows)],
+        _SPAN.format(0.0, 499 * 5e-324)),
 }
 
 
@@ -1078,9 +1153,10 @@ class TestCsvWriter:
                 == (tmp_path / "old.csv").read_bytes())
 
     @staticmethod
-    def _writers_match(writer, rows, tmp_path):
+    def _writers_match(writer, rows, tmp_path, monkeypatch):
         """Both writers' bytes against the oracle's for an (n, 12) array of
-        samples, as 10 beats or as one record."""
+        samples, as 10 beats or as one record; the orjson pass reads the
+        file back bit for bit, without the line parser."""
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         if writer == "beats":
             beats = [Heartbeat(grid=SamplingGrid(491.37, len(chunk)), leads=chunk.T)
@@ -1092,18 +1168,24 @@ class TestCsvWriter:
             write_record_csv(new, record)
             oracle.write_record_csv(old, record)
         assert new.read_bytes() == old.read_bytes()
+        monkeypatch.setattr(cli, "_parse_rows", _refuse)
+        if writer == "beats":
+            back = np.hstack([beat.leads for beat in read_beats_csv(new)])
+        else:
+            back = read_record_csv(new).channels
+        assert _bits(back.T) == _bits(rows)
 
     @pytest.mark.parametrize("writer", ["beats", "record"])
-    def test_edge_values_in_plain_rows_bytes_match(self, writer, tmp_path):
+    def test_edge_values_in_plain_rows_bytes_match(self, writer, tmp_path, monkeypatch):
         # orjson writes a row only when every value in it is plain, so each
         # edge value sits in each column of a row of otherwise plain values
         n = len(_EDGE_VALUES) * 12
         rows = np.full((n, 12), 0.5)
         rows[np.arange(n), np.arange(n) % 12] = np.repeat(_EDGE_VALUES, 12)
-        self._writers_match(writer, rows, tmp_path)
+        self._writers_match(writer, rows, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("writer", ["beats", "record"])
-    def test_random_bit_patterns_bytes_match(self, writer, tmp_path):
+    def test_random_bit_patterns_bytes_match(self, writer, tmp_path, monkeypatch):
         # rows of any exponent, then rows of exponents 2^-14..2^53, most of
         # which orjson writes: the 1e-4 and 1e16 bounds fall inside them
         rng = np.random.default_rng(8)
@@ -1115,7 +1197,7 @@ class TestCsvWriter:
         values = bits.view(float)
         values = values[np.isfinite(values)][:102_000]
         assert values.size == 102_000
-        self._writers_match(writer, values.reshape(-1, 12), tmp_path)
+        self._writers_match(writer, values.reshape(-1, 12), tmp_path, monkeypatch)
 
     def test_ten_beat_synthesize_never_forks(self, params_file, tmp_path, capsys,
                                              monkeypatch):
@@ -1123,19 +1205,21 @@ class TestCsvWriter:
         assert synth(tmp_path / "beats.csv", params_file, beats=10) == 0
         assert forks == []
 
-    def test_only_writers_load_orjson(self, params_file, tmp_path, capsys):
-        # its load costs milliseconds that a reading command never needs
+    def test_startup_never_loads_orjson(self, params_file, tmp_path, capsys):
+        # its load costs milliseconds that starting the CLI never needs;
+        # the first read or write pays for it
         beats = tmp_path / "beats.csv"
         synth(beats, params_file, beats=2)
         script = "\n".join([
             "import sys",
             "from ecgdyn.cli import run_cli",
             "assert 'orjson' not in sys.modules, 'loaded by the import'",
+            "assert run_cli(['--help']) == 0",
+            "assert run_cli(['--version']) == 0",
+            "assert run_cli(['check', '--help']) == 0",
+            "assert 'orjson' not in sys.modules, 'loaded by --help or --version'",
             f"assert run_cli(['check', '--input', {str(beats)!r}]) == 0",
-            "assert 'orjson' not in sys.modules, 'loaded by check'",
-            f"assert run_cli(['synthesize', '--params', {str(params_file)!r}, "
-            f"'--class', 'NORMAL', '--out', {str(tmp_path / 'out.csv')!r}]) == 0",
-            "assert 'orjson' in sys.modules, 'not loaded by synthesize'",
+            "assert 'orjson' in sys.modules, 'not loaded by check'",
         ])
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
