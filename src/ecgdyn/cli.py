@@ -28,14 +28,13 @@ import numpy as np
 
 from . import __version__
 from .errors import EcgDynError, FitDiverged, IntegrationDiverged
-from .fidelity import (LeadSignal, LossWeights, draw_param_samples,
-                       loss_components, reference_trajectory)
+from .fidelity import LeadSignal, LossWeights, loss_components, reference_trajectory
 from .fitting import OptimConfig, estimate_distribution, fit_params, refine_waveform
 from .integrate import SamplingGrid, beat_grid
-from .leads import (FREE_LEADS, Heartbeat, LEAD_NAMES, check_lead,
+from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, check_lead,
                     check_lead_consistency, synthesize_heartbeat)
-from .model import eta_to_vector
-from .params import (ParamDistribution, ParamTable, check_class_code,
+from .model import eta_to_vector, vector_to_eta
+from .params import (ParamDistribution, ParamTable, _draw, check_class_code,
                      read_param_file, require_dist, write_param_file)
 from .segmentation import Record, _median, _segmentation
 
@@ -77,13 +76,14 @@ def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
     for start in range(0, leads.shape[1], _WRITE_BLOCK):
         block = np.ascontiguousarray(leads[:, start:start + _WRITE_BLOCK].T, float)
         # orjson's Ryu digits are repr's, "[[row],[row]]", except where repr
-        # takes exponent form: a row holding such a value is written by repr
+        # takes exponent form: repr writes those cells of a row anew
         rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
         rows = rows.decode("ascii").split("],[")
         size = np.abs(block)
-        plain = ((size >= 1e-4) & (size < 1e16) | (block == 0.0)).all(axis=1)
-        for r in np.flatnonzero(~plain).tolist():
-            rows[r] = ",".join(map(repr, block[r].tolist()))
+        odd = ~((size >= 1e-4) & (size < 1e16) | (block == 0.0))
+        for r in np.flatnonzero(odd.any(axis=1)).tolist():
+            rows[r] = ",".join([repr(v) if o else cell for cell, v, o in zip(
+                rows[r].split(","), block[r].tolist(), odd[r].tolist())])
         # islice stops zip before it takes the next block's first time
         columns = [*key, islice(times, _WRITE_BLOCK), rows]
         # the empty last item ends the final row without copying the text
@@ -110,7 +110,8 @@ def write_beats_csv(path, beats: list[Heartbeat]) -> None:
 def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
     """Sampling rate and (12, L) leads of one beat's (L, 13) rows. Time must
     increase strictly, in steps within half the median step (which reads
-    stamps of under 9 decimals), over a span of finite rate; errors name the key."""
+    stamps of under 9 decimals), over a span of finite rate, and lead
+    samples must be finite; errors name the key and the first bad sample."""
     if len(rows) < 2:
         raise ValueError("need at least two samples to infer the rate")
     t = rows[:, 0]
@@ -135,6 +136,11 @@ def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
     # written timestamps carry 9 decimals; snap to the integer rate they encode
     if snapped > 0 and abs(fs - snapped) <= 1e-6 * fs:
         fs = float(snapped)
+    finite = np.isfinite(rows[:, 1:])
+    if not finite.all():
+        l, j = divmod(int(np.argmin(finite)), 12)  # the first in file order
+        raise ValueError(f"{where}lead {LEAD_NAMES[j]} sample {l} is not finite "
+                         f"({float(rows[l, j + 1])})")
     return fs, np.ascontiguousarray(rows[:, 1:]).T
 
 
@@ -231,12 +237,14 @@ def _cmd_synthesize(args) -> int:
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
     grid = beat_grid(args.fs, rhythm.f)
+    dists = [require_dist(table, args.klass, lead) for lead in LEAD_NAMES]
+    free = [LEAD_INDEX[lead] for lead in FREE_LEADS]
     beats = []
     for k in range(args.beats):
-        entry = draw_param_samples(
-            table, args.klass, 1, np.random.SeedSequence((args.seed, k)))[0]
-        lead_params = {lead: entry[lead][0] for lead in FREE_LEADS}
-        gains = {lead: entry[lead][1] for lead in FREE_LEADS}
+        # draw_param_samples' 12-lead stream, wave sets for the free leads only
+        params, gains = _draw(dists, 1, np.random.default_rng((args.seed, k)))
+        lead_params = dict(zip(FREE_LEADS, map(vector_to_eta, params[0, free])))
+        gains = dict(zip(FREE_LEADS, gains[0, free].tolist()))
         beats.append(synthesize_heartbeat(lead_params, rhythm, grid,
                                           gains=gains, label=args.klass))
     write_beats_csv(args.out, beats)

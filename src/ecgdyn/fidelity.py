@@ -25,12 +25,14 @@ through ``model._wave_terms`` (still the one W) in one ``wave_rate_sum``
 call per rhythm, and returns drifts and gains as (draws, terms, L-1) and
 (draws, terms) arrays. Each drift is evaluated once per (lead, rhythm)
 pair, so a limb identity reuses the drifts of its source leads' own terms.
-Every term's squared residuals are summed as a dot product over its own
-contiguous row, in draw order, so the loss is bit-identical to scoring one
-term at a time. Every beat of a file shares the grid, the class table, the
-draws and the seed, so one term set serves them all: ``_mc_terms`` keeps
-the last one built for an int seed, as read-only arrays, and builds afresh
-when any of these changes.
+Each draw is one pass over rows both blocks of terms share, every scored
+lead divided by its gain and differenced once; each term's squared
+residuals still sum as their own dot product over one contiguous row, in
+draw order, so the loss is bit-identical to scoring one term at a time.
+Every beat of a file shares the grid, the class table, the draws and the
+seed, so one term set serves them all: ``_mc_terms`` keeps the last one
+built for an int seed, as read-only arrays, and builds afresh when any of
+these changes.
 """
 
 from __future__ import annotations
@@ -281,35 +283,40 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     return own, related
 
 
-def _term_residuals(leads: np.ndarray, dt: float, block, signals=False) -> np.ndarray:
-    """(n_samples, T, L-1) residuals of a block's terms on a (12, L) lead
-    matrix. The result is C-contiguous whatever the matrix layout, so each
-    term's sum of squares is the dot product over one contiguous row that
-    scoring the term alone takes; a strided row sums in another order. With
-    signals set, every lead divided by its gain must be a finite ``LeadSignal``.
-    """
-    names, coeffs, gains, drifts = block
-    h = leads[[LEAD_INDEX[lead] for lead in names]] / gains[..., None]
-    if signals and not np.all(np.isfinite(h)):
-        raise ValueError("samples must be finite")
-    return np.ascontiguousarray(_residuals(h, dt, drifts, coeffs[:, None]))
-
-
 def _term_losses(leads: np.ndarray, dt: float, own, related, signals=False):
     """The (l1, l2, per_lead) of ``loss_components`` for a (12, L) lead
     matrix and the two blocks of ``_mc_terms``; per_lead holds the own
-    block's leads."""
-    n_samples = len(own[2])
-    per_lead = dict.fromkeys(own[0], 0.0)
-    for draw in _term_residuals(leads, dt, own, signals):
-        for lead, r in zip(own[0], draw):
-            per_lead[lead] += float(r @ r)
-    l2 = 0.0
-    for r in _term_residuals(leads, dt, related, signals).reshape(-1, leads.shape[1] - 1):
-        l2 += float(r @ r)
-    per_lead = {lead: v / n_samples for lead, v in per_lead.items()}
+    block's leads. Each draw is one pass over rows both blocks share: each
+    scored lead is divided by its gain and differenced once, into buffers
+    reused from draw to draw. Each term's sum of squares is still its own
+    dot product over one contiguous row. With signals set, every lead
+    divided by its gain must be a finite ``LeadSignal``."""
+    at = {lead: j for j, lead in enumerate(dict.fromkeys(own[0] + related[0]))}
+    gains, passes = np.empty((len(own[2]), len(at))), []
+    for names, coeffs, block_gains, drifts in (own, related):
+        rows = [at[lead] for lead in names]
+        gains[:, rows] = block_gains
+        passes.append((rows, coeffs[:, None], drifts, *np.empty((2, *drifts.shape[1:]))))
+    scored = leads[[LEAD_INDEX[lead] for lead in at]]
+    h, q = np.empty(scored.shape), np.empty((len(at), scored.shape[1] - 1))
+    (*_, own_r, _), (*_, related_r, _) = passes
+    own_sums, l2 = np.zeros(len(own[0])), 0.0
+    for draw, g in enumerate(gains):
+        np.divide(scored, g[:, None], out=h)
+        if signals and not np.isfinite(h).all():
+            raise ValueError("samples must be finite")
+        np.divide(np.subtract(h[:, 1:], h[:, :-1], out=q), dt, out=q)
+        # a term's residuals q - (drift - coeff*h), in _residuals' order
+        for rows, coeffs, drifts, r, rate in passes:
+            np.multiply(np.take(h[:, :-1], rows, 0, out=rate), coeffs, out=rate)
+            np.subtract(drifts[draw], rate, out=rate)
+            np.subtract(np.take(q, rows, 0, out=r), rate, out=r)
+        own_sums += np.vecdot(own_r, own_r)
+        for v in np.vecdot(related_r, related_r).tolist():
+            l2 += v
+    per_lead = dict(zip(own[0], (own_sums / len(gains)).tolist()))
     return (sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS),
-            l2 / (n_samples * len(limb_relations())), per_lead)
+            l2 / (len(gains) * len(limb_relations())), per_lead)
 
 
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,

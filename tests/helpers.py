@@ -1,4 +1,7 @@
-"""Shared test fixtures: synthetic records with known R-peak positions."""
+"""Shared test fixtures: synthetic records with known R-peak positions, and
+parameter tables whose leads run at different rhythms."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -9,6 +12,16 @@ from ecgdyn.params import default_eta_for_lead
 from ecgdyn.segmentation import Record
 
 DEFAULT_GAIN = 22.0
+
+MIXED_RHYTHMS = {"I": RhythmParams(f=1.1, A=0.05, f2=0.3),
+                 "III": RhythmParams(f=0.9, A=0.2, f2=0.2),
+                 "aVR": RhythmParams(f=1.2, A=0.1, f2=0.35)}
+
+
+def with_rhythms(table, rhythms):
+    """Copy of a table with the given leads' rhythms replaced."""
+    return {key: replace(dist, rhythm=rhythms.get(dist.lead, dist.rhythm))
+            for key, dist in table.items()}
 
 
 def make_jittered_record(fs=500, n_beats=10, bpm_range=(60.0, 100.0), seed=5,

@@ -340,6 +340,17 @@ def parse_rows(path):
     return parsed
 
 
+def check_finite(values, key=None):
+    """Every lead value finite, else the first bad one in file order."""
+    where = "" if key is None else f"beat {key}: "
+    leads = CSV_HEADER.split(",")[1:]
+    for l, row in enumerate(values):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValueError(f"{where}lead {leads[j]} sample {l} "
+                                 f"is not finite ({v})")
+
+
 def read_beats_csv(path):
     """(fs, (12, L) leads) per beat, beats in order of first appearance."""
     order = []
@@ -355,6 +366,7 @@ def read_beats_csv(path):
     for key in order:
         rows = grouped[key]
         fs = infer_fs(np.array([t for t, _ in rows]), key)
+        check_finite([vals for _, vals in rows], key)
         beats.append((fs, np.array([vals for _, vals in rows]).T))
     return beats
 
@@ -363,6 +375,7 @@ def read_record_csv(path):
     """(fs, (12, N) channels) over every row, whatever its beat column."""
     parsed = parse_rows(path)
     fs = infer_fs(np.array([t for _, t, _ in parsed]))
+    check_finite([vals for _, _, vals in parsed])
     return fs, np.array([vals for _, _, vals in parsed]).T
 
 

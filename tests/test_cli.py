@@ -620,7 +620,7 @@ class TestSegment:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("fault, length, message", [
-        (_with_nan, 512, "record samples must be finite"),
+        (_with_nan, 512, "ecgdyn: lead II sample 99 is not finite (nan)\n"),
         (lambda lines: lines[:400], 512, "record must span at least one second"),
         (lambda lines: lines, 1, "target length must be at least 2"),
     ], ids=["one NaN sample", "under one second", "length 1"])
@@ -1031,6 +1031,71 @@ class TestTimeColumn:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv", "rec.csv"]
 
 
+def _lead_fault(path, beat, lead, sample, value):
+    """Set one lead sample of the beat'th beat of a file of 500-sample beats."""
+    header, *rows = path.read_text().splitlines()
+    line = 500 * beat + sample
+    cells = rows[line].split(",")
+    cells[header.split(",").index(lead)] = value
+    rows[line] = ",".join(cells)
+    path.write_text("\n".join([header, *rows, ""]))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+class TestLeadSamples:
+    """A NaN or infinite lead sample is an error naming the beat key, the
+    lead and the sample, in both readers, in the line parser's oracle and
+    in every command that reads a file."""
+
+    def test_readers_name_sample(self, value, params_file, tmp_path):
+        beats, record = tmp_path / "beats.csv", tmp_path / "rec.csv"
+        synth(beats, params_file, beats=2)
+        synth(record, params_file, beats=1)
+        _lead_fault(beats, 1, "aVR", 199, value)
+        _lead_fault(record, 0, "II", 123, value)
+        for read in (read_beats_csv, _old_beats):
+            with pytest.raises(ValueError) as err:
+                read(beats)
+            assert str(err.value) == f"beat 1: lead aVR sample 199 is not finite ({value})"
+        for read in (read_record_csv, _old_record):
+            with pytest.raises(ValueError) as err:
+                read(record)
+            assert str(err.value) == f"lead II sample 123 is not finite ({value})"
+
+    def test_first_bad_sample_in_file_order(self, value, params_file, tmp_path):
+        path = tmp_path / "beats.csv"
+        synth(path, params_file, beats=2)
+        for lead, sample in [("aVF", 300), ("V6", 200), ("III", 200), ("V1", 200)]:
+            _lead_fault(path, 0, lead, sample, value)
+        for read in (read_beats_csv, _old_beats):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == f"beat 0: lead III sample 200 is not finite ({value})"
+
+    def test_commands_exit_two(self, value, params_file, tmp_path, capsys):
+        beats, record = tmp_path / "beats.csv", tmp_path / "rec.csv"
+        synth(beats, params_file, beats=2)
+        synth(record, params_file, beats=1)
+        _lead_fault(beats, 1, "aVR", 199, value)
+        _lead_fault(record, 0, "II", 123, value)
+        capsys.readouterr()
+        calls = [["score", "--input", str(beats), "--params", params_file],
+                 ["check", "--input", str(beats)],
+                 ["fit", "--input", str(beats), "--init", params_file,
+                  "--out", str(tmp_path / "fit.params")],
+                 ["refine", "--input", str(beats), "--params", params_file,
+                  "--out", str(tmp_path / "refined.csv")]]
+        for argv in calls:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"ecgdyn: beat 1: lead aVR sample 199 is not finite ({value})\n")
+        assert run_cli(["segment", "--input", str(record),
+                        "--out-dir", str(tmp_path / "cycles")]) == 2
+        assert capsys.readouterr() == (
+            "", f"ecgdyn: lead II sample 123 is not finite ({value})\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv", "rec.csv"]
+
+
 class TestHeaderOnly:
     """A beat file with a header and no rows is an error for every command,
     and the writer refuses to make one."""
@@ -1182,6 +1247,17 @@ class TestCsvWriter:
         n = len(_EDGE_VALUES) * 12
         rows = np.full((n, 12), 0.5)
         rows[np.arange(n), np.arange(n) % 12] = np.repeat(_EDGE_VALUES, 12)
+        self._writers_match(writer, rows, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("writer", ["beats", "record"])
+    def test_several_odd_cells_in_a_row_bytes_match(self, writer, tmp_path, monkeypatch):
+        # repr rewrites only the cells orjson writes otherwise, four to a
+        # row and in columns that move from row to row; every other row
+        # holds none, and the plain cells between them keep orjson's text
+        rows = np.random.default_rng(9).uniform(-2.0, 2.0, (600, 12))
+        for r in range(0, 600, 2):
+            cols = [(r // 2 + shift) % 12 for shift in (0, 3, 5, 8)]
+            rows[r, cols] = [1e-5, 5e-324, 1e16, -1e-7]
         self._writers_match(writer, rows, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("writer", ["beats", "record"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
+from helpers import MIXED_RHYTHMS, with_rhythms
 from ecgdyn import fidelity, integrate, model
 from ecgdyn.errors import ConfigurationError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
@@ -16,8 +17,8 @@ from ecgdyn.cli import read_beats_csv, run_cli, write_beats_csv
 from ecgdyn.integrate import DEFAULT_INIT, beat_grid, integrate_euler
 from ecgdyn.leads import (FREE_LEADS, LEAD_NAMES, Heartbeat, LeadRelation,
                           limb_relations, synthesize_heartbeat)
-from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, RhythmParams,
-                          State, eta_to_vector, vector_to_eta)
+from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, State,
+                          eta_to_vector, vector_to_eta)
 from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
                            zero_variance)
 from ecgdyn.fidelity import draw_param_samples
@@ -28,11 +29,6 @@ GRID = beat_grid(500, 1.0)
 # independent direct-summation value for an all-zero waveform under the
 # default parameters (computed by tests/naive_reference.py, frozen here)
 ZEROS_DISTANCE = 101.4489774971078
-
-
-MIXED_RHYTHMS = {"I": RhythmParams(f=1.1, A=0.05, f2=0.3),
-                 "III": RhythmParams(f=0.9, A=0.2, f2=0.2),
-                 "aVR": RhythmParams(f=1.2, A=0.1, f2=0.35)}
 
 
 def count_calls(monkeypatch, module, name):
@@ -46,12 +42,6 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def with_rhythms(table, rhythms):
-    """Copy of a table with the given leads' rhythms replaced."""
-    return {key: replace(dist, rhythm=rhythms.get(dist.lead, dist.rhythm))
-            for key, dist in table.items()}
 
 
 def _noise_beat(seed=21):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
+from helpers import MIXED_RHYTHMS, with_rhythms
 from ecgdyn import fidelity, fitting
 from ecgdyn.errors import ConfigurationError, FitDiverged, InsufficientDataError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
@@ -426,16 +427,21 @@ class TestRefineWaveform:
     def test_loss_matches_combined_score(self, delta):
         # refine and score read one Monte-Carlo term list through one
         # reduction, so on a beat that satisfies the limb identities their
-        # losses agree bit for bit
-        table = default_distributions()
-        for seed in range(23, 38):
-            problem = _RefineProblem(_noise_beat(seed=seed), table,
-                                     LossWeights(delta), n_samples=3, seed=4)
-            u = np.vstack([_noise_beat(seed=seed + 100).lead(lead)
-                           for lead in FREE_LEADS])
-            beat = Heartbeat(grid=GRID, leads=assemble_leads(u), label="NORMAL")
-            assert problem.loss(u) == euler_loss_combined(
-                beat, table, LossWeights(delta), n_samples=3, seed=4)
+        # losses agree bit for bit; refine's own block holds the free leads
+        # alone, so the identities' targets III, aVR, aVL and aVF are rows
+        # its shared pass adds, on the leads' own rhythms or on mixed ones,
+        # and with draws that vary or that all equal the mean
+        shipped = default_distributions()
+        for table in (shipped, with_rhythms(shipped, MIXED_RHYTHMS),
+                      zero_variance(shipped)):
+            for seed in range(23, 38):
+                problem = _RefineProblem(_noise_beat(seed=seed), table,
+                                         LossWeights(delta), n_samples=3, seed=4)
+                u = np.vstack([_noise_beat(seed=seed + 100).lead(lead)
+                               for lead in FREE_LEADS])
+                beat = Heartbeat(grid=GRID, leads=assemble_leads(u), label="NORMAL")
+                assert problem.loss(u) == euler_loss_combined(
+                    beat, table, LossWeights(delta), n_samples=3, seed=4)
 
     def test_unlabeled_beat_rejected(self):
         beat = Heartbeat(grid=GRID, leads=_noise_beat().leads)
