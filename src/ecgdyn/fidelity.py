@@ -20,19 +20,22 @@ parameters. Scoring (``loss_components``) and refinement share every step
 of it, so refinement's loss is the score: ``_term_losses`` reduces the
 terms and ``LossWeights.combine`` weights the two means. ``_mc_terms``, the
 one place that builds the terms, draws every lead's parameters and gain for
-all draws as one (draws, 12, 15) and one (draws, 12) array, evaluates W
+all draws as one (draws, 12, 15) and one (draws, 12) array, and evaluates W
 through ``model._wave_terms`` (still the one W) in one ``wave_rate_sum``
-call per rhythm, and returns drifts and gains as (draws, terms, L-1) and
-(draws, terms) arrays. Each drift is evaluated once per (lead, rhythm)
-pair, so a limb identity reuses the drifts of its source leads' own terms.
-Each draw is one pass over rows both blocks of terms share, every scored
-lead divided by its gain and differenced once; each term's squared
-residuals still sum as their own dot product over one contiguous row, in
-draw order, so the loss is bit-identical to scoring one term at a time.
-Every beat of a file shares the grid, the class table, the draws and the
-seed, so one term set serves them all: ``_mc_terms`` keeps the last one
-built for an int seed, as read-only arrays, and builds afresh when any of
-these changes.
+call per rhythm. Each drift is evaluated once per (lead, rhythm) pair, so
+a limb identity reuses the drifts of its source leads' own terms.
+
+A term with z coefficient c, gains g and drifts d scores a lead h by the
+mean over draws of ||s/g - d||^2, s = diff(h)/dt + c*h[:-1]. Its completed
+square is W*||s - e||^2 + K, with W = mean(1/g^2), e = mean(d/g) / W and
+K = sum_l mean((d_l - e_l/g)^2), none of which depends on the beat, so
+``_mc_terms`` reduces the draws to (W, e, K) once and scoring a beat costs
+one pass over its leads, whatever the number of draws. That sums in
+another order than a draw-by-draw loop, so the two agree to rounding, not
+bit for bit. Every beat of a file shares the grid, the class table, the
+draws and the seed, so one term set serves them all: ``_mc_terms`` keeps
+the last one built for an int seed, as read-only arrays, and builds afresh
+when any of these changes.
 """
 
 from __future__ import annotations
@@ -222,15 +225,17 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
               n_samples: int, seed, leads=LEAD_NAMES):
     """The Monte-Carlo terms of the combined loss, as two blocks of arrays.
 
-    Each block is (names, coeffs, gains, drifts): the lead each of its T
-    terms scores, the (T,) z coefficients, and the (n_samples, T) gains
-    and (n_samples, T, L-1) drifts of every draw, all read-only. The own
+    Each block is (names, coeffs, w, e, k, least_gain): the lead each of
+    its T terms scores, the (T,) z coefficients, each term's completed
+    square as (T,) weights W, (T, L-1) targets e and (T,) constants K, and
+    each term's (T,) smallest gain over the draws, all read-only. The own
     block holds each lead in leads, in that order, with coefficient 1.0;
     the related block holds the limb identities in limb_relations() order,
     each scoring its target with the target's gain, drift
     beta*drift(src1) + gamma*drift(src2) on the target's rhythm and
-    reference, and coefficient beta + gamma. A term scores a lead h
-    through _residuals(h / gain, dt, drift, coeff). Draws come from one
+    reference, and coefficient beta + gamma. A term scores a lead h by
+    W*||diff(h)/dt + c*h[:-1] - e||^2 + K, the mean over draws of
+    ||_residuals(h / gain, dt, drift, c)||^2. Draws come from one
     generator seeded by seed, as in draw_param_samples.
 
     Every beat of a file shares the grid, the class table, the draws and
@@ -277,46 +282,36 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
                np.stack([rel.beta * drift[rel.src1, rhythm[rel.target]]
                          + rel.gamma * drift[rel.src2, rhythm[rel.target]]
                          for rel in rels], axis=1))
-    for _, *arrays in (own, related):
-        for arr in arrays:
+    blocks = []
+    for names, coeffs, g, drifts in (own, related):  # each to (W, e, K)
+        g = g[..., None]
+        w = np.mean(1.0 / (g * g), axis=0)
+        e = np.mean(drifts / g, axis=0) / w
+        k = np.mean(np.square(drifts - e / g), axis=0).sum(axis=1)
+        blocks.append((names, coeffs, w[:, 0], e, k, g.min(axis=0)[:, 0]))
+        for arr in blocks[-1][1:]:
             arr.flags.writeable = False
-    return own, related
+    return tuple(blocks)
 
 
 def _term_losses(leads: np.ndarray, dt: float, own, related, signals=False):
     """The (l1, l2, per_lead) of ``loss_components`` for a (12, L) lead
     matrix and the two blocks of ``_mc_terms``; per_lead holds the own
-    block's leads. Each draw is one pass over rows both blocks share: each
-    scored lead is divided by its gain and differenced once, into buffers
-    reused from draw to draw. Each term's sum of squares is still its own
-    dot product over one contiguous row. With signals set, every lead
-    divided by its gain must be a finite ``LeadSignal``."""
-    at = {lead: j for j, lead in enumerate(dict.fromkeys(own[0] + related[0]))}
-    gains, passes = np.empty((len(own[2]), len(at))), []
-    for names, coeffs, block_gains, drifts in (own, related):
-        rows = [at[lead] for lead in names]
-        gains[:, rows] = block_gains
-        passes.append((rows, coeffs[:, None], drifts, *np.empty((2, *drifts.shape[1:]))))
-    scored = leads[[LEAD_INDEX[lead] for lead in at]]
-    h, q = np.empty(scored.shape), np.empty((len(at), scored.shape[1] - 1))
-    (*_, own_r, _), (*_, related_r, _) = passes
-    own_sums, l2 = np.zeros(len(own[0])), 0.0
-    for draw, g in enumerate(gains):
-        np.divide(scored, g[:, None], out=h)
-        if signals and not np.isfinite(h).all():
+    block's leads. A block is one pass over its terms' rows h, scoring
+    each by W*||diff(h)/dt + c*h[:-1] - e||^2 + K whatever the number of
+    draws. With signals set, every lead divided by its smallest gain, and
+    so by every gain drawn, must be finite, as a ``LeadSignal``'s samples
+    must."""
+    losses = []
+    for names, coeffs, w, e, k, least_gain in (own, related):
+        h = leads[[LEAD_INDEX[lead] for lead in names]]
+        if signals and not np.isfinite(h / least_gain[:, None]).all():
             raise ValueError("samples must be finite")
-        np.divide(np.subtract(h[:, 1:], h[:, :-1], out=q), dt, out=q)
-        # a term's residuals q - (drift - coeff*h), in _residuals' order
-        for rows, coeffs, drifts, r, rate in passes:
-            np.multiply(np.take(h[:, :-1], rows, 0, out=rate), coeffs, out=rate)
-            np.subtract(drifts[draw], rate, out=rate)
-            np.subtract(np.take(q, rows, 0, out=r), rate, out=r)
-        own_sums += np.vecdot(own_r, own_r)
-        for v in np.vecdot(related_r, related_r).tolist():
-            l2 += v
-    per_lead = dict(zip(own[0], (own_sums / len(gains)).tolist()))
+        r = _residuals(h, dt, e, coeffs[:, None])
+        losses.append((w * np.vecdot(r, r) + k).tolist())
+    per_lead = dict(zip(own[0], losses[0]))
     return (sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS),
-            l2 / (len(gains) * len(limb_relations())), per_lead)
+            sum(losses[1]) / len(limb_relations()), per_lead)
 
 
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,

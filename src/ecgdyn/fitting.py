@@ -236,8 +236,8 @@ class _RefineProblem:
     The terms are the two blocks ``fidelity._mc_terms`` builds for
     ``loss_components``, the own block holding the free leads alone, and
     the loss is the score's. ``blocks`` holds each block as (weight, names,
-    coeffs, gains, drifts), weighted by its terms' share of the combined
-    loss and kept only when that weight is positive.
+    coeffs, w, e, k, least_gain), weighted by its terms' share of the
+    combined loss and kept only when that weight is positive.
     """
 
     def __init__(self, beat: Heartbeat, table: ParamTable,
@@ -246,9 +246,9 @@ class _RefineProblem:
         self.weights = weights
         own, related = self.terms = _mc_terms(beat.grid, table, beat.label,
                                               n_samples, seed, leads=FREE_LEADS)
-        # a term's weight is the combination's slope in its mean
-        w1 = weights.combine(1.0, 0.0) / (n_samples * len(FREE_LEADS))
-        w2 = weights.combine(0.0, 1.0) / (n_samples * len(limb_relations()))
+        # a term's weight is the combination's slope in its loss
+        w1 = weights.combine(1.0, 0.0) / len(FREE_LEADS)
+        w2 = weights.combine(0.0, 1.0) / len(limb_relations())
         self.blocks = [(w,) + block for w, block in ((w1, own), (w2, related))
                        if w > 0.0]
 
@@ -259,21 +259,18 @@ class _RefineProblem:
     def solve(self, u0: np.ndarray) -> np.ndarray:
         """The free rows minimizing the loss; of several, the nearest u0.
 
-        A term is (w/g^2)*||A_c h - g*d||^2 with A_c h = diff(h)/dt +
-        c*h[:-1], so the terms of one (lead, c) group sum, up to a constant,
-        to W*||A_c h - e||^2 with W = sum w/g^2 and e = sum (w/g)*d / W.
-        A lead's own c = 1 group alone is met exactly by the Euler z
-        recurrence; a lead without terms keeps its input.
+        A term is weight*(W*||A_c h - e||^2 + K) with A_c h = diff(h)/dt +
+        c*h[:-1], the completed square ``_mc_terms`` keeps. No two terms
+        share a (lead, c) group: the own terms have c = 1, and no limb
+        identity targeting a free lead does. So each term is the group
+        (weight*W, e), whatever the number of draws. A lead's own c = 1
+        group alone is met exactly by the Euler z recurrence; a lead
+        without terms keeps its input.
         """
-        sums = {}
-        for weight, names, coeffs, gains, drifts in self.blocks:
-            for t, key in enumerate(zip(names, coeffs.tolist())):
-                total, acc = sums.get(key, (0.0, 0.0))
-                for gain, drift in zip(gains[:, t].tolist(), drifts[:, t]):
-                    total += weight / (gain * gain)
-                    acc = acc + (weight / gain) * drift
-                sums[key] = (total, acc)
-        groups = {key: (total, acc / total) for key, (total, acc) in sums.items()}
+        groups = {key: (weight * w_t, e_t)
+                  for weight, names, coeffs, w, e, *_ in self.blocks
+                  for key, w_t, e_t in zip(zip(names, coeffs.tolist()),
+                                           w.tolist(), e)}
         u = u0.copy()
         limb = {key: g for key, g in groups.items() if key[0] not in FREE_LEADS[2:]}
         chained = range(len(FREE_LEADS))

@@ -252,6 +252,36 @@ def loss_components(leads, fs, dists, n_samples, seed):
     return l1, l2 / (n_samples * len(LIMB_RELATIONS)), dict(zip(LEADS, per_lead))
 
 
+def refine_terms(dists, fs, n, n_samples, seed, delta):
+    """The terms of refine_lstsq for the combined loss over the free rows.
+
+    One (weight, lead, gain, drift, z_coeff) per draw and term, drawn as
+    loss_components draws them: each free lead's own term weighted
+    delta / (n_samples * 8), each limb identity weighted
+    (1 - delta) / (n_samples * 6); terms without weight are left out.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [[sample_entry(dist, rng) for dist in dists] for _ in range(n_samples)]
+    dt = 1.0 / fs
+
+    def drift(vals, via):
+        rhythm = dists[via].rhythm
+        return drift_rate(vals, circle_phase(fs, n, rhythm.f), rhythm, dt)
+
+    w1 = delta / (n_samples * len(FREE))
+    w2 = (1.0 - delta) / (n_samples * len(LIMB_RELATIONS))
+    terms = []
+    for draw in draws:
+        for lead in FREE if w1 > 0.0 else ():
+            j = LEADS.index(lead)
+            terms.append((w1, lead, draw[j][1], drift(draw[j][0], j), 1.0))
+        for target, src1, beta, src2, gamma in LIMB_RELATIONS if w2 > 0.0 else ():
+            t, s1, s2 = LEADS.index(target), LEADS.index(src1), LEADS.index(src2)
+            rate = beta * drift(draw[s1][0], t) + gamma * drift(draw[s2][0], t)
+            terms.append((w2, target, draw[t][1], rate, beta + gamma))
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # CSV: the row-by-row writers and the line parser the array code replaced
 

@@ -318,6 +318,15 @@ class TestTermMemo:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
 
+    def test_term_set_holds_no_draws(self):
+        # the draws are reduced to each term's completed square: no array
+        # grows with n_samples
+        fidelity._build_mc_terms.cache_clear()
+        terms = fidelity._mc_terms(GRID, default_distributions(), "NORMAL", 64, 1)
+        for names, *arrays in terms:
+            for arr in arrays:
+                assert arr.size <= len(names) * (GRID.L - 1)
+
     def test_unkeyable_seeds_build_every_call(self, monkeypatch):
         fidelity._build_mc_terms.cache_clear()
         calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
@@ -385,8 +394,12 @@ class TestBatchedMonteCarlo:
         assert np.all((-np.pi <= got[..., 0::3]) & (got[..., 0::3] < np.pi))
         assert np.array_equal(got[..., 2::3] == B_FLOOR, b <= B_FLOOR)
 
-    @pytest.mark.parametrize("name", sorted(TABLES) + ["read back"])
-    def test_loss_matches_per_term_oracle(self, name, tmp_path):
+    @pytest.mark.parametrize("name, n_samples", [
+        pytest.param(name, n, id=name if n == 5 else f"{name}, n_samples={n}")
+        for name in sorted(TABLES) + ["read back"] for n in (1, 5, 64)])
+    def test_loss_matches_per_term_oracle(self, name, n_samples, tmp_path):
+        # the completed square sums in another order than the oracle's
+        # draw-by-draw loop: every value agrees to rounding, not bit for bit
         table = TABLES.get(name, default_distributions)()
         beat = _noise_beat()
         if name == "read back":
@@ -394,11 +407,14 @@ class TestBatchedMonteCarlo:
             write_beats_csv(tmp_path / "beat.csv", [beat])
             beat = read_beats_csv(tmp_path / "beat.csv", label="NORMAL")[0]
             assert not beat.leads.flags.c_contiguous
-        got = loss_components(beat, table, n_samples=5, seed=13)
-        want = oracle.loss_components(
+        l1, l2, per_lead = loss_components(beat, table, n_samples=n_samples,
+                                           seed=13)
+        want_l1, want_l2, want_per_lead = oracle.loss_components(
             beat.leads, beat.grid.fs,
-            [table["NORMAL", lead] for lead in LEAD_NAMES], 5, 13)
-        assert got == want
+            [table["NORMAL", lead] for lead in LEAD_NAMES], n_samples, 13)
+        assert list(per_lead) == list(want_per_lead)
+        assert [l1, l2, *per_lead.values()] == pytest.approx(
+            [want_l1, want_l2, *want_per_lead.values()], rel=1e-14, abs=0.0)
 
     def test_overflowing_signal_rejected(self, tmp_path, capsys):
         table = {key: replace(dist, gain_mean=1e-3, gain_std=0.0)
@@ -417,6 +433,27 @@ class TestBatchedMonteCarlo:
                         "--params", str(params)])
         assert code == 2
         assert capsys.readouterr().err == "ecgdyn: samples must be finite\n"
+
+    def test_signal_rejected_where_any_gain_overflows_it(self):
+        # the smallest drawn gain decides: a lead is rejected exactly when
+        # its division by some draw's gain overflows
+        table = {key: replace(dist, gain_mean=0.05, gain_std=0.02)
+                 for key, dist in default_distributions().items()}
+        beat = Heartbeat(grid=GRID, leads=np.full((12, GRID.L), 1e306),
+                         label="NORMAL")
+        outcomes = set()
+        for seed in range(20):
+            gains = [gain for entry in draw_param_samples(table, "NORMAL", 2, seed)
+                     for _, gain in entry.values()]
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss_components(beat, table, n_samples=2, seed=seed)
+                    rejected = False
+                except ValueError:
+                    rejected = True
+            assert rejected == (1e306 / min(gains) == float("inf"))
+            outcomes.add(rejected)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("field", [0, 1, 2], ids=["theta", "a", "b"])
     def test_non_finite_draw_rejected(self, field):

@@ -391,13 +391,10 @@ class TestRefineWaveform:
         table = default_distributions()
         out = refine_waveform(beat, table, LossWeights(delta), seed=3,
                               n_samples=2)
-        problem = _RefineProblem(beat, table, LossWeights(delta), 2, 3)
         u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
-        terms = [(weight, lead, gain, drift, c)
-                 for weight, names, coeffs, gains, drifts in problem.blocks
-                 for draw_gains, draw_drifts in zip(gains, drifts)
-                 for lead, c, gain, drift in zip(names, coeffs, draw_gains,
-                                                 draw_drifts)]
+        terms = oracle.refine_terms(
+            [table["NORMAL", lead] for lead in oracle.LEADS], grid.fs, grid.L,
+            2, 3, delta)
         dense = oracle.refine_lstsq(terms, u0, grid.dt)
         got = np.vstack([out.lead(lead) for lead in FREE_LEADS])
         assert np.max(np.abs(got - dense)) <= 1e-7 * np.max(np.abs(dense))
@@ -425,9 +422,9 @@ class TestRefineWaveform:
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_loss_matches_combined_score(self, delta):
-        # refine and score read one Monte-Carlo term list through one
-        # reduction, so on a beat that satisfies the limb identities their
-        # losses agree bit for bit; refine's own block holds the free leads
+        # refine and score read one Monte-Carlo term set through one
+        # completed square, so on a beat that satisfies the limb identities
+        # their losses agree bit for bit; refine's own block holds the free leads
         # alone, so the identities' targets III, aVR, aVL and aVF are rows
         # its shared pass adds, on the leads' own rhythms or on mixed ones,
         # and with draws that vary or that all equal the mean
