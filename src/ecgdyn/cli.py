@@ -21,7 +21,7 @@ import os
 import pickle
 import re
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +167,10 @@ def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Beat keys and (n, 13) time and leads: JSON rows parsed by orjson a
-    _READ_BLOCK of lines at a time, or the line parser where JSON could read
-    otherwise (other headers, bytes or widths, integer -0s, non-int64 keys)."""
+    """Beat keys and (n, 13) time and leads. orjson parses _READ_BLOCKs of whole
+    lines, every row's width is checked, and np.fromiter fills a table sized by
+    newlines numpy counts a block at a time; where JSON could read otherwise
+    (other headers, bytes or widths, integer -0s, non-int64 keys), the line parser."""
     import orjson  # loaded by the first read, not by the import
 
     data = Path(path).read_bytes()
@@ -177,18 +178,23 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
     start, stop = len(header) + 1, len(data) - data.endswith(b"\n")
     try:
         keyed, keys, row = _KEYED[header], [], 0
-        table = np.empty((data.count(b"\n", start, stop) + 1, 13 + keyed))
+        view = np.frombuffer(data, np.uint8)[start:stop]
+        lines = sum(np.count_nonzero(view[i:i + _READ_BLOCK] == ord("\n"))
+                    for i in range(0, len(view), _READ_BLOCK))
+        table = np.empty((lines + 1, 13 + keyed))
         while start < stop:
             end = data.find(b"\n", start + _READ_BLOCK, stop)
             block = data[start:stop if end < 0 else end]
             start += len(block) + 1
             text = b"[[" + block.replace(b"\n", b"],[") + b"]]"
             rows = orjson.loads(text)
-            # numpy broadcasts rows of one cell (ragged rows raise); JSON's -0 is +0
-            if (len(rows[0]) != 13 + keyed or re.search(rb"-0[,\]]", text)
-                    or block.translate(None, b"0123456789.-+eE,\n")):
+            # JSON's -0 is +0, and fromiter takes true, null and "1.5" for numbers;
+            # past both, rows hold only numbers: len and fromiter raise no TypeError
+            if (re.search(rb"-0[,\]]", text) or block.translate(None, b"0123456789.-+eE,\n")
+                    or set(map(len, rows)) != {13 + keyed}):
                 raise ValueError("not plain rows")
-            table[row:row + len(rows)] = rows
+            cells = np.fromiter(chain.from_iterable(rows), float, len(rows) * (13 + keyed))
+            table[row:row + len(rows)] = cells.reshape(len(rows), 13 + keyed)
             keys += [r[0] for r in rows] if keyed else []
             row += len(rows)
         keys = np.array(keys) if keyed else np.zeros(row, np.int64)

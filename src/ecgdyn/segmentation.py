@@ -179,20 +179,29 @@ def resample_cycle(segment, target_len: int) -> np.ndarray:
 
     ``segment`` is one 1-D segment or a (rows, n) array whose rows are
     resampled on one shared grid; each row equals its own 1-D result.
-    Endpoints are preserved exactly, and a segment already at the target
-    length passes through unchanged.
+    Every value is np.interp's on the unit grid, bit for bit, non-finite
+    samples included: so endpoints are preserved exactly, and a segment
+    already at the target length passes through unchanged.
     """
     seg = np.asarray(segment, dtype=float)
     if seg.ndim not in (1, 2) or seg.shape[-1] < 2:
         raise ValueError("segment must be a 1-D or 2-D array with at least 2 samples")
     if target_len < 2:
         raise ValueError("target length must be at least 2")
-    positions = np.linspace(0.0, seg.shape[-1] - 1.0, target_len)
-    xp = np.arange(seg.shape[-1])
-    if seg.ndim == 1:
-        return np.interp(positions, xp, seg)
-    return np.array([np.interp(positions, xp, row) for row in seg]).reshape(
-        len(seg), target_len)
+    n = seg.shape[-1]
+    x = np.linspace(0.0, n - 1.0, target_len)
+    j = np.floor(x).astype(np.intp)
+    lo, hi = seg[..., j], seg[..., np.minimum(j + 1, n - 1)]
+    # np.interp's arithmetic: from sample j, and where that is NaN from sample
+    # j + 1, and where that is too, the flat value of two equal samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (hi - lo) * (x - j) + lo
+        if np.isnan(out.sum()):  # a NaN anywhere makes the sum NaN
+            out = np.where(np.isnan(out), (hi - lo) * (x - (j + 1)) + hi, out)
+            out = np.where(np.isnan(out) & (lo == hi), lo, out)
+    on_sample = np.flatnonzero(x == j)  # both ends too: linspace hits 0 and n - 1
+    out[..., on_sample] = lo[..., on_sample]
+    return out
 
 
 def segment_record(record: Record, target_len: int = 512) -> list[Heartbeat]:

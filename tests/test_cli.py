@@ -810,6 +810,17 @@ READER_CASES = {
     "non-numeric cell on a block edge": _cell(_LONG, _edge_line(_LONG), 4, "abc"),
     "value -0 on a block edge": _cell(_LONG_MULTI, _edge_line(_LONG_MULTI), 9, "-0"),
     "column missing on a block edge": _cell(_LONG_MULTI, _edge_line(_LONG_MULTI), 13),
+    # faults away from a block's first row, which a check of that row alone or
+    # of the block's cell count would miss
+    "column added on a block edge": _cell(_LONG_MULTI, _edge_line(_LONG_MULTI), 13,
+                                          "1.0,2.0"),
+    "column moved from the row before a block edge": _cell(
+        _cell(_LONG_MULTI, _edge_line(_LONG_MULTI) - 1, 13), _edge_line(_LONG_MULTI),
+        13, "1.0,2.0"),
+    "row of one cell before a block edge": _LONG.replace(
+        _LONG.split("\n")[_edge_line(_LONG) - 1], "0.5"),
+    **{f"value {token} on a block edge": _cell(_LONG, _edge_line(_LONG), 5, token)
+       for token in ("true", "null", '"1.5"')},
     "line longer than a block": _cell(_LONG, 300, 2, "1." + "0" * (1 << 17)),
     "line longer than a block, first": _cell(_LONG, 2, 2, "0." + "0" * (1 << 17) + "5"),
     "line longer than a block, last": _cell(_LONG, 601, 12, "-1." + "1" * (1 << 17)),
@@ -896,7 +907,7 @@ class TestCsvReader:
 
     def test_reading_peaks_below_twice_the_file(self, tmp_path):
         """The orjson pass holds the file once, plus about 0.43x for the
-        parsed values and one read block's text and objects: 1.5x in all.
+        parsed values and one read block's text, objects and cells: 1.5x in all.
         Parsing the whole file at once, splitting its text into cells or
         decoding it to str would show here, not only in the benchmark's
         peak RSS."""

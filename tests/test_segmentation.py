@@ -67,6 +67,23 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_cycle(np.zeros((12, 1)), 10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_matches_np_interp(self):
+        """Byte for byte np.interp's, row by row, over segments salted with
+        non-finite, signed-zero and overflowing samples."""
+        rng = np.random.default_rng(6)
+        odd = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1.7e308])
+        for _ in range(300):
+            n = int(rng.integers(2, 901))
+            seg = rng.standard_normal((int(rng.integers(1, 4)), n))
+            salt = rng.random(seg.shape) < rng.choice([0.0, 0.01, 0.1, 0.5, 0.9])
+            seg[salt] = rng.choice(odd, int(salt.sum()))
+            for target in {2, 3, 137, 512, n, 2 * n - 1, max(2, n // 2)}:
+                grid = np.linspace(0, n - 1, target)
+                want = np.vstack([np.interp(grid, np.arange(n), row) for row in seg])
+                assert resample_cycle(seg, target).tobytes() == want.tobytes()
+                assert resample_cycle(seg[0], target).tobytes() == want[0].tobytes()
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             resample_cycle(np.array([1.0]), 10)
