@@ -71,7 +71,7 @@ def _write_rows(fh, times, leads: np.ndarray, key: tuple = ()) -> None:
     """Rows of _WRITE_BLOCK samples per write: a cell from each iterator in
     key, a time from times, then the samples as repr writes them. A beat
     is one block."""
-    import orjson  # loaded by the first write, so readers never pay for it
+    import orjson  # lazily: importing the CLI (setup_s), --help and --version skip it
 
     for start in range(0, leads.shape[1], _WRITE_BLOCK):
         block = np.ascontiguousarray(leads[:, start:start + _WRITE_BLOCK].T, float)
@@ -171,7 +171,7 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
     lines, every row's width is checked, and np.fromiter fills a table sized by
     newlines numpy counts a block at a time; where JSON could read otherwise
     (other headers, bytes or widths, integer -0s, non-int64 keys), the line parser."""
-    import orjson  # loaded by the first read, not by the import
+    import orjson  # lazily, as in _write_rows
 
     data = Path(path).read_bytes()
     header = data[:len(_MULTI_HEADER) + 1].partition(b"\n")[0]
@@ -229,17 +229,13 @@ def read_record_csv(path, label: str | None = None) -> Record:
     return Record(fs=fs, channels=channels, id=Path(path).stem, label=label)
 
 
-def _load_table(path) -> ParamTable:
-    return read_param_file(Path(path).read_text(encoding="utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_synthesize(args) -> int:
     if args.beats < 1:
         raise ValueError(f"--beats must be >= 1, got {args.beats}")
-    table = _load_table(args.params)
+    table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
     grid = beat_grid(args.fs, rhythm.f)
@@ -258,14 +254,19 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
+def _scoring_request(args) -> tuple[ParamTable, LossWeights]:
+    """Score's and refine's table and weights, checked before any input."""
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    table = _load_table(args.params)
+    table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
     check_class_code(args.klass)
     for lead in LEAD_NAMES:
         require_dist(table, args.klass, lead)
-    weights = LossWeights(delta=args.delta)
+    return table, LossWeights(delta=args.delta)
+
+
+def _cmd_score(args) -> int:
+    table, weights = _scoring_request(args)
     beats = read_beats_csv(args.input, label=args.klass)
     rows = ["beat,combined," + ",".join(LEAD_NAMES)]
     for k, beat in enumerate(beats):
@@ -281,8 +282,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    table = _load_table(args.params)
-    weights = LossWeights(delta=args.delta)
+    table, weights = _scoring_request(args)
     OptimConfig(max_iter=args.steps)  # checks --steps, which the exact solve ignores
     beats = read_beats_csv(args.input, label=args.klass)
     # huge finite samples overflow the sums: exit 3 below, not a warning
@@ -295,7 +295,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    table = _load_table(args.init)
+    table = read_param_file(Path(args.init).read_text(encoding="utf-8"))
     lead = check_lead(args.lead)
     check_class_code(args.klass)
     init = require_dist(table, args.klass, lead)

@@ -181,23 +181,23 @@ def _nearest_chain(h0: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
     return h + ((h0 - h) @ n / (n @ n)) * n
 
 
-def _solve_limb_pair(groups, dt: float, length: int) -> np.ndarray:
-    """Leads I and II, as a 2 x length array, minimizing the limb groups.
+def _solve_limb_pair(terms, dt: float, length: int) -> np.ndarray:
+    """Leads I and II, as a 2 x length array, minimizing the limb terms.
 
-    groups maps (lead, c) to (W, e), scoring W*||A_c h - e||^2 for the
-    lead's combination a of z[l] = (I[l], II[l]). Its residual at step l
-    is a.(z[l+1]/dt + (c - 1/dt)*z[l]) - e[l], so the normal equations are
-    block tridiagonal in z: 2x2 blocks p + q on the diagonal (q alone at
-    the first sample, p alone at the last) and the same symmetric b off
-    it. Block elimination in scalar arithmetic solves them in O(length);
-    they have full rank whenever a limb identity carries weight.
+    terms is a sequence of (lead, c, W, e), each scoring W*||A_c h - e||^2
+    for the lead's combination a of z[l] = (I[l], II[l]). Its residual at
+    step l is a.(z[l+1]/dt + (c - 1/dt)*z[l]) - e[l], so the normal
+    equations are block tridiagonal in z: 2x2 blocks p + q on the diagonal
+    (q alone at the first sample, p alone at the last) and the same
+    symmetric b off it. Block elimination in scalar arithmetic solves them
+    in O(length); they have full rank whenever a limb identity is a term.
     """
     coef = {"I": np.array([1.0, 0.0]), "II": np.array([0.0, 1.0])}
     coef.update(derive_limb_rows(coef["I"], coef["II"]))
     upper = np.triu_indices(2)  # a symmetric block as (11, 12, 22)
     p, q, b = np.zeros(3), np.zeros(3), np.zeros(3)
     rhs = np.zeros((length, 2))
-    for (lead, c), (weight, target) in groups.items():
+    for lead, c, weight, target in terms:
         a = coef[lead]
         aa = weight * np.outer(a, a)[upper]
         k = c - 1.0 / dt
@@ -230,83 +230,60 @@ def _solve_limb_pair(groups, dt: float, length: int) -> np.ndarray:
     return np.array(z[::-1]).T
 
 
-class _RefineProblem:
-    """The combined loss over the 8 free lead rows, terms drawn up front.
-
-    The terms are the two blocks ``fidelity._mc_terms`` builds for
-    ``loss_components``, the own block holding the free leads alone, and
-    the loss is the score's. ``blocks`` holds each block as (weight, names,
-    coeffs, w, e, k, least_gain), weighted by its terms' share of the
-    combined loss and kept only when that weight is positive.
-    """
-
-    def __init__(self, beat: Heartbeat, table: ParamTable,
-                 weights: LossWeights, n_samples: int, seed):
-        self.dt = beat.grid.dt
-        self.weights = weights
-        own, related = self.terms = _mc_terms(beat.grid, table, beat.label,
-                                              n_samples, seed, leads=FREE_LEADS)
-        # a term's weight is the combination's slope in its loss
-        w1 = weights.combine(1.0, 0.0) / len(FREE_LEADS)
-        w2 = weights.combine(0.0, 1.0) / len(limb_relations())
-        self.blocks = [(w,) + block for w, block in ((w1, own), (w2, related))
-                       if w > 0.0]
-
-    def loss(self, u: np.ndarray) -> float:
-        l1, l2, _ = _term_losses(assemble_leads(u), self.dt, *self.terms)
-        return self.weights.combine(l1, l2)
-
-    def solve(self, u0: np.ndarray) -> np.ndarray:
-        """The free rows minimizing the loss; of several, the nearest u0.
-
-        A term is weight*(W*||A_c h - e||^2 + K) with A_c h = diff(h)/dt +
-        c*h[:-1], the completed square ``_mc_terms`` keeps. No two terms
-        share a (lead, c) group: the own terms have c = 1, and no limb
-        identity targeting a free lead does. So each term is the group
-        (weight*W, e), whatever the number of draws. A lead's own c = 1
-        group alone is met exactly by the Euler z recurrence; a lead
-        without terms keeps its input.
-        """
-        groups = {key: (weight * w_t, e_t)
-                  for weight, names, coeffs, w, e, *_ in self.blocks
-                  for key, w_t, e_t in zip(zip(names, coeffs.tolist()),
-                                           w.tolist(), e)}
-        u = u0.copy()
-        limb = {key: g for key, g in groups.items() if key[0] not in FREE_LEADS[2:]}
-        chained = range(len(FREE_LEADS))
-        if set(limb) - {("I", 1.0), ("II", 1.0)}:  # identities couple I and II
-            u[:2] = _solve_limb_pair(limb, self.dt, u0.shape[1])
-            chained = range(2, len(FREE_LEADS))  # the pair solve set I and II
-        for j in chained:
-            if (FREE_LEADS[j], 1.0) in groups:
-                u[j] = _nearest_chain(u0[j], groups[FREE_LEADS[j], 1.0][1], self.dt)
-        return u
-
-
 def refine_waveform(beat0: Heartbeat, table: ParamTable,
                     weights: LossWeights = LossWeights(),
                     seed=0, n_samples: int = 8,
                     history: list | None = None) -> Heartbeat:
     """Move the 8 free leads of a beat to the minimum of the combined loss.
 
-    The loss is an exact quadratic in the free leads, so one least-squares
-    solve in O(L) finds its minimum, taking the one nearest the input where
-    the minimum is not unique. The four dependent limb leads are re-derived
-    from leads I and II, so the output satisfies the limb identities to
-    rounding. The Monte-Carlo parameter draws are taken once up front from
-    the seed, making the objective a fixed deterministic function. Pass a
-    list as ``history`` to receive the loss before and after.
+    The loss is the score's, over the free leads' ``leads.assemble_leads``
+    matrix: the two blocks ``fidelity._mc_terms`` builds for
+    ``loss_components``, the own block holding the free leads alone, drawn
+    once up front from the seed, so the objective is a fixed deterministic
+    function. A term is weight*(W*||A_c h - e||^2 + K) with A_c h =
+    diff(h)/dt + c*h[:-1], the completed square ``_mc_terms`` keeps, and
+    weight its block's share of the combined loss; the own terms have
+    c = 1. So the loss is an exact quadratic, minimized in O(L), nearest
+    the input where the minimum is not unique. Where the limb identities
+    carry weight they couple I and II, and one pair solve sets both rows,
+    with their own terms where those carry weight; each other lead's own
+    term alone is met exactly by the Euler z recurrence, and a lead
+    without terms keeps its input. The four dependent limb leads are
+    re-derived from leads I and II, so the output satisfies the limb
+    identities to rounding. Pass a list as ``history`` to receive the loss
+    before and after.
     """
-    problem = _RefineProblem(beat0, table, weights, n_samples, seed)
+    dt = beat0.grid.dt
+    terms = _mc_terms(beat0.grid, table, beat0.label, n_samples, seed,
+                      leads=FREE_LEADS)
+
+    def loss(u: np.ndarray) -> float:
+        return weights.combine(*_term_losses(assemble_leads(u), dt, *terms)[:2])
+
     u0 = np.vstack([beat0.lead(lead) for lead in FREE_LEADS])
-    loss = problem.loss(u0)
-    if not math.isfinite(loss):
-        raise FitDiverged(f"non-finite starting loss {loss!r}")
-    if loss <= LOSS_FLOOR:
+    start = loss(u0)
+    if not math.isfinite(start):
+        raise FitDiverged(f"non-finite starting loss {start!r}")
+    if start <= LOSS_FLOOR:
         return beat0  # already on the dynamics; nothing to move
-    u = problem.solve(u0)
+    # a term's weight is the combination's slope in its block's loss
+    w1 = weights.combine(1.0, 0.0) / len(FREE_LEADS)
+    w2 = weights.combine(0.0, 1.0) / len(limb_relations())
+    (_, _, own_w, own_e, *_), (names, coeffs, w, e, *_) = terms
+    u, chained = u0.copy(), range(len(FREE_LEADS))
+    if w2 > 0.0:  # the identities couple I and II: one solve sets both rows
+        pair = [(lead, c, w2 * w_t, e_t) for lead, c, w_t, e_t in
+                zip(names, coeffs.tolist(), w.tolist(), e)]
+        if w1 > 0.0:  # I's and II's own terms go first
+            pair[:0] = [(lead, 1.0, w1 * w_t, e_t) for lead, w_t, e_t in
+                        zip(FREE_LEADS[:2], own_w.tolist(), own_e)]
+        u[:2] = _solve_limb_pair(pair, dt, u0.shape[1])
+        chained = range(2, len(FREE_LEADS))
+    if w1 > 0.0:
+        for j in chained:
+            u[j] = _nearest_chain(u0[j], own_e[j], dt)
     if not np.all(np.isfinite(u)):
         raise FitDiverged("non-finite refined leads")
     if history is not None:
-        history.extend([loss, problem.loss(u)])
+        history.extend([start, loss(u)])
     return Heartbeat(grid=beat0.grid, leads=assemble_leads(u), label=beat0.label)

@@ -66,13 +66,6 @@ def limb_relations() -> tuple[LeadRelation, ...]:
     return _RELATIONS
 
 
-def relation_for(target: str) -> LeadRelation:
-    for rel in _RELATIONS:
-        if rel.target == target:
-            return rel
-    raise ValueError(f"no limb relation with target {target!r}")
-
-
 @dataclass
 class Heartbeat:
     """One cardiac cycle: a 12 x L matrix in millivolts plus metadata."""

@@ -307,6 +307,25 @@ class TestScore:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("flags, message", [
+        (["--class", "FOO"], "FOO"),
+        (["--class", "bad"], "uppercase"),
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-2"], "--samples"),
+    ], ids=["class not in table", "bad class code", "zero samples",
+            "negative samples"])
+    def test_bad_request_fails_before_output(self, params_file, tmp_path, capsys,
+                                             flags, message):
+        src, out = tmp_path / "beat.csv", tmp_path / "refined.csv"
+        synth(src, params_file)
+        capsys.readouterr()
+        assert run_cli(["refine", "--input", str(src), "--params", params_file,
+                        "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
     def test_multibeat_file_refines_like_single_beats(self, params_file,
                                                       tmp_path, capsys):
         rng = np.random.default_rng(4)

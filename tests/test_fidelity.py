@@ -22,7 +22,7 @@ from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, State,
 from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
                            zero_variance)
 from ecgdyn.fidelity import draw_param_samples
-from ecgdyn.fitting import _RefineProblem
+from ecgdyn.fitting import refine_waveform
 
 GRID = beat_grid(500, 1.0)
 
@@ -224,8 +224,8 @@ class TestCombinedLoss:
         # whose sources are I, II and III: 9 leads per draw, once per file
         calls.clear()
         for seed in (21, 22, 23):
-            _RefineProblem(_noise_beat(seed), default_distributions(),
-                           LossWeights(0.6), n_samples=3, seed=1)
+            refine_waveform(_noise_beat(seed), default_distributions(),
+                            LossWeights(0.6), n_samples=3, seed=1)
         assert [np.shape(eta) for _, eta in calls] == [(3, 9, 15)]
         # in "mixed" four rhythms carry terms: those of I, III and aVR,
         # each with its lead and the two sources its identity rates on it,

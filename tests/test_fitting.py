@@ -11,8 +11,8 @@ from ecgdyn import fidelity, fitting
 from ecgdyn.errors import ConfigurationError, FitDiverged, InsufficientDataError
 from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              reference_trajectory, sim_distance)
-from ecgdyn.fitting import (OptimConfig, _RefineProblem, estimate_distribution,
-                            fit_params, refine_waveform)
+from ecgdyn.fitting import (OptimConfig, estimate_distribution, fit_params,
+                            refine_waveform)
 from ecgdyn.integrate import SamplingGrid, beat_grid, integrate_euler
 from ecgdyn.leads import (FREE_LEADS, Heartbeat, assemble_leads, check_lead_consistency,
                           synthesize_heartbeat)
@@ -339,12 +339,13 @@ class TestRefineWaveform:
     def test_solution_is_stationary(self, delta):
         # the loss is quadratic in the free rows, so central differences are
         # exact directional derivatives up to rounding; at the minimum they
-        # vanish along every direction
+        # vanish along every direction. Refine's loss is the score of the
+        # free rows' assembled leads, bit for bit
         beat = _noise_beat(seed=21)
-        problem = _RefineProblem(beat, default_distributions(),
-                                 LossWeights(delta), n_samples=2, seed=3)
-        u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
-        u = problem.solve(u0)
+        table, weights = default_distributions(), LossWeights(delta)
+        out = refine_waveform(beat, table, weights, n_samples=2, seed=3)
+        u0, u = (np.vstack([b.lead(lead) for lead in FREE_LEADS])
+                 for b in (beat, out))
         rng = np.random.default_rng(22)
         directions = [rng.standard_normal(u.shape) for _ in range(4)]
         for j, k in ((0, 0), (1, 250), (0, GRID.L - 1), (5, 17), (7, 499)):
@@ -353,9 +354,14 @@ class TestRefineWaveform:
             directions.append(unit)
         h = 1e-4
 
+        def loss(x):
+            return euler_loss_combined(
+                Heartbeat(grid=GRID, leads=assemble_leads(x), label="NORMAL"),
+                table, weights, n_samples=2, seed=3)
+
         def slopes(x):
-            return np.array([(problem.loss(x + h * v) - problem.loss(x - h * v))
-                             / (2.0 * h) for v in directions])
+            return np.array([(loss(x + h * v) - loss(x - h * v)) / (2.0 * h)
+                             for v in directions])
 
         assert np.max(np.abs(slopes(u))) <= 1e-9 * np.max(np.abs(slopes(u0)))
 
@@ -370,13 +376,11 @@ class TestRefineWaveform:
             calls.append(1)
             return chain(*args)
 
-        beat = _noise_beat(seed=21)
-        problem = _RefineProblem(beat, default_distributions(),
-                                 LossWeights(delta), n_samples=2, seed=3)
-        u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
-        want = problem.solve(u0)
+        args = (_noise_beat(seed=21), default_distributions(), LossWeights(delta))
+        want = refine_waveform(*args, n_samples=2, seed=3)
         monkeypatch.setattr(fitting, "_nearest_chain", counting)
-        assert np.array_equal(problem.solve(u0), want)
+        got = refine_waveform(*args, n_samples=2, seed=3)
+        assert np.array_equal(got.leads, want.leads)
         assert len(calls) == chains
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
@@ -423,22 +427,25 @@ class TestRefineWaveform:
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_loss_matches_combined_score(self, delta):
         # refine and score read one Monte-Carlo term set through one
-        # completed square, so on a beat that satisfies the limb identities
-        # their losses agree bit for bit; refine's own block holds the free leads
-        # alone, so the identities' targets III, aVR, aVL and aVF are rows
-        # its shared pass adds, on the leads' own rhythms or on mixed ones,
-        # and with draws that vary or that all equal the mean
+        # completed square, so on beats that satisfy the limb identities,
+        # the input and the refined output, refine's history is their score
+        # bit for bit; refine's own block holds the free leads alone, so
+        # the identities' targets III, aVR, aVL and aVF are rows its shared
+        # pass adds, on the leads' own rhythms or on mixed ones, and with
+        # draws that vary or that all equal the mean
         shipped = default_distributions()
         for table in (shipped, with_rhythms(shipped, MIXED_RHYTHMS),
                       zero_variance(shipped)):
             for seed in range(23, 38):
-                problem = _RefineProblem(_noise_beat(seed=seed), table,
-                                         LossWeights(delta), n_samples=3, seed=4)
                 u = np.vstack([_noise_beat(seed=seed + 100).lead(lead)
                                for lead in FREE_LEADS])
                 beat = Heartbeat(grid=GRID, leads=assemble_leads(u), label="NORMAL")
-                assert problem.loss(u) == euler_loss_combined(
-                    beat, table, LossWeights(delta), n_samples=3, seed=4)
+                history = []
+                out = refine_waveform(beat, table, LossWeights(delta), n_samples=3,
+                                      seed=4, history=history)
+                assert history == [
+                    euler_loss_combined(b, table, LossWeights(delta), n_samples=3,
+                                        seed=4) for b in (beat, out)]
 
     def test_unlabeled_beat_rejected(self):
         beat = Heartbeat(grid=GRID, leads=_noise_beat().leads)

@@ -7,7 +7,7 @@ from ecgdyn.errors import ConfigurationError
 from ecgdyn.integrate import beat_grid, integrate_euler
 from ecgdyn.leads import (FREE_LEADS, ConsistencyReport, Heartbeat, LEAD_NAMES,
                           LeadRelation, check_lead_consistency, derive_limb_rows,
-                          limb_relations, relation_for, synthesize_heartbeat)
+                          limb_relations, synthesize_heartbeat)
 from ecgdyn.model import DEFAULT_RHYTHM
 from ecgdyn.params import default_distributions, default_eta_for_lead
 
@@ -29,11 +29,11 @@ class TestRelations:
         assert len(limb_relations()) == 6
 
     def test_lookup_lead_iii(self):
-        rel = relation_for("III")
+        (rel,) = [r for r in limb_relations() if r.target == "III"]
         assert (rel.src1, rel.beta, rel.src2, rel.gamma) == ("II", 1.0, "I", -1.0)
 
     def test_lookup_avr(self):
-        rel = relation_for("aVR")
+        (rel,) = [r for r in limb_relations() if r.target == "aVR"]
         assert (rel.src1, rel.beta, rel.src2, rel.gamma) == ("I", -0.5, "II", -0.5)
 
     def test_all_targets_unique_and_limb(self):
