@@ -34,8 +34,8 @@ one pass over its leads, whatever the number of draws. That sums in
 another order than a draw-by-draw loop, so the two agree to rounding, not
 bit for bit. Every beat of a file shares the grid, the class table, the
 draws and the seed, so one term set serves them all: ``_mc_terms`` keeps
-the last one built for an int seed, as read-only arrays, and builds afresh
-when any of these changes.
+the last two built for an int seed (refine's and score's), as read-only
+arrays, and builds afresh when any of these changes.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import (DEFAULT_INIT, SamplingGrid, State, Trajectory, _circle,
-                        _circle_cache, _drift)
+                        _baseline_path, _circle_cache)
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
                     check_lead, limb_relations)
 from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, vector_to_eta,
@@ -135,7 +135,7 @@ def _lead_residual(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
         if wave.b < B_FLOOR:
             raise ValueError(f"width {wave.b} below floor {B_FLOOR}")
     w, rows = _wave_terms(_ref_phase(ref), eta, jac)
-    r = _residuals(h.samples, h.grid.dt, _drift(w, rhythm, ref.grid))
+    r = _residuals(h.samples, h.grid.dt, w + _baseline_path(rhythm, ref.grid, 0.0))
     return (r, rows) if jac else r
 
 
@@ -166,8 +166,9 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
     phase = _ref_phase(ref)
-    drift = (rel.beta * _drift(wave_rate_sum(phase, eta1), rhythm, ref.grid)
-             + rel.gamma * _drift(wave_rate_sum(phase, eta2), rhythm, ref.grid))
+    z0 = _baseline_path(rhythm, ref.grid, 0.0)
+    drift = (rel.beta * (wave_rate_sum(phase, eta1) + z0)
+             + rel.gamma * (wave_rate_sum(phase, eta2) + z0))
     r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
     return float(r @ r)
 
@@ -239,9 +240,9 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
     generator seeded by seed, as in draw_param_samples.
 
     Every beat of a file shares the grid, the class table, the draws and
-    the seed, so the last term set is kept (``_build_mc_terms``, one
-    entry) and served again for the same grid, the label's 12
-    distributions (compared by value), n_samples, seed and leads. Only an
+    the seed, so the last two term sets (refine's and score's) are kept
+    by ``_build_mc_terms`` and served again for the same grid, the label's
+    12 distributions (compared by value), n_samples, seed and leads. Only an
     int seed with an int n_samples is kept; None, a Generator (whose draws
     move on) or a SeedSequence builds fresh terms on every call.
     """
@@ -253,7 +254,7 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
     return _build_mc_terms.__wrapped__(grid, dists, n_samples, seed, leads)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
                     leads):
     """The terms of ``_mc_terms`` from the 12 leads' distributions. W is
@@ -271,7 +272,7 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
         group = [lead for lead, r in pairs if r == via]
         phase = _circle(via.omega, grid, DEFAULT_INIT)[1]
         cols = [LEAD_INDEX[lead] for lead in group]
-        rates = _drift(wave_rate_sum(phase, params[:, cols]), via, grid)
+        rates = wave_rate_sum(phase, params[:, cols]) + _baseline_path(via, grid, 0.0)
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
     targets = tuple(rel.target for rel in rels)
     own = (tuple(leads), np.ones(len(leads)),

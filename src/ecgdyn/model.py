@@ -12,7 +12,7 @@ Gaussian sum W and of its Jacobian in the wave parameters; integration,
 the consistency distances and fitting all evaluate W through it. It takes
 one ``EdmParams`` or a batch of parameter vectors, such as the
 (draws, leads, 15) array of a Monte-Carlo loss, and returns one W per
-vector on the phase grid, (draws, leads, N), summing wave by wave.
+vector on the phase grid, (draws, leads, N), the five waves on one axis.
 ``_circle_rate`` is the only copy of the (x, y) rate, stepped by both
 integrators and by ``eval_rhs``.
 """
@@ -185,44 +185,48 @@ def _wave_terms(phase, eta, jac: bool = False):
     """Gaussian-event rate W and, if jac is set, its parameter Jacobian.
 
     W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
-    eta is an ``EdmParams`` or a (..., 15) array of parameter vectors in
-    PARAM_NAMES order; an array gives one W per vector, broadcast against
-    phase: (n, m, 15) parameters on an (N,) phase give an (n, m, N) W.
-    The sum runs wave by wave in P..T order, so no per-wave axis is ever
-    allocated. Returns (W, J): J stacks the 15 dW/d(eta) rows in
+    eta is an ``EdmParams`` or a (..., 15) array of parameter sets in
+    PARAM_NAMES order: (n, m, 15) sets on (N,) phases give an (n, m, N) W.
+    A set's five waves lie on one array axis; ceil(B/5) of a batch's B sets
+    go at a time, in three work arrays of W's size. W sums from zeros, wave
+    by wave, P..T. Returns (W, J): J stacks the 15 dW/d(eta) rows in
     PARAM_NAMES order on W's shape, or is None without jac. phase must lie
     in [-pi, pi]; with theta in [-pi, pi) one conditional 2*pi shift then
     wraps d, and J treats that shift as locally constant.
     """
     phase = np.asarray(phase, dtype=float)
     if isinstance(eta, EdmParams):
-        waves = [(w.theta, w.a, w.b) for w in eta.waves]
+        p = np.array([v for w in eta.waves for v in (w.theta, w.a, w.b)])
+        # Python's float pow: numpy's array pow rounds some cubes apart
+        cube = np.array([[[w.b ** 3]] for w in eta.waves]) if jac else None
     else:
-        p = np.asarray(eta, dtype=float)[..., None]
-        waves = [(p[..., i, :], p[..., i + 1, :], p[..., i + 2, :])
-                 for i in range(0, N_PARAMS, 3)]
-    shape = np.broadcast_shapes(phase.shape, np.shape(waves[0][0]))
-    w_sum = np.zeros(shape)
-    # three work arrays of W's shape serve every wave, updated in place
-    d, e, term = np.empty(shape), np.empty(shape), np.empty(shape)
-    J = np.empty((N_PARAMS,) + shape) if jac else None
-    for i, (theta, a, b) in enumerate(waves):
-        np.subtract(phase, theta, out=d)
+        p, cube = np.asarray(eta, dtype=float), None
+    waves = np.ascontiguousarray(p.reshape(-1, 5, 3).T)  # (theta a b, wave, set)
+    w_sum = np.zeros((waves.shape[2], phase.size))
+    J = np.empty((5, 3) + w_sum.shape) if jac else None
+    step = -(-len(w_sum) // 5) or 1
+    work = np.empty((3, 5, step, phase.size))
+    for c in (slice(lo, lo + step) for lo in range(0, len(w_sum), step)):
+        theta, a, b = waves[:, :, c, None]
+        d, e, term = work[:, :, :theta.shape[1]]
+        np.subtract(phase.ravel(), theta, out=d)
         np.subtract(d, TWO_PI, out=d, where=d >= math.pi)
         np.add(d, TWO_PI, out=d, where=d < -math.pi)
         np.multiply(d, d, out=e)  # e = exp(-d^2 / (2 b^2))
-        np.negative(e, out=e)
-        e /= 2.0 * b * b
+        e /= -2.0 * b * b
         np.exp(e, out=e)
         np.multiply(a, d, out=term)  # W -= a*d*e
         term *= e
-        w_sum -= term
+        rows = w_sum[c]
+        for wave in term:
+            rows -= wave
         if jac:
             dd = d * d
-            J[3 * i] = a * e * (1.0 - dd / (b * b))
-            J[3 * i + 1] = -(d * e)
-            J[3 * i + 2] = -(a * (dd * d) * e / b ** 3)
-    return w_sum, J
+            J[:, 0, c] = a * e * (1.0 - dd / (b * b))
+            J[:, 1, c] = -(d * e)
+            J[:, 2, c] = -(a * (dd * d) * e / (b ** 3 if cube is None else cube))
+    shape = p.shape[:-1] + phase.shape
+    return w_sum.reshape(shape), J if J is None else J.reshape((N_PARAMS,) + shape)
 
 
 def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:

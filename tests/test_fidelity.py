@@ -348,6 +348,17 @@ class TestTermMemo:
         assert _scores(beat, zero_variance(table)) == fresh_zero != shipped
         assert len(calls) == 2
 
+    def test_refine_then_score_builds_each_set_once(self, monkeypatch):
+        # refine asks for the free leads' own terms and score for all 12
+        # leads' own terms: both sets stay, so a file's beats build two
+        table = default_distributions()
+        fidelity._build_mc_terms.cache_clear()
+        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
+        for seed in (41, 42, 43):
+            refined = refine_waveform(_noise_beat(seed), table)
+            loss_components(refined, table)
+        assert len(calls) == 2
+
 
 def high_variance(table):
     """Copy of a table with every center std at 3 rad and every width std

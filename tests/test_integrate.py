@@ -179,6 +179,39 @@ class TestEuler:
         assert np.max(np.abs(chained - full.z)) < 1e-12
 
 
+def _scalar_euler_z(z0, drift, dt):
+    """The z recurrence stepped one sample at a time."""
+    z, zs = z0, [z0]
+    for d in drift.tolist():
+        z += dt * (d - z)
+        zs.append(z)
+    return np.array(zs)
+
+
+class TestEulerRecurrence:
+    @pytest.mark.parametrize("L", [2, 3, 500, 4097])
+    @pytest.mark.parametrize("dt", [1 / 1000, 1 / 257.3, 0.25, 1.0, 1.5])
+    def test_matches_scalar_loop(self, dt, L):
+        # the scan rounds apart from the loop; 1.0 has r = 1 - dt = 0, 1.5 a
+        # negative r, and 0.25 and 1.5 weights that underflow by L = 4097
+        rng = np.random.default_rng(L)
+        t = np.arange(L - 1) * dt
+        for drift in (rng.normal(0.0, 5.0, L - 1),
+                      30.0 * np.sin(6.0 * t) + rng.normal(0.0, 0.1, L - 1),
+                      np.full(L - 1, 2.5)):
+            z0 = float(rng.normal())
+            want = _scalar_euler_z(z0, drift, dt)
+            got = integrate._euler_z(z0, drift, dt)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_overflowing_weight_adds_no_nan(self):
+        # at dt = 2.5 the weight (-1.5)**k overflows for long spans; the
+        # loop's path from 0 under zero drift stays 0
+        z = integrate._euler_z(0.0, np.zeros(4096), 2.5)
+        assert z.tolist() == _scalar_euler_z(0.0, np.zeros(4096), 2.5).tolist()
+
+
 class TestRk4:
     def test_circle_radius_and_closed_form(self):
         grid = SamplingGrid(500.0, 500)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
-from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, PARAM_NAMES, EdmParams,
-                          RhythmParams, State, WaveParams, _wave_terms,
+from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, PARAM_NAMES,
+                          EdmParams, RhythmParams, State, WaveParams, _wave_terms,
                           baseline, eta_to_vector, eval_rhs, vector_to_eta,
                           wave_rate_sum, wrap_angle)
 
@@ -107,6 +107,63 @@ class TestWaveTerms:
                   - wave_rate_sum(phases, vector_to_eta(down))) / (2.0 * h)
             np.testing.assert_allclose(jac[k], fd, rtol=1e-6, atol=1e-6,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("jac", [False, True])
+    def test_single_set_is_a_batch_row(self, jac):
+        # one 15-vector gives the bits of its row in a (3, 4, 15) batch
+        sets = _kernel_sets(12).reshape(3, 4, 15)
+        w, rows = _wave_terms(KERNEL_PHASES, sets, jac)
+        for i, j in np.ndindex(3, 4):
+            w1, rows1 = _wave_terms(KERNEL_PHASES, sets[i, j], jac)
+            assert w1.tobytes() == w[i, j].tobytes()
+            if jac:
+                assert rows1.tobytes() == rows[:, i, j].tobytes()
+
+    def test_params_match_per_wave_loop(self):
+        # W and J of an EdmParams carry the bits of the wave-by-wave loop
+        for v in _kernel_sets(40):
+            eta = vector_to_eta(v)
+            want_w, want_rows = _kernel_oracle(KERNEL_PHASES, eta)
+            got_w, got_rows = _wave_terms(KERNEL_PHASES, eta, jac=True)
+            assert got_w.tobytes() == want_w.tobytes()
+            assert got_rows.tobytes() == want_rows.tobytes()
+            assert _wave_terms(KERNEL_PHASES, eta)[0].tobytes() == want_w.tobytes()
+
+
+#: phases across the cycle, both ends of the seam and the float below pi
+KERNEL_PHASES = np.concatenate([np.linspace(-math.pi, math.pi, 257),
+                                [math.nextafter(math.pi, 0.0),
+                                 math.nextafter(-math.pi, 0.0)]])
+
+
+def _kernel_sets(n):
+    """n seeded 15-vectors; later sets put centers at -pi and just below
+    pi, and widths at B_FLOOR."""
+    rng = np.random.default_rng(17)
+    sets = np.empty((n, 15))
+    sets[:, 0::3] = rng.uniform(-math.pi, math.pi, (n, 5))
+    sets[:, 1::3] = rng.normal(0.0, 10.0, (n, 5))
+    sets[:, 2::3] = rng.uniform(B_FLOOR, 0.5, (n, 5))
+    sets[n // 4:, 0] = -math.pi
+    sets[n // 2:, 12] = math.nextafter(math.pi, 0.0)
+    sets[3 * n // 4:, 5::6] = B_FLOOR
+    return sets
+
+
+def _kernel_oracle(phase, eta):
+    """W and the 15 J rows by the wave-by-wave loop, on Python floats."""
+    w, rows = np.zeros(phase.shape), []
+    for wave in eta.waves:
+        theta, a, b = float(wave.theta), float(wave.a), float(wave.b)
+        d = phase - theta
+        d = np.where(d >= math.pi, d - TWO_PI, d)
+        d = np.where(d < -math.pi, d + TWO_PI, d)
+        dd = d * d
+        e = np.exp(-dd / (2.0 * b * b))
+        w -= a * d * e
+        rows += [a * e * (1.0 - dd / (b * b)), -(d * e),
+                 -(a * (dd * d) * e / b ** 3)]
+    return w, np.array(rows)
 
 
 def _flat_eta():
