@@ -19,7 +19,9 @@ The combined loss averages these terms over Monte-Carlo draws of the wave
 parameters. Scoring (``loss_components``) and refinement share every step
 of it, so refinement's loss is the score: ``_term_losses`` reduces the
 terms and ``LossWeights.combine`` weights the two means. ``_mc_terms``, the
-one place that builds the terms, draws every lead's parameters and gain for
+one place that builds the terms, returns one term list, each lead's own
+term and then the six limb identities, which one pass scores and
+refinement solves against. It draws every lead's parameters and gain for
 all draws as one (draws, 12, 15) and one (draws, 12) array, and evaluates W
 through ``model._wave_terms`` (still the one W) in one ``wave_rate_sum``
 call per rhythm. Each drift is evaluated once per (lead, rhythm) pair, so
@@ -224,17 +226,17 @@ def draw_param_samples(table: ParamTable, label: str, n_samples: int, seed):
 
 def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
               n_samples: int, seed, leads=LEAD_NAMES):
-    """The Monte-Carlo terms of the combined loss, as two blocks of arrays.
+    """The Monte-Carlo terms of the combined loss, as one term list.
 
-    Each block is (names, coeffs, w, e, k, least_gain): the lead each of
-    its T terms scores, the (T,) z coefficients, each term's completed
-    square as (T,) weights W, (T, L-1) targets e and (T,) constants K, and
-    each term's (T,) smallest gain over the draws, all read-only. The own
-    block holds each lead in leads, in that order, with coefficient 1.0;
-    the related block holds the limb identities in limb_relations() order,
-    each scoring its target with the target's gain, drift
-    beta*drift(src1) + gamma*drift(src2) on the target's rhythm and
-    reference, and coefficient beta + gamma. A term scores a lead h by
+    The list is (names, coeffs, w, e, k, least_gain): the lead each of its
+    T terms scores, the (T,) z coefficients, each term's completed square
+    as (T,) weights W, (T, L-1) targets e and (T,) constants K, and each
+    term's (T,) smallest gain over the draws, all read-only. The own terms
+    of the leads in leads come first, in that order, with coefficient 1.0;
+    the six limb identities follow in limb_relations() order, each scoring
+    its target with the target's gain, drift beta*drift(src1) +
+    gamma*drift(src2) on the target's rhythm and reference, and
+    coefficient beta + gamma. A term scores a lead h by
     W*||diff(h)/dt + c*h[:-1] - e||^2 + K, the mean over draws of
     ||_residuals(h / gain, dt, drift, c)||^2. Draws come from one
     generator seeded by seed, as in draw_param_samples.
@@ -257,9 +259,9 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
 @lru_cache(maxsize=2)
 def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
                     leads):
-    """The terms of ``_mc_terms`` from the 12 leads' distributions. W is
-    evaluated in one wave_rate_sum call per rhythm, over every draw of the
-    leads that need a drift on it."""
+    """The term list of ``_mc_terms`` from the 12 leads' distributions: W in
+    one wave_rate_sum call per rhythm, over every draw of the leads that
+    need a drift on it, then one reduction of the draws to (W, e, K)."""
     params, gains = _draw(dists, n_samples, np.random.default_rng(seed))
     rhythm = {lead: dist.rhythm for lead, dist in zip(LEAD_NAMES, dists)}
     rels = limb_relations()
@@ -274,45 +276,45 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
         cols = [LEAD_INDEX[lead] for lead in group]
         rates = wave_rate_sum(phase, params[:, cols]) + _baseline_path(via, grid, 0.0)
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
-    targets = tuple(rel.target for rel in rels)
-    own = (tuple(leads), np.ones(len(leads)),
-           gains[:, [LEAD_INDEX[lead] for lead in leads]],
-           np.stack([drift[lead, rhythm[lead]] for lead in leads], axis=1))
-    related = (targets, np.array([rel.beta + rel.gamma for rel in rels]),
-               gains[:, [LEAD_INDEX[lead] for lead in targets]],
-               np.stack([rel.beta * drift[rel.src1, rhythm[rel.target]]
+    names = tuple(leads) + tuple(rel.target for rel in rels)
+    coeffs = np.array([1.0] * len(leads) + [rel.beta + rel.gamma for rel in rels])
+    g = gains[:, [LEAD_INDEX[lead] for lead in names]][..., None]
+    drifts = np.stack([drift[lead, rhythm[lead]] for lead in leads]
+                      + [rel.beta * drift[rel.src1, rhythm[rel.target]]
                          + rel.gamma * drift[rel.src2, rhythm[rel.target]]
-                         for rel in rels], axis=1))
-    blocks = []
-    for names, coeffs, g, drifts in (own, related):  # each to (W, e, K)
-        g = g[..., None]
-        w = np.mean(1.0 / (g * g), axis=0)
-        e = np.mean(drifts / g, axis=0) / w
-        k = np.mean(np.square(drifts - e / g), axis=0).sum(axis=1)
-        blocks.append((names, coeffs, w[:, 0], e, k, g.min(axis=0)[:, 0]))
-        for arr in blocks[-1][1:]:
-            arr.flags.writeable = False
-    return tuple(blocks)
+                         for rel in rels], axis=1)
+    # the draws, reduced to (W, e, K); the (draws, T, L-1) steps share one
+    # buffer, as fresh temporaries re-faulted ~2 MB of pages per build
+    w = np.mean(1.0 / (g * g), axis=0)
+    dev = drifts / g
+    e = np.mean(dev, axis=0) / w
+    np.subtract(drifts, np.divide(e, g, out=dev), out=dev)
+    k = np.mean(np.square(dev, out=dev), axis=0).sum(axis=1)
+    terms = (names, coeffs, w[:, 0], e, k, g.min(axis=0)[:, 0])
+    for arr in terms[1:]:
+        arr.flags.writeable = False
+    return terms
 
 
-def _term_losses(leads: np.ndarray, dt: float, own, related, signals=False):
+def _term_losses(leads: np.ndarray, dt: float, terms, signals=False):
     """The (l1, l2, per_lead) of ``loss_components`` for a (12, L) lead
-    matrix and the two blocks of ``_mc_terms``; per_lead holds the own
-    block's leads. A block is one pass over its terms' rows h, scoring
-    each by W*||diff(h)/dt + c*h[:-1] - e||^2 + K whatever the number of
-    draws. With signals set, every lead divided by its smallest gain, and
-    so by every gain drawn, must be finite, as a ``LeadSignal``'s samples
-    must."""
-    losses = []
-    for names, coeffs, w, e, k, least_gain in (own, related):
-        h = leads[[LEAD_INDEX[lead] for lead in names]]
-        if signals and not np.isfinite(h / least_gain[:, None]).all():
-            raise ValueError("samples must be finite")
-        r = _residuals(h, dt, e, coeffs[:, None])
-        losses.append((w * np.vecdot(r, r) + k).tolist())
-    per_lead = dict(zip(own[0], losses[0]))
+    matrix and the term list of ``_mc_terms``, in one pass over the
+    terms' rows h, scoring each by W*||diff(h)/dt + c*h[:-1] - e||^2 + K
+    whatever the number of draws. The list ends with the limb identities,
+    which l2 averages; l1 averages the free leads' own terms before them,
+    and per_lead holds every own term. With signals set, every lead
+    divided by its smallest gain, and so by every gain drawn, must be
+    finite, as a ``LeadSignal``'s samples must."""
+    names, coeffs, w, e, k, least_gain = terms
+    h = leads[[LEAD_INDEX[lead] for lead in names]]
+    if signals and not np.isfinite(h / least_gain[:, None]).all():
+        raise ValueError("samples must be finite")
+    r = _residuals(h, dt, e, coeffs[:, None])
+    losses = (w * np.vecdot(r, r) + k).tolist()
+    own = len(names) - len(limb_relations())
+    per_lead = dict(zip(names[:own], losses))
     return (sum(per_lead[lead] for lead in FREE_LEADS) / len(FREE_LEADS),
-            sum(losses[1]) / len(limb_relations()), per_lead)
+            sum(losses[own:]) / len(limb_relations()), per_lead)
 
 
 def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
@@ -325,7 +327,7 @@ def loss_components(beat: Heartbeat, table: ParamTable, n_samples: int = 8,
     own mean single-lead distance (reporting only).
     """
     terms = _mc_terms(beat.grid, table, beat.label, n_samples, seed)
-    return _term_losses(beat.leads, beat.grid.dt, *terms, signals=True)
+    return _term_losses(beat.leads, beat.grid.dt, terms, signals=True)
 
 
 def euler_loss_combined(beat: Heartbeat, table: ParamTable,

@@ -93,7 +93,7 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
         scale = np.maximum(scale, np.diag(a))
         damping = np.diag(np.maximum(scale, 1e-12 * max(float(np.max(scale)), 1.0)))
         g = jac @ r  # the residual subtracts the rate, so d(r)/d(eta) = -J^T
-        while True:
+        while lam <= _LM_LAMBDA_MAX:
             trial = project_eta_vector(v + np.linalg.solve(a + lam * damping, g))
             trial_loss, trial_r, trial_jac = evaluate(trial)
             if not math.isfinite(trial_loss):
@@ -102,9 +102,9 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
             if trial_loss < loss:
                 break
             lam *= _LM_FACTOR
-            if lam > _LM_LAMBDA_MAX:  # stalled at a numerical minimum
-                return FitResult(eta=vector_to_eta(v), final_distance=loss,
-                                 iterations=iterations, converged=True)
+        else:  # stalled at a numerical minimum
+            converged = True
+            break
         iterations += 1
         rel_drop = (loss - trial_loss) / loss
         v, loss, r, jac = trial, trial_loss, trial_r, trial_jac
@@ -237,28 +237,28 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
     """Move the 8 free leads of a beat to the minimum of the combined loss.
 
     The loss is the score's, over the free leads' ``leads.assemble_leads``
-    matrix: the two blocks ``fidelity._mc_terms`` builds for
-    ``loss_components``, the own block holding the free leads alone, drawn
-    once up front from the seed, so the objective is a fixed deterministic
-    function. A term is weight*(W*||A_c h - e||^2 + K) with A_c h =
-    diff(h)/dt + c*h[:-1], the completed square ``_mc_terms`` keeps, and
-    weight its block's share of the combined loss; the own terms have
-    c = 1. So the loss is an exact quadratic, minimized in O(L), nearest
-    the input where the minimum is not unique. Where the limb identities
-    carry weight they couple I and II, and one pair solve sets both rows,
-    with their own terms where those carry weight; each other lead's own
-    term alone is met exactly by the Euler z recurrence, and a lead
-    without terms keeps its input. The four dependent limb leads are
-    re-derived from leads I and II, so the output satisfies the limb
-    identities to rounding. Pass a list as ``history`` to receive the loss
-    before and after.
+    matrix: the term list ``fidelity._mc_terms`` builds for
+    ``loss_components``, with own terms for the free leads alone and then
+    the six limb identities, drawn once up front from the seed, so the
+    objective is a fixed deterministic function. A term is
+    weight*(W*||A_c h - e||^2 + K) with A_c h = diff(h)/dt + c*h[:-1], the
+    completed square ``_mc_terms`` keeps, and weight its half's share of
+    the combined loss; the own terms have c = 1. So the loss is an exact
+    quadratic, minimized in O(L), nearest the input where the minimum is
+    not unique. Where the limb identities carry weight they couple I and
+    II, and one pair solve sets both rows from every weighted term on a
+    limb lead; each other lead's own term alone is met exactly by the
+    Euler z recurrence, and a lead without terms keeps its input. The four
+    dependent limb leads are re-derived from leads I and II, so the output
+    satisfies the limb identities to rounding. Pass a list as ``history``
+    to receive the loss before and after.
     """
     dt = beat0.grid.dt
     terms = _mc_terms(beat0.grid, table, beat0.label, n_samples, seed,
                       leads=FREE_LEADS)
 
     def loss(u: np.ndarray) -> float:
-        return weights.combine(*_term_losses(assemble_leads(u), dt, *terms)[:2])
+        return weights.combine(*_term_losses(assemble_leads(u), dt, terms)[:2])
 
     u0 = np.vstack([beat0.lead(lead) for lead in FREE_LEADS])
     start = loss(u0)
@@ -266,22 +266,21 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
         raise FitDiverged(f"non-finite starting loss {start!r}")
     if start <= LOSS_FLOOR:
         return beat0  # already on the dynamics; nothing to move
-    # a term's weight is the combination's slope in its block's loss
+    # a term's weight is the combination's slope in its half of the loss
     w1 = weights.combine(1.0, 0.0) / len(FREE_LEADS)
     w2 = weights.combine(0.0, 1.0) / len(limb_relations())
-    (_, _, own_w, own_e, *_), (names, coeffs, w, e, *_) = terms
+    names, coeffs, w, e, *_ = terms
+    shares = [w1] * len(FREE_LEADS) + [w2] * len(limb_relations())
     u, chained = u0.copy(), range(len(FREE_LEADS))
     if w2 > 0.0:  # the identities couple I and II: one solve sets both rows
-        pair = [(lead, c, w2 * w_t, e_t) for lead, c, w_t, e_t in
-                zip(names, coeffs.tolist(), w.tolist(), e)]
-        if w1 > 0.0:  # I's and II's own terms go first
-            pair[:0] = [(lead, 1.0, w1 * w_t, e_t) for lead, w_t, e_t in
-                        zip(FREE_LEADS[:2], own_w.tolist(), own_e)]
+        pair = [(lead, c, s * w_t, e_t) for lead, c, s, w_t, e_t in
+                zip(names, coeffs.tolist(), shares, w.tolist(), e)
+                if s > 0.0 and lead not in FREE_LEADS[2:]]  # limb-lead terms
         u[:2] = _solve_limb_pair(pair, dt, u0.shape[1])
         chained = range(2, len(FREE_LEADS))
     if w1 > 0.0:
         for j in chained:
-            u[j] = _nearest_chain(u0[j], own_e[j], dt)
+            u[j] = _nearest_chain(u0[j], e[j], dt)
     if not np.all(np.isfinite(u)):
         raise FitDiverged("non-finite refined leads")
     if history is not None:

@@ -177,16 +177,13 @@ def read_param_file(text: str) -> ParamTable:
             raise ParamFileError(f"duplicate key {key}", line=lineno)
         if field not in _FIELD_SET:
             raise ParamFileError(f"unknown key {key}", line=lineno)
+        # float() strips ASCII whitespace, but not the unit separator \x1f
+        # that str.strip() takes and splitlines() leaves in a line
+        value = value.strip()
         try:
             fields[field] = float(value)
         except ValueError:
-            # float() strips ASCII whitespace, but not the unit separator
-            # \x1f that str.strip() takes and splitlines() leaves in a line
-            try:
-                fields[field] = float(value.strip())
-            except ValueError:
-                raise ParamFileError(f"bad number {value.strip()!r}",
-                                     line=lineno) from None
+            raise ParamFileError(f"bad number {value!r}", line=lineno) from None
 
     table: ParamTable = {}
     for (cls, lead), fields in raw.items():

@@ -1127,21 +1127,23 @@ class TestLeadSamples:
 
 
 class TestHeaderOnly:
-    """A beat file with a header and no rows is an error for every command,
-    and the writer refuses to make one."""
+    """A beat file with a header and no rows, or with no bytes at all, is an
+    error for every command, and the writer refuses to make one."""
 
-    @pytest.mark.parametrize("header", [oracle.CSV_HEADER, oracle.CSV_MULTI_HEADER],
-                             ids=["single", "multi"])
+    @pytest.mark.parametrize("text, message", [
+        (oracle.CSV_HEADER + "\n", "no beats"), (oracle.CSV_MULTI_HEADER + "\n", "no beats"),
+        ("", "empty file")], ids=["single", "multi", "zero bytes"])
     @pytest.mark.parametrize("command", ["score", "check", "refine", "fit"])
-    def test_command_exits_two(self, command, header, params_file, tmp_path, capsys):
+    def test_command_exits_two(self, command, text, message, params_file, tmp_path,
+                               capsys):
         path = tmp_path / "empty.csv"
-        path.write_text(header + "\n")
+        path.write_text(text)
         flags = {"score": ["--params", params_file],
                  "check": [],
                  "refine": ["--params", params_file, "--out", str(tmp_path / "out.csv")],
                  "fit": ["--init", params_file, "--out", str(tmp_path / "out.params")]}
         assert run_cli([command, "--input", str(path), *flags[command]]) == 2
-        assert capsys.readouterr() == ("", f"ecgdyn: {path}: no beats\n")
+        assert capsys.readouterr() == ("", f"ecgdyn: {path}: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
 
     def test_writer_refuses_no_beats(self, tmp_path):

@@ -313,19 +313,18 @@ class TestTermMemo:
         terms = fidelity._mc_terms(GRID, default_distributions(), "NORMAL", 3, 1)
         assert fidelity._mc_terms(GRID, default_distributions(), "NORMAL",
                                   3, 1) is terms
-        for _, *arrays in terms:
-            for arr in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0.0
+        for arr in terms[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
     def test_term_set_holds_no_draws(self):
         # the draws are reduced to each term's completed square: no array
         # grows with n_samples
         fidelity._build_mc_terms.cache_clear()
         terms = fidelity._mc_terms(GRID, default_distributions(), "NORMAL", 64, 1)
-        for names, *arrays in terms:
-            for arr in arrays:
-                assert arr.size <= len(names) * (GRID.L - 1)
+        names, *arrays = terms
+        for arr in arrays:
+            assert arr.size <= len(names) * (GRID.L - 1)
 
     def test_unkeyable_seeds_build_every_call(self, monkeypatch):
         fidelity._build_mc_terms.cache_clear()

@@ -102,6 +102,17 @@ class TestFitParams:
             assert abs(v_fit[3 * i + 1] - v_true[3 * i + 1]) <= 0.02 * abs(v_true[3 * i + 1])
             assert abs(v_fit[3 * i + 2] - v_true[3 * i + 2]) <= 0.02 * abs(v_true[3 * i + 2])
 
+    def test_stall_returns_last_iterate(self, ref):
+        # with tol out of reach, a noisy beat leaves only when no damped
+        # step lowers the loss, lambda past _LM_LAMBDA_MAX
+        traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
+        h = LeadSignal(GRID, traj.z + 1e-3 * np.random.default_rng(0).standard_normal(GRID.L))
+        cfg = OptimConfig(max_iter=200, tol=1e-300)
+        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
+        assert res.iterations < cfg.max_iter
+        assert res.final_distance == sim_distance(h, res.eta, DEFAULT_RHYTHM, ref)
+        assert res.converged is True
+
     @pytest.mark.parametrize("v_true, v0, fs", _basin_cases())
     def test_converges_from_basin(self, v_true, v0, fs):
         grid = beat_grid(fs, 1.0)
