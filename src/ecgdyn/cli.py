@@ -376,6 +376,8 @@ def _fork_join(main, side, name: str) -> None:
 
 
 def _cmd_segment(args) -> int:
+    if args.length < 2:  # the request is checked before the record is read
+        raise ValueError("target length must be at least 2")
     record = read_record_csv(args.input, label=args.klass)
     peaks, beats = _segmentation(record, target_len=args.length)
     out_dir = Path(args.out_dir)

@@ -21,7 +21,7 @@ from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
 from .integrate import SamplingGrid, Trajectory, _euler_z
 from .leads import FREE_LEADS, Heartbeat, assemble_leads, derive_limb_rows, limb_relations
 from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, eta_to_vector,
-                    project_eta_vector, vector_to_eta)
+                    project_eta_vector, vector_to_eta, wrap_angle)
 from .params import ParamDistribution, ParamTable, default_eta_for_lead
 
 #: Losses at or below this are floating-point noise around an exact optimum;
@@ -152,14 +152,13 @@ def estimate_distribution(beats, class_code: str, lead: str,
     if len(fits) < 2:
         raise InsufficientDataError(
             f"only {len(fits)} of {len(beats)} fits converged")
-    stack = np.vstack(fits)
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0)
-    # identical fits must report exactly zero spread; np.mean of equal
-    # floats is not bit-exact, so pin constant columns explicitly
-    constant = np.all(stack == stack[0], axis=0)
-    mean[constant] = stack[0][constant]
-    std[constant] = 0.0
+    # deviations from the first fit, centres wrapped: fits that straddle
+    # the +-pi seam average across it, and identical fits give exact zeros
+    dev = np.vstack(fits) - fits[0]
+    dev[:, 0::3] = wrap_angle(dev[:, 0::3])
+    mean = fits[0] + dev.mean(axis=0)
+    mean[0::3] = wrap_angle(mean[0::3])
+    std = dev.std(axis=0)
     return ParamDistribution(
         class_code=class_code, lead=lead,
         mean=tuple(mean), std=tuple(std),

@@ -80,7 +80,8 @@ def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
     """Forward Euler on the rate drift - z, z[l+1] = r*z[l] + dt*drift[l] with
     r = 1 - dt, as a prefix scan: pass k = 1, 2, 4, ... adds r**k * z[l-k] to
     each z[l], a few ulp of the largest partial sum off a scalar loop. Passes
-    stop once the weight underflows or overflows (dt > 2): 0*inf is NaN."""
+    stop once the weight underflows or overflows (|1 - dt| > 1): 0*inf is NaN.
+    RK4 is this recurrence with dt = 1 - R(h), see ``integrate_rk4``."""
     z = np.concatenate(([z0], dt * drift))
     k, r = 1, 1.0 - dt
     while k < z.size and 0.0 < abs(r) < math.inf:
@@ -160,8 +161,10 @@ def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
     stages ignore z and the waves, so a scalar loop steps them first and
     records the phase of all four stages of every step. One
     ``wave_rate_sum`` call over those 4(L-1) phases, plus z0 at t, t+h/2,
-    t+h/2 and t+h, gives each stage's drift d; the z-rate d - z is linear,
-    so z follows k1 = d1 - z, k2 = d2 - (z + h/2*k1), ..., k4 = d4 - (z + h*k3).
+    t+h/2 and t+h, gives each stage's drift d1..d4. The z-rate d - z is
+    linear, so a step is z[l+1] = R*z[l] + u[l], with R = 1 - h + h^2/2 -
+    h^3/6 + h^4/24 and u = h/6*((1 - h + h^2/2 - h^3/4)*d1 + (2 - h + h^2/2)*d2
+    + (2 - h)*d3 + d4): ``_euler_z`` with the step 1 - R on the drift u/(1 - R).
     """
     omega = rhythm.omega
     dt = grid.dt
@@ -184,15 +187,10 @@ def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
         ys.append(y)
     t = (init.t + grid.times()[:-1])[:, None] + np.array([0.0, half, half, dt])
     drift = wave_rate_sum(np.array(phase), eta) + baseline(t.ravel(), rhythm)
-    z = init.z
-    zs = [z]
-    for d1, d2, d3, d4 in drift.reshape(-1, 4).tolist():
-        k1 = d1 - z
-        k2 = d2 - (z + half * k1)
-        k3 = d3 - (z + half * k2)
-        k4 = d4 - (z + dt * k3)
-        z += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        zs.append(z)
-    xs, ys, zs = np.array(xs), np.array(ys), np.array(zs)
+    d1, d2, d3, d4 = drift.reshape(-1, 4).T
+    u = (1.0 - dt + half * dt - dt ** 3 / 4.0) * d1 + (2.0 - dt + half * dt) * d2
+    step = dt * (1.0 - half + dt * dt / 6.0 - dt ** 3 / 24.0)  # 1 - R, free of cancellation
+    zs = _euler_z(init.z, (dt / 6.0 / step) * (u + (2.0 - dt) * d3 + d4), step)
+    xs, ys = np.array(xs), np.array(ys)
     _check_paths(xs, ys, zs)
     return Trajectory(grid=grid, x=xs, y=ys, z=zs)

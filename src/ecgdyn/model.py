@@ -115,10 +115,7 @@ def project_eta_vector(v: np.ndarray) -> np.ndarray:
 
 def eta_to_vector(eta: EdmParams) -> np.ndarray:
     """Flatten to the canonical 15-vector (theta, a, b per wave, P..T)."""
-    out = np.empty(N_PARAMS)
-    for i, w in enumerate(eta.waves):
-        out[3 * i : 3 * i + 3] = (w.theta, w.a, w.b)
-    return out
+    return np.array([v for w in eta.waves for v in (w.theta, w.a, w.b)], dtype=float)
 
 
 def vector_to_eta(vec) -> EdmParams:
@@ -185,22 +182,18 @@ def _wave_terms(phase, eta, jac: bool = False):
     """Gaussian-event rate W and, if jac is set, its parameter Jacobian.
 
     W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
-    eta is an ``EdmParams`` or a (..., 15) array of parameter sets in
-    PARAM_NAMES order: (n, m, 15) sets on (N,) phases give an (n, m, N) W.
-    A set's five waves lie on one array axis; ceil(B/5) of a batch's B sets
-    go at a time, in three work arrays of W's size. W sums from zeros, wave
-    by wave, P..T. Returns (W, J): J stacks the 15 dW/d(eta) rows in
-    PARAM_NAMES order on W's shape, or is None without jac. phase must lie
+    eta is an ``EdmParams``, packed by ``eta_to_vector``, or a (..., 15)
+    array of parameter sets in PARAM_NAMES order: (n, m, 15) sets on (N,)
+    phases give an (n, m, N) W. A set's five waves lie on one array axis;
+    ceil(B/5) of a batch's B sets go at a time, in three work arrays of W's
+    size. W sums from zeros, wave by wave, P..T. Returns (W, J): J stacks
+    the 15 dW/d(eta) rows in PARAM_NAMES order on W's shape, or is None
+    without jac; its width cubes use Python's float pow. phase must lie
     in [-pi, pi]; with theta in [-pi, pi) one conditional 2*pi shift then
     wraps d, and J treats that shift as locally constant.
     """
     phase = np.asarray(phase, dtype=float)
-    if isinstance(eta, EdmParams):
-        p = np.array([v for w in eta.waves for v in (w.theta, w.a, w.b)])
-        # Python's float pow: numpy's array pow rounds some cubes apart
-        cube = np.array([[[w.b ** 3]] for w in eta.waves]) if jac else None
-    else:
-        p, cube = np.asarray(eta, dtype=float), None
+    p = eta_to_vector(eta) if isinstance(eta, EdmParams) else np.asarray(eta, dtype=float)
     waves = np.ascontiguousarray(p.reshape(-1, 5, 3).T)  # (theta a b, wave, set)
     w_sum = np.zeros((waves.shape[2], phase.size))
     J = np.empty((5, 3) + w_sum.shape) if jac else None
@@ -222,9 +215,11 @@ def _wave_terms(phase, eta, jac: bool = False):
             rows -= wave
         if jac:
             dd = d * d
+            # Python's float pow: numpy's array pow rounds some cubes apart
+            cube = np.reshape([v ** 3 for v in b.ravel().tolist()], b.shape)
             J[:, 0, c] = a * e * (1.0 - dd / (b * b))
             J[:, 1, c] = -(d * e)
-            J[:, 2, c] = -(a * (dd * d) * e / (b ** 3 if cube is None else cube))
+            J[:, 2, c] = -(a * (dd * d) * e / cube)
     shape = p.shape[:-1] + phase.shape
     return w_sum.reshape(shape), J if J is None else J.reshape((N_PARAMS,) + shape)
 

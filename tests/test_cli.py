@@ -642,12 +642,17 @@ class TestSegment:
         (_with_nan, 512, "ecgdyn: lead II sample 99 is not finite (nan)\n"),
         (lambda lines: lines[:400], 512, "record must span at least one second"),
         (lambda lines: lines, 1, "target length must be at least 2"),
-    ], ids=["one NaN sample", "under one second", "length 1"])
+        (None, 1, "target length must be at least 2"),
+    ], ids=["one NaN sample", "under one second", "length 1",
+            "length 1 of a missing file"])
     def test_faulty_input_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                          fault, length, message):
         src, out_dir = self._record(tmp_path), tmp_path / "cycles"
         lines = src.read_text().splitlines()
-        src.write_text("\n".join(fault(lines)) + "\n")
+        if fault is None:  # the request is checked before the input is read
+            src.unlink()
+        else:
+            src.write_text("\n".join(fault(lines)) + "\n")
         forks = self._spy_fork(monkeypatch)
         code, out, err = self._segment(src, out_dir, capsys, length)
         assert (code, out) == (2, "") and message in err

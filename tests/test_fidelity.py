@@ -106,6 +106,10 @@ class TestSimDistance:
         h = LeadSignal(other, np.zeros(other.L))
         with pytest.raises(ValueError, match="grid"):
             sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        with pytest.raises(ValueError, match="length 250"):
+            LeadSignal(other, np.zeros(GRID.L))
+        with pytest.raises(ValueError, match="finite"):
+            LeadSignal(other, np.full(other.L, np.inf))
 
 
 class TestInterlead:

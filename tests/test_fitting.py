@@ -252,6 +252,23 @@ class TestEstimateDistribution:
         single = fit_params(beats[0], DEFAULT_ETA, DEFAULT_RHYTHM, ref).eta
         assert np.allclose(dist.mean, eta_to_vector(single), rtol=0, atol=0)
 
+    def test_centres_straddling_seam(self):
+        # T at pi - 0.02 and at -pi + 0.02 lie 0.04 rad apart across the
+        # seam: their mean is pi, not 0, and their spread is 0.02, not pi
+        beats, results = [], []
+        for theta in (math.pi - 0.02, -math.pi + 0.02):
+            v = eta_to_vector(DEFAULT_ETA)
+            v[12] = theta
+            traj = integrate_euler(vector_to_eta(v), DEFAULT_RHYTHM, GRID)
+            beats.append(LeadSignal(GRID, traj.z))
+        start = eta_to_vector(DEFAULT_ETA)
+        start[12] = math.pi - 0.001
+        dist = estimate_distribution(beats, "NORMAL", "II", rhythm=DEFAULT_RHYTHM,
+                                     eta0=vector_to_eta(start), results=results)
+        assert all(r.converged for r in results)
+        assert abs(wrap_angle(dist.mean[12] - math.pi)) <= 1e-6
+        assert abs(dist.std[12] - 0.02) <= 1e-6
+
     def test_recovers_generator_means(self):
         base = default_distributions()[("NORMAL", "II")]
         spread = ParamDistribution(

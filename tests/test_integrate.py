@@ -8,7 +8,7 @@ import pytest
 import naive_reference as oracle
 from ecgdyn import integrate
 from ecgdyn.errors import IntegrationDiverged
-from ecgdyn.integrate import (SamplingGrid, beat_grid, integrate_euler,
+from ecgdyn.integrate import (SamplingGrid, Trajectory, beat_grid, integrate_euler,
                               integrate_rk4)
 from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, EdmParams, RhythmParams,
                           State, WaveParams, eval_rhs)
@@ -38,6 +38,11 @@ class TestGrid:
             SamplingGrid(fs=0.0, L=10)
         with pytest.raises(ValueError):
             SamplingGrid(fs=500.0, L=1)
+        grid, zeros = SamplingGrid(fs=500.0, L=10), np.zeros(10)
+        with pytest.raises(ValueError, match="length 10"):
+            Trajectory(grid, zeros, zeros, np.zeros(9))
+        with pytest.raises(ValueError, match="non-finite"):
+            Trajectory(grid, zeros, np.full(10, np.nan), zeros)
 
     def test_beat_grid_rounds(self):
         assert beat_grid(500, 1.0).L == 500

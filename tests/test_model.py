@@ -272,6 +272,12 @@ class TestTypes:
             RhythmParams(f=1.0, A=-0.1)
         with pytest.raises(ValueError):
             RhythmParams(f=1.0, f2=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            RhythmParams(f=1.0, A=math.nan)
+
+    def test_wave_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            WaveParams(theta=0.0, a=math.inf, b=0.1)
 
     def test_state_must_be_finite(self):
         with pytest.raises(ValueError):

@@ -140,13 +140,22 @@ class TestFileFormat:
         (None, "NORMAL.II: missing key T.b_std"),
         ("NORMAL.II.gain_mean = 22\nNORMAL.II.T.b_std = 0\n",
          "NORMAL.II: missing key rhythm.f"),
+        (("NORMAL.II.R.a_mean", "nan"),
+         "NORMAL.II: distribution parameters must be finite"),
+        (("NORMAL.II.gain_mean", "inf"), "NORMAL.II: gain parameters must be finite"),
+        (("NORMAL.II.gain_std", "-1"), "NORMAL.II: gain_std must be >= 0"),
     ], ids=["no equals sign", "duplicate key", "two-part key", "bad class code",
             "unknown lead", "unknown field", "bad number", "missing key",
-            "first missing key in file order"])
+            "first missing key in file order", "non-finite mean",
+            "non-finite gain", "negative gain_std"])
     def test_error_messages(self, table, text, message):
         if text is None:
             text = "\n".join(ln for ln in write_param_file(table).splitlines()
                              if not ln.startswith("NORMAL.II.T.b_std"))
+        elif isinstance(text, tuple):  # one line of the written table edited
+            key, value = text
+            text = "\n".join(f"{key} = {value}" if ln.startswith(f"{key} = ") else ln
+                             for ln in write_param_file(table).splitlines())
         with pytest.raises(ParamFileError) as info:
             read_param_file(text)
         assert str(info.value) == message
@@ -224,6 +233,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParamDistribution(class_code="NORMAL", lead="II", mean=dist.mean,
                               std=tuple(std), gain_mean=22.0, gain_std=0.0,
+                              rhythm=DEFAULT_RHYTHM)
+
+    def test_entry_shape_rejected(self, dist):
+        with pytest.raises(ValueError, match="unknown lead"):
+            ParamDistribution(class_code="NORMAL", lead="W9", mean=dist.mean,
+                              std=dist.std, gain_mean=22.0, gain_std=0.0,
+                              rhythm=DEFAULT_RHYTHM)
+        with pytest.raises(ValueError, match="15 components"):
+            ParamDistribution(class_code="NORMAL", lead="II", mean=dist.mean[:-1],
+                              std=dist.std, gain_mean=22.0, gain_std=0.0,
                               rhythm=DEFAULT_RHYTHM)
 
     def test_class_code_rules(self):

@@ -98,9 +98,27 @@ class TestDetector:
         assert len(peaks) == len(truth)
         assert all(abs(int(p) - t) <= 10 for p, t in zip(peaks, truth))
 
-    def test_zero_signal_no_rhythm(self):
+    def test_zero_signal_no_rhythm(self, monkeypatch):
         with pytest.raises(NoRhythmError):
             detect_r_peaks(np.zeros(5000), 500.0)
+        classified = []
+
+        def spy(*args):
+            classified.append(_classify(*args))
+            return classified[-1]
+
+        monkeypatch.setattr("ecgdyn.segmentation._classify", spy)
+        one = np.zeros(1000)  # one burst: the classifier keeps one beat
+        one[400:410] = 2 * np.hanning(10)
+        with pytest.raises(NoRhythmError, match="found 1 peak"):
+            detect_r_peaks(one, 500.0)
+        # the two slopes of one wide wave: two beats, whose snaps merge
+        merged = np.zeros(1500)
+        merged[600:614] = np.linspace(0, 1, 14)
+        merged[686:700] = np.linspace(1, 0, 14)
+        with pytest.raises(NoRhythmError, match="found 1 peak"):
+            detect_r_peaks(merged, 500.0)
+        assert classified == [[381], [581, 681]]
 
     def test_offset_invariance(self):
         record, _ = make_jittered_record(seed=9)
@@ -111,6 +129,8 @@ class TestDetector:
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             detect_r_peaks(np.zeros(100), 500.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            detect_r_peaks(np.zeros((2, 1000)), 500.0)
 
     def test_searchback_recovers_skipped_beat(self):
         # bursts of 10 every 100 samples and one of 2 at 500: below the
@@ -305,3 +325,8 @@ class TestSegmentRecord:
             Record(fs=500.0, channels=np.zeros((12, 100)), id="short")
         with pytest.raises(ValueError):
             Record(fs=500.0, channels=np.zeros((12, 600)), id="x", label="bad-code")
+        for fs in (0.0, np.nan):
+            with pytest.raises(ValueError, match="sampling frequency"):
+                Record(fs=fs, channels=np.zeros((12, 600)), id="rate")
+        with pytest.raises(ValueError, match="finite"):
+            Record(fs=500.0, channels=np.full((12, 600), np.inf), id="inf")
