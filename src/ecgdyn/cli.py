@@ -33,9 +33,9 @@ from .fitting import OptimConfig, estimate_distribution, fit_params, refine_wave
 from .integrate import SamplingGrid, beat_grid
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, check_lead,
                     check_lead_consistency, synthesize_heartbeat)
-from .model import eta_to_vector, vector_to_eta
-from .params import (ParamDistribution, ParamTable, _draw, check_class_code,
-                     read_param_file, require_dist, write_param_file)
+from .model import _unchecked, eta_to_vector
+from .params import (ParamDistribution, ParamTable, _draw_packed, _pack,
+                     check_class_code, read_param_file, require_dist, write_param_file)
 from .segmentation import Record, _median, _segmentation
 
 USAGE_ERROR = 1
@@ -213,8 +213,9 @@ def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
     runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
     split = (_beat_arrays(table[rows], keys[rows[0]])
              for rows in sorted(runs, key=lambda rows: rows[0]))  # first appearance first
-    return [Heartbeat(grid=SamplingGrid(fs=fs, L=leads.shape[1]), leads=leads,
-                      label=label) for fs, leads in split]
+    # _beat_arrays has checked each beat's leads as Heartbeat would
+    return [_unchecked(Heartbeat, grid=SamplingGrid(fs=fs, L=leads.shape[1]),
+                       leads=leads, label=label) for fs, leads in split]
 
 
 def write_record_csv(path, record: Record) -> None:
@@ -239,16 +240,16 @@ def _cmd_synthesize(args) -> int:
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
     grid = beat_grid(args.fs, rhythm.f)
-    dists = [require_dist(table, args.klass, lead) for lead in LEAD_NAMES]
+    packed = _pack([require_dist(table, args.klass, lead) for lead in LEAD_NAMES])
     free = [LEAD_INDEX[lead] for lead in FREE_LEADS]
     beats = []
     for k in range(args.beats):
-        # draw_param_samples' 12-lead stream, wave sets for the free leads only
-        params, gains = _draw(dists, 1, np.random.default_rng((args.seed, k)))
-        lead_params = dict(zip(FREE_LEADS, map(vector_to_eta, params[0, free])))
-        gains = dict(zip(FREE_LEADS, gains[0, free].tolist()))
-        beats.append(synthesize_heartbeat(lead_params, rhythm, grid,
-                                          gains=gains, label=args.klass))
+        # _draw's 12-lead stream, one generator a beat; the free leads'
+        # projected vectors go to synthesis as they are
+        params, gains = _draw_packed(packed, 1, np.random.default_rng((args.seed, k)))
+        beats.append(synthesize_heartbeat(
+            dict(zip(FREE_LEADS, params[0, free])), rhythm, grid,
+            gains=dict(zip(FREE_LEADS, gains[0, free].tolist())), label=args.klass))
     write_beats_csv(args.out, beats)
     print(f"wrote {len(beats)} beat(s) to {args.out}", file=sys.stderr)
     return 0

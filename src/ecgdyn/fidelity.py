@@ -48,12 +48,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import (DEFAULT_INIT, SamplingGrid, State, Trajectory, _circle,
-                        _baseline_path, _circle_cache)
+from .integrate import (DEFAULT_INIT, SamplingGrid, State, Trajectory, _Circle,
+                        _circle, _baseline_path, _circle_cache)
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
                     check_lead, limb_relations)
-from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, vector_to_eta,
-                    wave_rate_sum)
+from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, eta_to_vector,
+                    vector_to_eta, wave_rate_sum)
 from .params import ParamTable, _draw, require_dist
 
 
@@ -96,13 +96,14 @@ def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
 
     The circle is independent of z and of the waves, so one path serves
     every distance on the grid: the entry of ``integrate._circle`` whose x
-    and y ``integrate_euler`` integrates z along, with z all zero and every
-    array read-only; ``cache_info`` and ``cache_clear`` are that cache's.
+    and y ``integrate_euler`` integrates z along, with z all zero, every
+    array read-only and its phase carried along for ``_ref_phase``;
+    ``cache_info`` and ``cache_clear`` are that cache's.
     The drift starts at t = 0, so init.t must be 0.
     """
     if init.t != 0.0:
         raise ValueError(f"the reference starts at t = 0, got init.t = {init.t}")
-    return _circle(rhythm.omega, grid, init)[0]
+    return _circle(rhythm.omega, grid, init)
 
 
 reference_trajectory.cache_info, reference_trajectory.cache_clear = (
@@ -116,7 +117,10 @@ def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
 
 
 def _ref_phase(ref: Trajectory) -> np.ndarray:
-    """Cycle phase atan2(y_l, x_l) at the start of every forward step."""
+    """Cycle phase atan2(y_l, x_l) at the start of every forward step; the
+    circle cache's read-only copy when ref is one of its references."""
+    if isinstance(ref, _Circle):
+        return ref.phase
     return np.arctan2(ref.y[:-1], ref.x[:-1])
 
 
@@ -127,16 +131,20 @@ def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
     return np.diff(h) / dt - (drift - z_coeff * h[..., :-1])
 
 
-def _lead_residual(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
-                   ref: Trajectory, jac: bool = False):
+def _lead_residual(h: LeadSignal, eta: EdmParams | np.ndarray,
+                   rhythm: RhythmParams, ref: Trajectory, jac: bool = False):
     """The L-1 residuals of h under eta along ref; with jac, also the
     (15, L-1) rows J of ``_wave_terms``, d(r)/d(eta) = -J^T, which refuse
-    widths below B_FLOOR, where their b**-3 factor explodes."""
+    widths below B_FLOOR, where their b**-3 factor explodes. eta is an
+    ``EdmParams`` or, as ``fit_params`` passes its projected trials, the
+    15-vector."""
     _check_same_grid(h, ref)
-    for wave in eta.waves if jac else ():
-        if wave.b < B_FLOOR:
-            raise ValueError(f"width {wave.b} below floor {B_FLOOR}")
-    w, rows = _wave_terms(_ref_phase(ref), eta, jac)
+    p = eta_to_vector(eta) if isinstance(eta, EdmParams) else eta
+    widths = p[2::3]
+    if jac and (widths < B_FLOOR).any():
+        raise ValueError(f"width {float(widths[np.argmax(widths < B_FLOOR)])} "
+                         f"below floor {B_FLOOR}")
+    w, rows = _wave_terms(_ref_phase(ref), p, jac)
     r = _residuals(h.samples, h.grid.dt, w + _baseline_path(rhythm, ref.grid, 0.0))
     return (r, rows) if jac else r
 
@@ -272,7 +280,7 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     drift = {}
     for via in dict.fromkeys(r for _, r in pairs):
         group = [lead for lead, r in pairs if r == via]
-        phase = _circle(via.omega, grid, DEFAULT_INIT)[1]
+        phase = _circle(via.omega, grid, DEFAULT_INIT).phase
         cols = [LEAD_INDEX[lead] for lead in group]
         rates = wave_rate_sum(phase, params[:, cols]) + _baseline_path(via, grid, 0.0)
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))

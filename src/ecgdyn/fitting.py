@@ -77,7 +77,7 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
     and centers re-wrapped after every step.
     """
     def evaluate(v):
-        r, jac = _lead_residual(h, vector_to_eta(v), rhythm, ref, jac=True)
+        r, jac = _lead_residual(h, v, rhythm, ref, jac=True)
         return float(r @ r), r, jac
 
     v = project_eta_vector(eta_to_vector(eta0))

@@ -9,7 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationDiverged
-from .model import EdmParams, RhythmParams, State, _circle_rate, baseline, wave_rate_sum
+from .model import (EdmParams, RhythmParams, State, _circle_rate, _unchecked, baseline,
+                    wave_rate_sum)
 
 #: Abort threshold: forward Euler with absurd parameters can blow up silently.
 DIVERGENCE_LIMIT = 1e6
@@ -68,6 +69,14 @@ class Trajectory:
             setattr(self, name, arr)
 
 
+@dataclass
+class _Circle(Trajectory):
+    """A reference of the circle cache, which also carries its phase: the
+    phase atan2(y_l, x_l) at the start of every step."""
+
+    phase: np.ndarray
+
+
 def _check_paths(*paths: np.ndarray) -> None:
     """Raise IntegrationDiverged at the first step where any path is
     non-finite or reaches DIVERGENCE_LIMIT; sample 0 is the given init."""
@@ -80,23 +89,33 @@ def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
     """Forward Euler on the rate drift - z, z[l+1] = r*z[l] + dt*drift[l] with
     r = 1 - dt, as a prefix scan: pass k = 1, 2, 4, ... adds r**k * z[l-k] to
     each z[l], a few ulp of the largest partial sum off a scalar loop. Passes
-    stop once the weight underflows or overflows (|1 - dt| > 1): 0*inf is NaN.
+    stop once the weight underflows. Where it would overflow (|1 - dt| > 1,
+    where Euler is unstable) it is kept as w * 2**e, w in [0.25, 1), and a
+    pass adds w * ldexp(z[l-k], e). No term is dropped: a z well inside the
+    float range comes out to rounding, one near or past its end as inf or
+    NaN, and 0 stays 0.
     RK4 is this recurrence with dt = 1 - R(h), see ``integrate_rk4``."""
     z = np.concatenate(([z0], dt * drift))
-    k, r = 1, 1.0 - dt
-    while k < z.size and 0.0 < abs(r) < math.inf:
-        z[k:] += r * z[:-k]
-        k, r = 2 * k, r * r
+    k, w, e = 1, 1.0 - dt, 0  # pass k's weight (1 - dt)**k is w * 2**e
+    while k < z.size and w != 0.0:
+        # past 2**2100, ldexp takes any z but 0 to inf; its exponent is an int32
+        z[k:] += w * np.ldexp(z[:-k], min(e, 2100)) if e else w * z[:-k]
+        if e or abs(w * w) == math.inf:
+            m, shift = math.frexp(w)
+            w, e = m * m, 2 * (e + shift)
+        else:
+            w *= w
+        k *= 2
     return z
 
 
 @lru_cache(maxsize=32)
 def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
-    """The reference trajectory of the cycle and its phase, cached.
+    """The reference trajectory of the cycle, cached.
 
-    Returns the forward-Euler (x, y) path from x0, y0 as a Trajectory with
-    z all zero, every array read-only, and the phase atan2(y_l, x_l) at the
-    start of every step. The path is checked for divergence once, here.
+    Returns the forward-Euler (x, y) path from x0, y0 as a ``_Circle``: z
+    all zero, the phase atan2(y_l, x_l) at the start of every step, every
+    array read-only. The path is checked for divergence once, here.
     start holds x0 and y0 as ``float.hex`` strings: signed zeros compare
     equal as floats, yet atan2(+-0.0, -1.0) starts the phase at +-pi.
     """
@@ -113,11 +132,11 @@ def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
     phase = np.arctan2(ys[:-1], xs[:-1])
     for arr in (xs, ys, zs, phase):
         arr.flags.writeable = False
-    return Trajectory(grid=grid, x=xs, y=ys, z=zs), phase
+    return _Circle(grid=grid, x=xs, y=ys, z=zs, phase=phase)
 
 
-def _circle(omega: float, grid: SamplingGrid, init: State):
-    """The cached (reference, phase) of the cycle from init's x and y."""
+def _circle(omega: float, grid: SamplingGrid, init: State) -> _Circle:
+    """The cached reference of the cycle from init's x and y."""
     return _circle_cache(omega, grid, (float(init.x).hex(), float(init.y).hex()))
 
 
@@ -129,8 +148,8 @@ def _baseline_path(rhythm: RhythmParams, grid: SamplingGrid, t0: float) -> np.nd
     return z0
 
 
-def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
-                    init: State = DEFAULT_INIT) -> Trajectory:
+def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
+                    grid: SamplingGrid, init: State = DEFAULT_INIT) -> Trajectory:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
 
     The (x, y) circle does not depend on z or on the waves, so it comes,
@@ -139,18 +158,24 @@ def integrate_euler(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
     part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated over the
     whole path at once, z0 from the cache of ``_baseline_path``, and
     ``_euler_z`` solves z[l+1] = z[l] + dt*(drift[l] - z[l]) in whole-array
-    passes. Divergence of z is checked once over the finished path and
-    reported at the first bad step.
+    passes. Divergence of z is tested once over the finished path, by one
+    comparison, and reported at the first bad step; x and y were checked
+    with the circle, so the Trajectory is built without checking again.
+
+    eta is an ``EdmParams`` or its 15-vector in PARAM_NAMES order, such as
+    a projected draw, which is not checked here: ``synthesize_heartbeat``
+    checks the vectors it is given against ``WaveParams``' rules.
 
     Sample times run t_l = init.t + l*dt, so a record can be integrated in
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
-    ref, phase = _circle(rhythm.omega, grid, init)
-    drift = wave_rate_sum(phase, eta) + _baseline_path(rhythm, grid, init.t)
+    ref = _circle(rhythm.omega, grid, init)
+    drift = wave_rate_sum(ref.phase, eta) + _baseline_path(rhythm, grid, init.t)
     zs = _euler_z(init.z, drift, grid.dt)
-    _check_paths(zs)
-    return Trajectory(grid=grid, x=ref.x, y=ref.y, z=zs)
+    if not (np.abs(zs[1:]) < DIVERGENCE_LIMIT).all():
+        _check_paths(zs)  # names the first bad step
+    return _unchecked(Trajectory, grid=grid, x=ref.x, y=ref.y, z=zs)
 
 
 def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,

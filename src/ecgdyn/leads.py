@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import DEFAULT_INIT, SamplingGrid, State, integrate_euler
-from .model import EdmParams, RhythmParams
+from .model import EdmParams, RhythmParams, _check_wave_vectors
 
 LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF",
               "V1", "V2", "V3", "V4", "V5", "V6")
@@ -59,6 +59,14 @@ _RELATIONS = (
     LeadRelation("aVL", "I", 0.5, "III", -0.5),
     LeadRelation("aVF", "II", 0.5, "III", 0.5),
 )
+
+
+#: The identities as arrays for one pass over a beat: the target, src1 and
+#: src2 row of each, and its beta and gamma as (6, 1) columns.
+_TARGETS, _SRC1, _SRC2 = (np.array([LEAD_INDEX[getattr(rel, end)] for rel in _RELATIONS])
+                          for end in ("target", "src1", "src2"))
+_BETA, _GAMMA = (np.array([[getattr(rel, coeff)] for rel in _RELATIONS])
+                 for coeff in ("beta", "gamma"))
 
 
 def limb_relations() -> tuple[LeadRelation, ...]:
@@ -109,7 +117,7 @@ def assemble_leads(free) -> np.ndarray:
     return np.vstack([rows[name] for name in LEAD_NAMES])
 
 
-def synthesize_heartbeat(lead_params: dict[str, EdmParams],
+def synthesize_heartbeat(lead_params: dict[str, EdmParams | np.ndarray],
                          rhythm: RhythmParams,
                          grid: SamplingGrid,
                          gains: dict[str, float] | None = None,
@@ -117,18 +125,23 @@ def synthesize_heartbeat(lead_params: dict[str, EdmParams],
                          label: str | None = None) -> Heartbeat:
     """Integrate the 8 free leads and derive the 4 dependent limb leads.
 
-    lead_params must contain an entry for every free lead; gains (mV per
+    lead_params must contain an entry for every free lead: an ``EdmParams``
+    or its 15-vector in PARAM_NAMES order, such as a projected draw of
+    ``params._draw``. The beat's vectors are checked here, at once, against
+    ``WaveParams``' rules and with its messages; the result is the same,
+    bit for bit, as for the same sets given as ``EdmParams``. gains (mV per
     model unit) default to 1.0 per lead. The derived rows satisfy the limb
     identities exactly, mirroring how clinical hardware records 8 channels
     and computes the rest.
     """
     gains = gains or {}
-    free = []
     for name in FREE_LEADS:
         if name not in lead_params:
             raise ConfigurationError(f"missing parameter set for lead {name}")
-        traj = integrate_euler(lead_params[name], rhythm, grid, init)
-        free.append(float(gains.get(name, 1.0)) * traj.z)
+    sets = [lead_params[name] for name in FREE_LEADS]
+    _check_wave_vectors([s for s in sets if not isinstance(s, EdmParams)])
+    free = [float(gains.get(name, 1.0)) * integrate_euler(eta, rhythm, grid, init).z
+            for name, eta in zip(FREE_LEADS, sets)]
     return Heartbeat(grid=grid, leads=assemble_leads(free), label=label)
 
 
@@ -147,11 +160,12 @@ class ConsistencyReport:
 
 
 def check_lead_consistency(beat: Heartbeat, tol: float) -> ConsistencyReport:
-    """Max absolute violation of each limb identity; pass iff all <= tol."""
-    devs = {}
-    for rel in _RELATIONS:
-        lhs = beat.lead(rel.target)
-        rhs = rel.beta * beat.lead(rel.src1) + rel.gamma * beat.lead(rel.src2)
-        devs[rel.target] = float(np.max(np.abs(lhs - rhs)))
+    """Max absolute violation of each limb identity; pass iff all <= tol.
+    All six are computed in one pass, max|target - (beta*src1 + gamma*src2)|
+    per relation."""
+    leads = beat.leads
+    lhs, rhs = leads[_TARGETS], _BETA * leads[_SRC1] + _GAMMA * leads[_SRC2]
+    devs = dict(zip((rel.target for rel in _RELATIONS),
+                    np.max(np.abs(lhs - rhs), axis=1).tolist()))
     return ConsistencyReport(deviations=devs, tol=tol,
                              passed=all(d <= tol for d in devs.values()))

@@ -127,6 +127,30 @@ def vector_to_eta(vec) -> EdmParams:
     return EdmParams(*waves)
 
 
+def _check_wave_vectors(vectors) -> None:
+    """Check 15-vectors, in PARAM_NAMES order, against ``WaveParams``' rules
+    at once: where one is broken, the first wave that breaks it raises
+    ``WaveParams``' own ValueError, as ``vector_to_eta`` would, and so does
+    a vector of another shape."""
+    for v in vectors:
+        if np.shape(v) != (N_PARAMS,):
+            raise ValueError(f"expected shape ({N_PARAMS},), got {np.shape(v)}")
+    waves = np.reshape(np.asarray(vectors, dtype=float), (-1, 3))
+    theta, b = waves[:, 0], waves[:, 2]
+    if waves.size and not (np.isfinite(waves).all() and -math.pi <= theta.min()
+                           and theta.max() < math.pi and b.min() > 0.0):
+        for wave in waves.tolist():
+            WaveParams(*wave)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass cls holding fields, built without its
+    ``__post_init__`` checks: for arrays the caller has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class RhythmParams:
     """Heart rate and respiration: f in Hz, wander amplitude A, f2 in Hz."""
@@ -184,7 +208,10 @@ def _wave_terms(phase, eta, jac: bool = False):
     W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
     eta is an ``EdmParams``, packed by ``eta_to_vector``, or a (..., 15)
     array of parameter sets in PARAM_NAMES order: (n, m, 15) sets on (N,)
-    phases give an (n, m, N) W. A set's five waves lie on one array axis;
+    phases give an (n, m, N) W. An array is not checked here: a projected
+    draw or fit trial (``project_eta_vector``) keeps ``WaveParams``' rules,
+    and ``leads.synthesize_heartbeat`` checks a beat's vectors at once with
+    ``_check_wave_vectors``. A set's five waves lie on one array axis;
     ceil(B/5) of a batch's B sets go at a time, in three work arrays of W's
     size. W sums from zeros, wave by wave, P..T. Returns (W, J): J stacks
     the 15 dW/d(eta) rows in PARAM_NAMES order on W's shape, or is None

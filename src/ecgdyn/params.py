@@ -84,6 +84,25 @@ def require_dist(table: ParamTable, class_code: str, lead: str) -> ParamDistribu
         ) from None
 
 
+def _pack(dists) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distributions as ``_draw_packed`` reads them: the means and stds,
+    (len(dists), 15), and the gain means and stds, (len(dists),)."""
+    return (np.array([d.mean for d in dists]), np.array([d.std for d in dists]),
+            np.array([d.gain_mean for d in dists]), np.array([d.gain_std for d in dists]))
+
+
+def _draw_packed(packed, n_samples: int, rng: np.random.Generator):
+    """``_draw`` from the distributions' ``_pack``, which a caller drawing
+    many times packs once."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    mean, std, gain_mean, gain_std = packed
+    z = rng.standard_normal((n_samples, len(mean), N_PARAMS + 1))
+    params = project_eta_vector(mean + std * z[..., :N_PARAMS])
+    gains = np.maximum(gain_mean + gain_std * z[..., N_PARAMS], GAIN_FLOOR)
+    return params, gains
+
+
 def _draw(dists, n_samples: int, rng: np.random.Generator):
     """n_samples draws of every distribution's wave parameters and gain.
 
@@ -93,16 +112,7 @@ def _draw(dists, n_samples: int, rng: np.random.Generator):
     distribution, draws outermost: the stream of one 16-normal draw per
     distribution per sample, in that order.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    z = rng.standard_normal((n_samples, len(dists), N_PARAMS + 1))
-    mean = np.array([d.mean for d in dists])
-    std = np.array([d.std for d in dists])
-    params = project_eta_vector(mean + std * z[..., :N_PARAMS])
-    gain_mean = np.array([d.gain_mean for d in dists])
-    gain_std = np.array([d.gain_std for d in dists])
-    gains = np.maximum(gain_mean + gain_std * z[..., N_PARAMS], GAIN_FLOOR)
-    return params, gains
+    return _draw_packed(_pack(dists), n_samples, rng)
 
 
 def sample_eta(dist: ParamDistribution, seed) -> tuple[EdmParams, float]:

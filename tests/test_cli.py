@@ -17,9 +17,9 @@ from helpers import make_jittered_record
 from ecgdyn import cli
 from ecgdyn.cli import (read_beats_csv, read_record_csv, run_cli,
                         write_beats_csv, write_record_csv)
-from ecgdyn.integrate import SamplingGrid
-from ecgdyn.leads import Heartbeat
-from ecgdyn.params import (default_distributions, default_param_path,
+from ecgdyn.integrate import SamplingGrid, beat_grid
+from ecgdyn.leads import FREE_LEADS, LEAD_NAMES, Heartbeat, synthesize_heartbeat
+from ecgdyn.params import (_draw, default_distributions, default_param_path,
                            write_param_file, zero_variance)
 from ecgdyn.segmentation import Record
 
@@ -132,6 +132,24 @@ class TestSynthesize:
         assert synth(b, params_file, beats=2) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_beats_follow_draw_stream(self, params_file, tmp_path, capsys):
+        # beat k is synthesize_heartbeat of _draw's free-lead draw from
+        # default_rng((seed, k)), one generator a beat, bit for bit
+        out, want = tmp_path / "cli.csv", tmp_path / "want.csv"
+        assert synth(out, params_file, beats=3, seed=11) == 0
+        capsys.readouterr()
+        dists = [default_distributions()[("NORMAL", lead)] for lead in LEAD_NAMES]
+        grid = beat_grid(500.0, dists[1].rhythm.f)
+        free = [LEAD_NAMES.index(lead) for lead in FREE_LEADS]
+        beats = []
+        for k in range(3):
+            params, gains = _draw(dists, 1, np.random.default_rng((11, k)))
+            beats.append(synthesize_heartbeat(
+                dict(zip(FREE_LEADS, params[0, free])), dists[1].rhythm, grid,
+                gains=dict(zip(FREE_LEADS, gains[0, free].tolist()))))
+        write_beats_csv(want, beats)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_different_seeds_differ(self, params_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

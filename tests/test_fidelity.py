@@ -580,6 +580,19 @@ class TestGradients:
         with pytest.raises(ValueError, match="floor"):
             grad_sim_distance_wrt_eta(h, vector_to_eta(v), DEFAULT_RHYTHM, ref)
 
+    def test_vector_residual_matches_edm_params(self, ref):
+        # fit_params hands its trials over as vectors, with the same floor
+        v = eta_to_vector(DEFAULT_ETA) * 1.03
+        h = LeadSignal(GRID, ref.z + 0.01)
+        for cached in (ref, reference_trajectory(DEFAULT_RHYTHM, GRID)):
+            got = fidelity._lead_residual(h, v, DEFAULT_RHYTHM, cached, jac=True)
+            want = fidelity._lead_residual(h, vector_to_eta(v), DEFAULT_RHYTHM,
+                                           cached, jac=True)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        v[11] = 5e-4  # S width below the floor
+        with pytest.raises(ValueError, match=r"^width 0\.0005 below floor 0\.001$"):
+            fidelity._lead_residual(h, v, DEFAULT_RHYTHM, ref, jac=True)
+
 
 class TestReferenceCache:
     def test_same_arguments_share_trajectory(self):
@@ -617,9 +630,17 @@ class TestReferenceCache:
         info = reference_trajectory.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert ref.x is traj.x and ref.y is traj.y
-        assert ref is integrate._circle(DEFAULT_RHYTHM.omega, GRID, DEFAULT_INIT)[0]
+        assert ref is integrate._circle(DEFAULT_RHYTHM.omega, GRID, DEFAULT_INIT)
         with pytest.raises(ValueError, match="read-only"):
             ref.z[0] = 1.0
+
+    def test_cached_reference_carries_its_phase(self):
+        # a cached reference hands out the cache's phase; any other
+        # Trajectory on the same path gets the same values from atan2
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
+        assert fidelity._ref_phase(ref) is ref.phase
+        copy = integrate.Trajectory(GRID, ref.x.copy(), ref.y.copy(), ref.z.copy())
+        assert fidelity._ref_phase(copy).tobytes() == ref.phase.tobytes()
 
     def test_term_build_reads_cached_phase(self, monkeypatch):
         # the terms take each rhythm's phase from the circle cache

@@ -216,6 +216,14 @@ class TestEulerRecurrence:
         z = integrate._euler_z(0.0, np.zeros(4096), 2.5)
         assert z.tolist() == _scalar_euler_z(0.0, np.zeros(4096), 2.5).tolist()
 
+    def test_overflowing_weight_keeps_early_terms(self):
+        # (-1.5)**2048 overflows, yet the loop keeps 1e-300 * 1.5**l finite
+        # to the end; a dropped early term would leave 0 from sample 2048
+        want = _scalar_euler_z(1e-300, np.zeros(3000), 2.5)
+        got = integrate._euler_z(1e-300, np.zeros(3000), 2.5)
+        assert np.all(np.isfinite(want)) and np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
 
 class TestRk4:
     def test_circle_radius_and_closed_form(self):

@@ -1,5 +1,7 @@
 """12-lead assembly and limb-lead identity checking."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from ecgdyn.integrate import beat_grid, integrate_euler
 from ecgdyn.leads import (FREE_LEADS, ConsistencyReport, Heartbeat, LEAD_NAMES,
                           LeadRelation, check_lead_consistency, derive_limb_rows,
                           limb_relations, synthesize_heartbeat)
-from ecgdyn.model import DEFAULT_RHYTHM
-from ecgdyn.params import default_distributions, default_eta_for_lead
+from ecgdyn.model import DEFAULT_RHYTHM, eta_to_vector, vector_to_eta
+from ecgdyn.params import _draw, default_distributions, default_eta_for_lead
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,43 @@ class TestSynthesize:
         b = synthesize_heartbeat(free_params, DEFAULT_RHYTHM, beat_grid(500, 1.0))
         assert np.array_equal(a.leads, b.leads)
 
+    @pytest.mark.parametrize("fs", [250.0, 500.0, 257.3])
+    def test_vectors_match_edm_params(self, fs):
+        # a drawn, projected 15-vector synthesizes the beat its EdmParams does
+        dists = [default_distributions()[("NORMAL", lead)] for lead in FREE_LEADS]
+        grid = beat_grid(fs, DEFAULT_RHYTHM.f)
+        for seed in range(10):
+            params, gains = _draw(dists, 1, np.random.default_rng(seed))
+            gains = dict(zip(FREE_LEADS, gains[0].tolist()))
+            vectors = dict(zip(FREE_LEADS, params[0]))
+            sets = {lead: vector_to_eta(v) for lead, v in vectors.items()}
+            got = synthesize_heartbeat(vectors, DEFAULT_RHYTHM, grid, gains=gains)
+            want = synthesize_heartbeat(sets, DEFAULT_RHYTHM, grid, gains=gains)
+            assert got.leads.tobytes() == want.leads.tobytes()
+
+    @pytest.mark.parametrize("index, value", [
+        (6, math.nan),        # R.theta
+        (10, math.inf),       # S.a
+        (0, math.pi),         # P.theta on the seam's open end
+        (12, -3.2),           # T.theta below -pi
+        (8, 0.0),             # R.b
+        (14, -0.1),           # T.b
+    ])
+    def test_bad_vector_raises_wave_params_message(self, free_params, index, value):
+        vectors = {lead: eta_to_vector(eta) for lead, eta in free_params.items()}
+        vectors["V2"][index] = value
+        vectors["V5"][3] = 4.0  # a later lead's fault is not the one named
+        with pytest.raises(ValueError) as want:
+            vector_to_eta(vectors["V2"])
+        with pytest.raises(ValueError) as got:
+            synthesize_heartbeat(vectors, DEFAULT_RHYTHM, beat_grid(500, 1.0))
+        assert str(got.value) == str(want.value)
+
+    def test_bad_vector_shape_rejected(self, free_params):
+        vectors = dict(free_params, V4=np.zeros(14))
+        with pytest.raises(ValueError, match=r"expected shape \(15,\), got \(14,\)"):
+            synthesize_heartbeat(vectors, DEFAULT_RHYTHM, beat_grid(500, 1.0))
+
     def test_involution_recovers_lead_ii(self, beat):
         recon = beat.lead("I") + beat.lead("III")
         assert np.allclose(recon, beat.lead("II"), rtol=1e-15, atol=1e-15)
@@ -117,6 +156,20 @@ class TestConsistencyCheck:
         beat = Heartbeat(grid=grid, leads=np.vstack(rows))
         report = check_lead_consistency(beat, tol=1e-3)
         assert not report.passed
+
+    def test_deviations_match_per_relation_loop(self):
+        # one pass over the six identities rounds as a loop over them does
+        grid = beat_grid(500, 1.0)
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 7e4):
+            beat = Heartbeat(grid=grid, leads=scale * rng.normal(size=(12, grid.L)))
+            want = {}
+            for rel in limb_relations():
+                rhs = rel.beta * beat.lead(rel.src1) + rel.gamma * beat.lead(rel.src2)
+                want[rel.target] = float(np.max(np.abs(beat.lead(rel.target) - rhs)))
+            report = check_lead_consistency(beat, tol=1.0)
+            assert list(report.deviations.items()) == list(want.items())
+            assert report.passed == all(d <= 1.0 for d in want.values())
 
     def test_report_text(self):
         failed = ConsistencyReport(deviations={"I": 2.5e-4, "aVF": 1.25e-3},
