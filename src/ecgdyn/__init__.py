@@ -15,8 +15,8 @@ from .errors import (ConfigurationError, EcgDynError, FitDiverged,
                      InsufficientDataError, IntegrationDiverged, NoRhythmError,
                      ParamFileError)
 from .model import (DEFAULT_ETA, DEFAULT_RHYTHM, EdmParams, RhythmParams,
-                    State, WaveParams, baseline, eval_rhs, eta_to_vector,
-                    vector_to_eta, wrap_angle)
+                    State, WaveParams, baseline, eta_to_vector, vector_to_eta,
+                    wrap_angle)
 from .integrate import (DEFAULT_INIT, SamplingGrid, Trajectory, beat_grid,
                         integrate_euler, integrate_rk4)
 from .leads import (FREE_LEADS, LEAD_NAMES, ConsistencyReport, Heartbeat,
@@ -38,8 +38,7 @@ __all__ = [
     "InsufficientDataError", "IntegrationDiverged", "NoRhythmError",
     "ParamFileError",
     "DEFAULT_ETA", "DEFAULT_RHYTHM", "EdmParams", "RhythmParams", "State",
-    "WaveParams", "baseline", "eval_rhs", "eta_to_vector", "vector_to_eta",
-    "wrap_angle",
+    "WaveParams", "baseline", "eta_to_vector", "vector_to_eta", "wrap_angle",
     "DEFAULT_INIT", "SamplingGrid", "Trajectory", "beat_grid",
     "integrate_euler", "integrate_rk4",
     "FREE_LEADS", "LEAD_NAMES", "ConsistencyReport", "Heartbeat",

@@ -233,14 +233,24 @@ def read_record_csv(path, label: str | None = None) -> Record:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_synthesize(args) -> int:
-    if args.beats < 1:
-        raise ValueError(f"--beats must be >= 1, got {args.beats}")
+    _check_positive("--beats", args.beats)
     table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
     grid = beat_grid(args.fs, rhythm.f)
-    packed = _pack([require_dist(table, args.klass, lead) for lead in LEAD_NAMES])
+    dists = [require_dist(table, args.klass, lead) for lead in LEAD_NAMES]
+    # every lead runs at lead II's rhythm; score reads each lead's own
+    for lead, dist in zip(LEAD_NAMES, dists):
+        if dist.rhythm != rhythm:
+            raise ValueError(f"lead {lead} has {dist.rhythm}, lead II {rhythm}: "
+                             "synthesize runs every lead at lead II's rhythm")
+    packed = _pack(dists)
     free = [LEAD_INDEX[lead] for lead in FREE_LEADS]
     beats = []
     for k in range(args.beats):
@@ -257,8 +267,7 @@ def _cmd_synthesize(args) -> int:
 
 def _scoring_request(args) -> tuple[ParamTable, LossWeights]:
     """Score's and refine's table and weights, checked before any input."""
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    _check_positive("--samples", args.samples)
     table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
     check_class_code(args.klass)
     for lead in LEAD_NAMES:
@@ -284,7 +293,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_refine(args) -> int:
     table, weights = _scoring_request(args)
-    OptimConfig(max_iter=args.steps)  # checks --steps, which the exact solve ignores
+    _check_positive("--steps", args.steps)  # which the exact solve ignores
     beats = read_beats_csv(args.input, label=args.klass)
     # huge finite samples overflow the sums: exit 3 below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,6 +305,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_positive("--max-iter", args.max_iter)
     table = read_param_file(Path(args.init).read_text(encoding="utf-8"))
     lead = check_lead(args.lead)
     check_class_code(args.klass)
@@ -308,7 +318,7 @@ def _cmd_fit(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         if len(signals) == 1:
             ref = reference_trajectory(init.rhythm, signals[0].grid)
-            results = [fit_params(signals[0], init.mean_eta, init.rhythm, ref, cfg)]
+            results = [fit_params(signals[0], init.mean_eta, ref, cfg)]
             mean, std = tuple(eta_to_vector(results[0].eta)), (0.0,) * 15
         else:
             results = []

@@ -5,6 +5,10 @@ trajectory of the vertical coordinate, how badly would it violate the
 model's rate equation? It fixes (x, y) to the reference circular solution
 and penalizes the squared mismatch between the waveform's one-step
 difference quotient and the model rate evaluated at the waveform itself.
+One rhythm fixes both the circle and the baseline wander, so the reference
+carries both: ``reference_trajectory`` caches one per rhythm, grid and
+start, an ``integrate_euler`` path is one too, and a distance takes the
+reference alone.
 The inter-lead variant replaces the single rate by the linear combination
 of two source-lead rates dictated by a limb identity, tying derived leads
 to the dynamics of the leads that generate them.
@@ -48,12 +52,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import (DEFAULT_INIT, SamplingGrid, State, Trajectory, _Circle,
-                        _circle, _baseline_path, _circle_cache)
+from .integrate import SamplingGrid, Trajectory, _Reference, reference_trajectory
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
                     check_lead, limb_relations)
-from .model import (B_FLOOR, EdmParams, RhythmParams, _wave_terms, eta_to_vector,
-                    vector_to_eta, wave_rate_sum)
+from .model import B_FLOOR, EdmParams, _wave_terms, eta_to_vector, vector_to_eta, wave_rate_sum
 from .params import ParamTable, _draw, require_dist
 
 
@@ -90,38 +92,15 @@ class LossWeights:
         return self.delta * l1 + (1.0 - self.delta) * l2
 
 
-def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
-                         init: State = DEFAULT_INIT) -> Trajectory:
-    """Euler reference (x, y) path for a rhythm/grid pair, cached.
-
-    The circle is independent of z and of the waves, so one path serves
-    every distance on the grid: the entry of ``integrate._circle`` whose x
-    and y ``integrate_euler`` integrates z along, with z all zero, every
-    array read-only and its phase carried along for ``_ref_phase``;
-    ``cache_info`` and ``cache_clear`` are that cache's.
-    The drift starts at t = 0, so init.t must be 0.
-    """
-    if init.t != 0.0:
-        raise ValueError(f"the reference starts at t = 0, got init.t = {init.t}")
-    return _circle(rhythm.omega, grid, init)
-
-
-reference_trajectory.cache_info, reference_trajectory.cache_clear = (
-    _circle_cache.cache_info, _circle_cache.cache_clear)
-
-
-def _check_same_grid(h: LeadSignal, ref: Trajectory) -> None:
+def _check_ref(h: LeadSignal, ref: Trajectory) -> None:
+    """A distance's ref must carry its rhythm, phase and baseline, and lie
+    on h's grid."""
+    if not isinstance(ref, _Reference):
+        raise TypeError(f"ref is a {type(ref).__name__} that carries no rhythm; "
+                        "take it from reference_trajectory or integrate_euler")
     if h.grid != ref.grid:
         raise ValueError(
             f"signal grid {h.grid} does not match reference grid {ref.grid}")
-
-
-def _ref_phase(ref: Trajectory) -> np.ndarray:
-    """Cycle phase atan2(y_l, x_l) at the start of every forward step; the
-    circle cache's read-only copy when ref is one of its references."""
-    if isinstance(ref, _Circle):
-        return ref.phase
-    return np.arctan2(ref.y[:-1], ref.x[:-1])
 
 
 def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
@@ -131,52 +110,49 @@ def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
     return np.diff(h) / dt - (drift - z_coeff * h[..., :-1])
 
 
-def _lead_residual(h: LeadSignal, eta: EdmParams | np.ndarray,
-                   rhythm: RhythmParams, ref: Trajectory, jac: bool = False):
+def _lead_residual(h: LeadSignal, eta: EdmParams | np.ndarray, ref: Trajectory,
+                   jac: bool = False):
     """The L-1 residuals of h under eta along ref; with jac, also the
     (15, L-1) rows J of ``_wave_terms``, d(r)/d(eta) = -J^T, which refuse
     widths below B_FLOOR, where their b**-3 factor explodes. eta is an
     ``EdmParams`` or, as ``fit_params`` passes its projected trials, the
     15-vector."""
-    _check_same_grid(h, ref)
+    _check_ref(h, ref)
     p = eta_to_vector(eta) if isinstance(eta, EdmParams) else eta
     widths = p[2::3]
     if jac and (widths < B_FLOOR).any():
         raise ValueError(f"width {float(widths[np.argmax(widths < B_FLOOR)])} "
                          f"below floor {B_FLOOR}")
-    w, rows = _wave_terms(_ref_phase(ref), p, jac)
-    r = _residuals(h.samples, h.grid.dt, w + _baseline_path(rhythm, ref.grid, 0.0))
+    w, rows = _wave_terms(ref.phase, p, jac)
+    r = _residuals(h.samples, h.grid.dt, w + ref.z0)
     return (r, rows) if jac else r
 
 
-def sim_distance(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
-                 ref: Trajectory) -> float:
+def sim_distance(h: LeadSignal, eta: EdmParams, ref: Trajectory) -> float:
     """Sum of squared one-step consistency residuals of h under eta.
 
     The sum has L-1 terms, one per forward step: residual l couples
     samples l and l+1 for l = 0..L-2 (0-based; the first sample anchors
     the first term). Exactly zero (up to accumulated rounding) iff h is
-    the forward-Euler z-trajectory generated by the same eta, rhythm and
-    initial state, started at t = 0 as ``ref`` is.
+    the forward-Euler z-trajectory generated by the same eta along ref:
+    on its rhythm, from its start point and time.
     """
-    r = _lead_residual(h, eta, rhythm, ref)
+    r = _lead_residual(h, eta, ref)
     return float(r @ r)
 
 
 def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
-                           rel: LeadRelation, rhythm: RhythmParams,
-                           ref: Trajectory) -> float:
+                           rel: LeadRelation, ref: Trajectory) -> float:
     """Squared residuals of h against beta*rate(eta1) + gamma*rate(eta2).
 
     eta1 and eta2 belong to rel.src1 and rel.src2; h must be the relation's
     target lead.
     """
-    _check_same_grid(h, ref)
+    _check_ref(h, ref)
     if rel.target != h.lead:
         raise ValueError(
             f"relation targets {rel.target!r} but signal is lead {h.lead!r}")
-    phase = _ref_phase(ref)
-    z0 = _baseline_path(rhythm, ref.grid, 0.0)
+    phase, z0 = ref.phase, ref.z0
     drift = (rel.beta * (wave_rate_sum(phase, eta1) + z0)
              + rel.gamma * (wave_rate_sum(phase, eta2) + z0))
     r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
@@ -186,11 +162,11 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
 # ---------------------------------------------------------------------------
 # analytic gradients
 
-def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
+def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams,
                             ref: Trajectory) -> np.ndarray:
     """d(sim_distance)/d(h_k) for every sample k."""
     dt = h.grid.dt
-    r = _lead_residual(h, eta, rhythm, ref)
+    r = _lead_residual(h, eta, ref)
     # residual r_l sees h_{l+1} through the difference quotient (weight 1/dt)
     # and h_l through both the quotient and the rate term (weight 1 - 1/dt).
     grad = np.zeros_like(h.samples)
@@ -200,7 +176,6 @@ def grad_sim_distance_wrt_h(h: LeadSignal, eta: EdmParams, rhythm: RhythmParams,
 
 
 def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
-                              rhythm: RhythmParams,
                               ref: Trajectory) -> np.ndarray:
     """Gradient over the 15 wave parameters, PARAM_NAMES order.
 
@@ -208,7 +183,7 @@ def grad_sim_distance_wrt_eta(h: LeadSignal, eta: EdmParams,
     away from the wrap seam. Widths below B_FLOOR are rejected: the b**-3
     factor makes the derivative explode there.
     """
-    r, jac = _lead_residual(h, eta, rhythm, ref, jac=True)
+    r, jac = _lead_residual(h, eta, ref, jac=True)
     return -2.0 * (jac @ r)
 
 
@@ -280,9 +255,9 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     drift = {}
     for via in dict.fromkeys(r for _, r in pairs):
         group = [lead for lead, r in pairs if r == via]
-        phase = _circle(via.omega, grid, DEFAULT_INIT).phase
+        ref = reference_trajectory(via, grid)
         cols = [LEAD_INDEX[lead] for lead in group]
-        rates = wave_rate_sum(phase, params[:, cols]) + _baseline_path(via, grid, 0.0)
+        rates = wave_rate_sum(ref.phase, params[:, cols]) + ref.z0
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
     names = tuple(leads) + tuple(rel.target for rel in rels)
     coeffs = np.array([1.0] * len(leads) + [rel.beta + rel.gamma for rel in rels])

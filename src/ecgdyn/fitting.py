@@ -60,8 +60,8 @@ class FitResult:
     converged: bool
 
 
-def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
-               ref: Trajectory, cfg: OptimConfig = OptimConfig()) -> FitResult:
+def fit_params(h: LeadSignal, eta0: EdmParams, ref: Trajectory,
+               cfg: OptimConfig = OptimConfig()) -> FitResult:
     """Fit the 15 wave parameters to one lead by Levenberg-Marquardt.
 
     The residual is the one ``sim_distance`` squares; its Jacobian is -J^T,
@@ -77,7 +77,7 @@ def fit_params(h: LeadSignal, eta0: EdmParams, rhythm: RhythmParams,
     and centers re-wrapped after every step.
     """
     def evaluate(v):
-        r, jac = _lead_residual(h, v, rhythm, ref, jac=True)
+        r, jac = _lead_residual(h, v, ref, jac=True)
         return float(r @ r), r, jac
 
     v = project_eta_vector(eta_to_vector(eta0))
@@ -143,8 +143,7 @@ def estimate_distribution(beats, class_code: str, lead: str,
     for beat in beats:
         r = rhythm if rhythm is not None else _beat_rhythm(beat.grid)
         used_rhythm = used_rhythm or r
-        ref = reference_trajectory(r, beat.grid)
-        result = fit_params(beat, start, r, ref, cfg)
+        result = fit_params(beat, start, reference_trajectory(r, beat.grid), cfg)
         if results is not None:
             results.append(result)
         if result.converged:

@@ -70,11 +70,14 @@ class Trajectory:
 
 
 @dataclass
-class _Circle(Trajectory):
-    """A reference of the circle cache, which also carries its phase: the
-    phase atan2(y_l, x_l) at the start of every step."""
+class _Reference(Trajectory):
+    """A path a distance can be measured along: a ``Trajectory`` that also
+    carries its rhythm, the phase atan2(y_l, x_l) and the baseline z0(t_l)
+    at the start of every step, from the start time t_0 on."""
 
+    rhythm: RhythmParams
     phase: np.ndarray
+    z0: np.ndarray
 
 
 def _check_paths(*paths: np.ndarray) -> None:
@@ -110,16 +113,16 @@ def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
-    """The reference trajectory of the cycle, cached.
-
-    Returns the forward-Euler (x, y) path from x0, y0 as a ``_Circle``: z
-    all zero, the phase atan2(y_l, x_l) at the start of every step, every
-    array read-only. The path is checked for divergence once, here.
-    start holds x0 and y0 as ``float.hex`` strings: signed zeros compare
-    equal as floats, yet atan2(+-0.0, -1.0) starts the phase at +-pi.
+def _reference(rhythm: RhythmParams, grid: SamplingGrid, start: tuple[str, str],
+               t0: float) -> _Reference:
+    """The entry ``reference_trajectory`` returns: the forward-Euler (x, y)
+    path of the cycle from x0, y0 with z all zero, its phase and its
+    baseline from t0, every array read-only. The path is checked for
+    divergence once, here. start holds x0 and y0 as ``float.hex`` strings:
+    signed zeros compare equal as floats, yet atan2(+-0.0, -1.0) starts the
+    phase at +-pi.
     """
-    dt = grid.dt
+    dt, omega = grid.dt, rhythm.omega
     x, y = map(float.fromhex, start)
     xs, ys = [x], [y]
     for _ in range(grid.L - 1):
@@ -130,37 +133,45 @@ def _circle_cache(omega: float, grid: SamplingGrid, start: tuple[str, str]):
     xs, ys, zs = np.array(xs), np.array(ys), np.zeros(grid.L)
     _check_paths(xs, ys)
     phase = np.arctan2(ys[:-1], xs[:-1])
-    for arr in (xs, ys, zs, phase):
-        arr.flags.writeable = False
-    return _Circle(grid=grid, x=xs, y=ys, z=zs, phase=phase)
-
-
-def _circle(omega: float, grid: SamplingGrid, init: State) -> _Circle:
-    """The cached reference of the cycle from init's x and y."""
-    return _circle_cache(omega, grid, (float(init.x).hex(), float(init.y).hex()))
-
-
-@lru_cache(maxsize=32)
-def _baseline_path(rhythm: RhythmParams, grid: SamplingGrid, t0: float) -> np.ndarray:
-    """z0(t_l) at every step start t_l = t0 + l*dt, cached read-only."""
     z0 = baseline(t0 + grid.times()[:-1], rhythm)
-    z0.flags.writeable = False
-    return z0
+    for arr in (xs, ys, zs, phase, z0):
+        arr.flags.writeable = False
+    return _Reference(grid=grid, x=xs, y=ys, z=zs, rhythm=rhythm, phase=phase, z0=z0)
+
+
+def reference_trajectory(rhythm: RhythmParams, grid: SamplingGrid,
+                         init: State = DEFAULT_INIT) -> _Reference:
+    """The reference path of a rhythm on a grid from init, cached.
+
+    The (x, y) circle is independent of z and of the waves, so one path
+    serves every lead ``integrate_euler`` integrates and every distance on
+    the grid. It carries its rhythm, its phase and its baseline from
+    init.t, with z all zero and every array read-only; ``cache_info`` and
+    ``cache_clear`` are its cache's. The cache has one entry per rhythm,
+    grid, start x and y and start time.
+    """
+    return _reference(rhythm, grid, (float(init.x).hex(), float(init.y).hex()), init.t)
+
+
+reference_trajectory.cache_info = _reference.cache_info
+reference_trajectory.cache_clear = _reference.cache_clear
 
 
 def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
-                    grid: SamplingGrid, init: State = DEFAULT_INIT) -> Trajectory:
+                    grid: SamplingGrid, init: State = DEFAULT_INIT) -> _Reference:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
 
     The (x, y) circle does not depend on z or on the waves, so it comes,
-    read-only and checked, from the cache of ``_circle``, shared by every
-    lead and the reference. The z-rate is linear in z, so its z-independent
-    part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated over the
-    whole path at once, z0 from the cache of ``_baseline_path``, and
+    read-only and checked, from ``reference_trajectory``'s cache, shared by
+    every lead and the distances. The z-rate is linear in z, so its
+    z-independent part drift[l] = W(atan2(y_l, x_l)) + z0(t_l) is evaluated
+    over the whole path at once, phase and z0 from that entry, and
     ``_euler_z`` solves z[l+1] = z[l] + dt*(drift[l] - z[l]) in whole-array
     passes. Divergence of z is tested once over the finished path, by one
     comparison, and reported at the first bad step; x and y were checked
-    with the circle, so the Trajectory is built without checking again.
+    with the circle, so the path is built without checking again. It is
+    returned as the entry with z filled in, so it serves as a reference
+    itself.
 
     eta is an ``EdmParams`` or its 15-vector in PARAM_NAMES order, such as
     a projected draw, which is not checked here: ``synthesize_heartbeat``
@@ -170,12 +181,11 @@ def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
-    ref = _circle(rhythm.omega, grid, init)
-    drift = wave_rate_sum(ref.phase, eta) + _baseline_path(rhythm, grid, init.t)
-    zs = _euler_z(init.z, drift, grid.dt)
+    ref = reference_trajectory(rhythm, grid, init)
+    zs = _euler_z(init.z, wave_rate_sum(ref.phase, eta) + ref.z0, grid.dt)
     if not (np.abs(zs[1:]) < DIVERGENCE_LIMIT).all():
         _check_paths(zs)  # names the first bad step
-    return _unchecked(Trajectory, grid=grid, x=ref.x, y=ref.y, z=zs)
+    return _unchecked(_Reference, **{**vars(ref), "z": zs})
 
 
 def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,

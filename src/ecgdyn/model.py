@@ -14,7 +14,7 @@ one ``EdmParams`` or a batch of parameter vectors, such as the
 (draws, leads, 15) array of a Monte-Carlo loss, and returns one W per
 vector on the phase grid, (draws, leads, N), the five waves on one axis.
 ``_circle_rate`` is the only copy of the (x, y) rate, stepped by both
-integrators and by ``eval_rhs``.
+integrators.
 """
 
 from __future__ import annotations
@@ -255,12 +255,6 @@ def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:
     """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``;
     eta is an ``EdmParams`` or a (..., 15) array of parameter vectors."""
     return _wave_terms(phase, eta)[0]
-
-
-def eval_rhs(s: State, eta: EdmParams, rhythm: RhythmParams) -> tuple[float, float, float]:
-    """Time derivatives (dx, dy, dz) of the oscillator at state s."""
-    w = float(wave_rate_sum(np.array([math.atan2(s.y, s.x)]), eta)[0])
-    return (*_circle_rate(s.x, s.y, rhythm.omega), w + baseline(s.t, rhythm) - s.z)
 
 
 # Reference resting-beat parameters: visible P wave, dominant R, broad T.

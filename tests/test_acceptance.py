@@ -52,7 +52,7 @@ def test_criterion_1_euler_self_consistency():
     for _ in range(20):
         eta = _random_valid_eta(rng)
         traj = integrate_euler(eta, DEFAULT_RHYTHM, GRID)
-        d = sim_distance(LeadSignal(GRID, traj.z), eta, DEFAULT_RHYTHM, traj)
+        d = sim_distance(LeadSignal(GRID, traj.z), eta, traj)
         worst = max(worst, d)
     elapsed = time.perf_counter() - start
     _report(1, "euler self-consistency", worst <= 1e-12,
@@ -64,8 +64,7 @@ def test_criterion_2_constant_shift_law():
     traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
     worst = 0.0
     for c in (0.01, 0.1, 1.0):
-        d = sim_distance(LeadSignal(GRID, traj.z + c), DEFAULT_ETA,
-                         DEFAULT_RHYTHM, traj)
+        d = sim_distance(LeadSignal(GRID, traj.z + c), DEFAULT_ETA, traj)
         expected = (GRID.L - 1) * c * c
         worst = max(worst, abs(d - expected) / expected)
     elapsed = time.perf_counter() - start
@@ -88,25 +87,25 @@ def test_criterion_3_gradient_checks():
         v = eta_to_vector(DEFAULT_ETA) * (1.0 + 0.02 * rng.standard_normal(15))
         eta = vector_to_eta(v)
 
-        ga = grad_sim_distance_wrt_h(h, eta, DEFAULT_RHYTHM, ref)
+        ga = grad_sim_distance_wrt_h(h, eta, ref)
         idx = rng.choice(GRID.L, 10, replace=False)
         fd = np.empty(idx.size)
         for j, k in enumerate(idx):
             hp, hm = h.samples.copy(), h.samples.copy()
             hp[k] += eps
             hm[k] -= eps
-            fd[j] = (sim_distance(LeadSignal(GRID, hp), eta, DEFAULT_RHYTHM, ref)
-                     - sim_distance(LeadSignal(GRID, hm), eta, DEFAULT_RHYTHM, ref)) / (2 * eps)
+            fd[j] = (sim_distance(LeadSignal(GRID, hp), eta, ref)
+                     - sim_distance(LeadSignal(GRID, hm), eta, ref)) / (2 * eps)
         worst_h = max(worst_h, np.max(np.abs(ga[idx] - fd)) / np.max(np.abs(fd)))
 
-        ga = grad_sim_distance_wrt_eta(h, eta, DEFAULT_RHYTHM, ref)
+        ga = grad_sim_distance_wrt_eta(h, eta, ref)
         fd = np.empty(15)
         for j in range(15):
             vp, vm = v.copy(), v.copy()
             vp[j] += eps
             vm[j] -= eps
-            fd[j] = (sim_distance(h, vector_to_eta(vp), DEFAULT_RHYTHM, ref)
-                     - sim_distance(h, vector_to_eta(vm), DEFAULT_RHYTHM, ref)) / (2 * eps)
+            fd[j] = (sim_distance(h, vector_to_eta(vp), ref)
+                     - sim_distance(h, vector_to_eta(vm), ref)) / (2 * eps)
         worst_eta = max(worst_eta, np.max(np.abs(ga - fd)) / np.max(np.abs(fd)))
     elapsed = time.perf_counter() - start
     ok = worst_h <= 1e-5 and worst_eta <= 1e-5
@@ -186,8 +185,7 @@ def test_criterion_7_parameter_recovery():
         v_true = eta_to_vector(eta_true)
         traj = integrate_euler(eta_true, DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z)
-        res = fit_params(h, vector_to_eta(v_true * 1.05), DEFAULT_RHYTHM,
-                         traj, cfg)
+        res = fit_params(h, vector_to_eta(v_true * 1.05), traj, cfg)
         v_fit = eta_to_vector(res.eta)
         for i in range(5):
             worst_theta = max(worst_theta, abs(v_fit[3 * i] - v_true[3 * i]))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import naive_reference as oracle
-from helpers import make_jittered_record
+from helpers import MIXED_RHYTHMS, make_jittered_record, with_rhythms
 from ecgdyn import cli
 from ecgdyn.cli import (read_beats_csv, read_record_csv, run_cli,
                         write_beats_csv, write_record_csv)
@@ -190,6 +190,21 @@ class TestSynthesize:
         assert captured.out == ""
         assert "sampling frequency" in captured.err
 
+    @pytest.mark.parametrize("rhythms, lead", [
+        (MIXED_RHYTHMS, "I"), ({"aVR": MIXED_RHYTHMS["aVR"]}, "aVR"),
+    ], ids=["first of three", "derived lead alone"])
+    def test_mixed_rhythms_rejected(self, tmp_path, capsys, rhythms, lead):
+        # every lead runs at lead II's rhythm, while score reads each
+        # lead's own: such a beat would score far from zero
+        params, out = tmp_path / "mixed.params", tmp_path / "none.csv"
+        params.write_text(write_param_file(with_rhythms(
+            zero_variance(default_distributions()), rhythms)), encoding="utf-8")
+        assert synth(out, str(params)) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ecgdyn: lead {lead} has RhythmParams(")
+
     def test_missing_params_file(self, tmp_path):
         assert synth(tmp_path / "o.csv", str(tmp_path / "nope.params")) == 2
 
@@ -253,6 +268,18 @@ class TestScore:
         assert header[:2] == ["beat", "combined"]
         combined = float(lines[1].split(",")[1])
         assert combined <= 1e-12
+
+    @pytest.mark.parametrize("fs", ["257.3", "128.5"])
+    def test_zero_variance_self_score_at_non_integer_rate(
+            self, zero_params_file, tmp_path, capsys, fs):
+        # the rate goes through the file's 9-decimal time column and back
+        out = tmp_path / "beat.csv"
+        assert run_cli(["synthesize", "--params", zero_params_file, "--class",
+                        "NORMAL", "--fs", fs, "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["score", "--input", str(out), "--params",
+                        zero_params_file, "--delta", "1", "--seed", "3"]) == 0
+        assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) <= 1e-12
 
     def test_multibeat_rows(self, params_file, tmp_path, capsys):
         out = tmp_path / "beats.csv"
@@ -330,8 +357,9 @@ class TestRefine:
         (["--class", "bad"], "uppercase"),
         (["--samples", "0"], "--samples"),
         (["--samples", "-2"], "--samples"),
+        (["--steps", "0"], "ecgdyn: --steps must be >= 1, got 0\n"),
     ], ids=["class not in table", "bad class code", "zero samples",
-            "negative samples"])
+            "negative samples", "zero steps"])
     def test_bad_request_fails_before_output(self, params_file, tmp_path, capsys,
                                              flags, message):
         src, out = tmp_path / "beat.csv", tmp_path / "refined.csv"
@@ -414,6 +442,22 @@ class TestRefine:
 
 
 class TestFit:
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iter", "0"], "ecgdyn: --max-iter must be >= 1, got 0\n"),
+        (["--max-iter", "-3"], "ecgdyn: --max-iter must be >= 1, got -3\n"),
+    ], ids=["zero max-iter", "negative max-iter"])
+    def test_bad_request_fails_before_output(self, params_file, tmp_path, capsys,
+                                             flags, message):
+        src, out = tmp_path / "beat.csv", tmp_path / "fit.params"
+        synth(src, params_file)
+        capsys.readouterr()
+        assert run_cli(["fit", "--input", str(src), "--init", params_file,
+                        "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+        assert not out.exists()
+
     def test_single_beat_fit_writes_params(self, zero_params_file, tmp_path, capsys):
         src = tmp_path / "beat.csv"
         synth(src, zero_params_file)

@@ -14,15 +14,15 @@ from ecgdyn.fidelity import (LeadSignal, LossWeights, euler_loss_combined,
                              loss_components, reference_trajectory, sim_distance,
                              sim_distance_interlead)
 from ecgdyn.cli import read_beats_csv, run_cli, write_beats_csv
-from ecgdyn.integrate import DEFAULT_INIT, beat_grid, integrate_euler
+from ecgdyn.integrate import DEFAULT_INIT, beat_grid, integrate_euler, integrate_rk4
 from ecgdyn.leads import (FREE_LEADS, LEAD_NAMES, Heartbeat, LeadRelation,
                           limb_relations, synthesize_heartbeat)
-from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, State,
+from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, State, baseline,
                           eta_to_vector, vector_to_eta)
 from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
                            zero_variance)
 from ecgdyn.fidelity import draw_param_samples
-from ecgdyn.fitting import refine_waveform
+from ecgdyn.fitting import fit_params, refine_waveform
 
 GRID = beat_grid(500, 1.0)
 
@@ -63,25 +63,25 @@ def zero_table():
 class TestSimDistance:
     def test_exact_euler_beat_scores_zero(self, ref):
         h = LeadSignal(GRID, ref.z)
-        assert sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref) <= 1e-18
+        assert sim_distance(h, DEFAULT_ETA, ref) <= 1e-18
 
     def test_constant_shift_law(self, ref):
         L = GRID.L
         for c in (0.01, 0.1, 1.0):
             h = LeadSignal(GRID, ref.z + c)
-            d = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+            d = sim_distance(h, DEFAULT_ETA, ref)
             expected = (L - 1) * c * c
             assert abs(d - expected) <= 1e-9 * expected
 
     def test_zeros_matches_frozen_oracle_value(self, ref):
         h = LeadSignal(GRID, np.zeros(GRID.L))
-        d = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        d = sim_distance(h, DEFAULT_ETA, ref)
         assert d == pytest.approx(ZEROS_DISTANCE, rel=1e-12)
 
     def test_random_waveform_matches_live_oracle(self, ref):
         rng = np.random.default_rng(8)
         h = rng.uniform(-0.2, 0.2, GRID.L)
-        d = sim_distance(LeadSignal(GRID, h), DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        d = sim_distance(LeadSignal(GRID, h), DEFAULT_ETA, ref)
         expected = oracle.sim_distance(h.tolist(), ref.x.tolist(),
                                        ref.y.tolist(), 500)
         assert d == pytest.approx(expected, rel=1e-12)
@@ -90,22 +90,22 @@ class TestSimDistance:
         rng = np.random.default_rng(9)
         for _ in range(10):
             h = LeadSignal(GRID, rng.standard_normal(GRID.L))
-            assert sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref) >= 0.0
+            assert sim_distance(h, DEFAULT_ETA, ref) >= 0.0
 
     def test_lead_metadata_irrelevant(self, ref):
         rng = np.random.default_rng(10)
         samples = rng.standard_normal(GRID.L)
         a = sim_distance(LeadSignal(GRID, samples, lead="II"),
-                         DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+                         DEFAULT_ETA, ref)
         b = sim_distance(LeadSignal(GRID, samples, lead="V3"),
-                         DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+                         DEFAULT_ETA, ref)
         assert a == b
 
     def test_grid_mismatch_rejected(self, ref):
         other = beat_grid(250, 1.0)
         h = LeadSignal(other, np.zeros(other.L))
         with pytest.raises(ValueError, match="grid"):
-            sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+            sim_distance(h, DEFAULT_ETA, ref)
         with pytest.raises(ValueError, match="length 250"):
             LeadSignal(other, np.zeros(GRID.L))
         with pytest.raises(ValueError, match="finite"):
@@ -117,26 +117,23 @@ class TestInterlead:
         rng = np.random.default_rng(11)
         h = LeadSignal(GRID, rng.uniform(-0.1, 0.1, GRID.L), lead="I")
         rel = LeadRelation("I", "II", 1.0, "III", 0.0)
-        d_pair = sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel,
-                                        DEFAULT_RHYTHM, ref)
-        d_single = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        d_pair = sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, ref)
+        d_single = sim_distance(h, DEFAULT_ETA, ref)
         assert d_pair == d_single
 
     def test_affine_collapse(self, ref):
         rng = np.random.default_rng(12)
         h = LeadSignal(GRID, rng.uniform(-0.1, 0.1, GRID.L), lead="aVF")
         rel = LeadRelation("aVF", "II", 0.25, "III", 0.75)
-        d_pair = sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel,
-                                        DEFAULT_RHYTHM, ref)
-        d_single = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        d_pair = sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, ref)
+        d_single = sim_distance(h, DEFAULT_ETA, ref)
         assert d_pair == pytest.approx(d_single, rel=1e-12)
 
     def test_lead_mismatch_rejected(self, ref):
         h = LeadSignal(GRID, np.zeros(GRID.L), lead="V1")
         rel = limb_relations()[0]
         with pytest.raises(ValueError, match="target"):
-            sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel,
-                                   DEFAULT_RHYTHM, ref)
+            sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, ref)
 
     def test_synthesized_lead_iii_matches_pair_oracle(self, ref, zero_table):
         entry = draw_param_samples(zero_table, "NORMAL", 1, 0)[0]
@@ -147,7 +144,7 @@ class TestInterlead:
         h = LeadSignal(GRID, beat.lead("III") / gain, lead="III")
         rel = next(r for r in limb_relations() if r.target == "III")
         eta1, eta2 = entry[rel.src1][0], entry[rel.src2][0]
-        d = sim_distance_interlead(h, eta1, eta2, rel, DEFAULT_RHYTHM, ref)
+        d = sim_distance_interlead(h, eta1, eta2, rel, ref)
 
         def as_tuple(eta):
             v = eta_to_vector(eta)
@@ -494,13 +491,13 @@ def _norm_rel_err(analytic, fd):
 class TestGradients:
     def test_grad_h_zero_at_minimum(self, ref):
         h = LeadSignal(GRID, ref.z)
-        g = grad_sim_distance_wrt_h(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        g = grad_sim_distance_wrt_h(h, DEFAULT_ETA, ref)
         assert np.max(np.abs(g)) < 1e-8
 
     def test_grad_h_matches_fd(self, ref):
         rng = np.random.default_rng(40)
         h = LeadSignal(GRID, ref.z + 0.05 * rng.standard_normal(GRID.L))
-        analytic = grad_sim_distance_wrt_h(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        analytic = grad_sim_distance_wrt_h(h, DEFAULT_ETA, ref)
         eps = 1e-6
         idx = rng.choice(GRID.L, 32, replace=False)
         fd = np.empty(idx.size)
@@ -508,13 +505,13 @@ class TestGradients:
             hp, hm = h.samples.copy(), h.samples.copy()
             hp[k] += eps
             hm[k] -= eps
-            fd[j] = (sim_distance(LeadSignal(GRID, hp), DEFAULT_ETA, DEFAULT_RHYTHM, ref)
-                     - sim_distance(LeadSignal(GRID, hm), DEFAULT_ETA, DEFAULT_RHYTHM, ref)) / (2 * eps)
+            fd[j] = (sim_distance(LeadSignal(GRID, hp), DEFAULT_ETA, ref)
+                     - sim_distance(LeadSignal(GRID, hm), DEFAULT_ETA, ref)) / (2 * eps)
         assert _norm_rel_err(analytic[idx], fd) <= 1e-5
 
     def test_grad_h_constant_shift_matches_fd(self, ref):
         h = LeadSignal(GRID, ref.z + 0.5)
-        analytic = grad_sim_distance_wrt_h(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        analytic = grad_sim_distance_wrt_h(h, DEFAULT_ETA, ref)
         eps = 1e-6
         fd = np.empty(8)
         idx = np.array([0, 1, 100, 250, 251, 498, 499, 300])
@@ -522,29 +519,28 @@ class TestGradients:
             hp, hm = h.samples.copy(), h.samples.copy()
             hp[k] += eps
             hm[k] -= eps
-            fd[j] = (sim_distance(LeadSignal(GRID, hp), DEFAULT_ETA, DEFAULT_RHYTHM, ref)
-                     - sim_distance(LeadSignal(GRID, hm), DEFAULT_ETA, DEFAULT_RHYTHM, ref)) / (2 * eps)
+            fd[j] = (sim_distance(LeadSignal(GRID, hp), DEFAULT_ETA, ref)
+                     - sim_distance(LeadSignal(GRID, hm), DEFAULT_ETA, ref)) / (2 * eps)
         assert _norm_rel_err(analytic[idx], fd) <= 1e-5
 
     def test_grad_eta_matches_fd(self, ref):
         rng = np.random.default_rng(41)
         h = LeadSignal(GRID, ref.z + 0.05 * rng.standard_normal(GRID.L))
         v0 = eta_to_vector(DEFAULT_ETA) * (1 + 0.02 * rng.standard_normal(15))
-        analytic = grad_sim_distance_wrt_eta(h, vector_to_eta(v0),
-                                             DEFAULT_RHYTHM, ref)
+        analytic = grad_sim_distance_wrt_eta(h, vector_to_eta(v0), ref)
         eps = 1e-6
         fd = np.empty(15)
         for j in range(15):
             vp, vm = v0.copy(), v0.copy()
             vp[j] += eps
             vm[j] -= eps
-            fd[j] = (sim_distance(h, vector_to_eta(vp), DEFAULT_RHYTHM, ref)
-                     - sim_distance(h, vector_to_eta(vm), DEFAULT_RHYTHM, ref)) / (2 * eps)
+            fd[j] = (sim_distance(h, vector_to_eta(vp), ref)
+                     - sim_distance(h, vector_to_eta(vm), ref)) / (2 * eps)
         assert _norm_rel_err(analytic, fd) <= 1e-5
 
     def test_grad_eta_amplitudes_zero_at_minimum(self, ref):
         h = LeadSignal(GRID, ref.z)
-        g = grad_sim_distance_wrt_eta(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        g = grad_sim_distance_wrt_eta(h, DEFAULT_ETA, ref)
         amp_components = g[1::3]
         assert np.max(np.abs(amp_components)) < 1e-8
 
@@ -556,12 +552,12 @@ class TestGradients:
         traj = integrate_euler(vector_to_eta(v_true), DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z)
         v = eta_to_vector(DEFAULT_ETA)
-        g = grad_sim_distance_wrt_eta(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
-        base = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        g = grad_sim_distance_wrt_eta(h, DEFAULT_ETA, ref)
+        base = sim_distance(h, DEFAULT_ETA, ref)
         step = 1e-4 / max(abs(g[7]), 1.0)
         probe = v.copy()
         probe[7] -= step * g[7]
-        assert sim_distance(h, vector_to_eta(probe), DEFAULT_RHYTHM, ref) < base
+        assert sim_distance(h, vector_to_eta(probe), ref) < base
         assert np.sign(-g[7]) == np.sign(v_true[7] - v[7])
 
     def test_grad_eta_evaluates_w_once(self, monkeypatch, ref):
@@ -570,7 +566,7 @@ class TestGradients:
         calls = count_calls(monkeypatch, model, "_wave_terms")
         monkeypatch.setattr(fidelity, "_wave_terms", model._wave_terms)
         h = LeadSignal(GRID, ref.z + 0.01)
-        grad_sim_distance_wrt_eta(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        grad_sim_distance_wrt_eta(h, DEFAULT_ETA, ref)
         assert len(calls) == 1
 
     def test_width_floor_enforced(self, ref):
@@ -578,20 +574,19 @@ class TestGradients:
         v[2] = 5e-4  # P width below the floor
         h = LeadSignal(GRID, ref.z)
         with pytest.raises(ValueError, match="floor"):
-            grad_sim_distance_wrt_eta(h, vector_to_eta(v), DEFAULT_RHYTHM, ref)
+            grad_sim_distance_wrt_eta(h, vector_to_eta(v), ref)
 
     def test_vector_residual_matches_edm_params(self, ref):
         # fit_params hands its trials over as vectors, with the same floor
         v = eta_to_vector(DEFAULT_ETA) * 1.03
         h = LeadSignal(GRID, ref.z + 0.01)
         for cached in (ref, reference_trajectory(DEFAULT_RHYTHM, GRID)):
-            got = fidelity._lead_residual(h, v, DEFAULT_RHYTHM, cached, jac=True)
-            want = fidelity._lead_residual(h, vector_to_eta(v), DEFAULT_RHYTHM,
-                                           cached, jac=True)
+            got = fidelity._lead_residual(h, v, cached, jac=True)
+            want = fidelity._lead_residual(h, vector_to_eta(v), cached, jac=True)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         v[11] = 5e-4  # S width below the floor
         with pytest.raises(ValueError, match=r"^width 0\.0005 below floor 0\.001$"):
-            fidelity._lead_residual(h, v, DEFAULT_RHYTHM, ref, jac=True)
+            fidelity._lead_residual(h, v, ref, jac=True)
 
 
 class TestReferenceCache:
@@ -602,15 +597,42 @@ class TestReferenceCache:
         assert a is b
         assert reference_trajectory.cache_info().hits == hits + 1
 
-    def test_late_start_rejected(self):
-        # the drift runs from t = 0, so a later start would score the exact
-        # Euler path from that state as far from zero
+    def test_late_start_scores_own_path(self):
+        # the reference carries its baseline from its own start time, so the
+        # exact Euler path from a late start scores zero along it
         late = State(-1.0, 0.0, 0.0, t=0.37)
-        with pytest.raises(ValueError, match="init.t = 0.37"):
-            reference_trajectory(DEFAULT_RHYTHM, GRID, late)
+        traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID, late)
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID, late)
+        assert ref.z0 is traj.z0 and ref.z0[0] == baseline(0.37, DEFAULT_RHYTHM)
+        h = LeadSignal(GRID, traj.z)
+        assert sim_distance(h, DEFAULT_ETA, ref) < 1e-20
+        assert sim_distance(h, DEFAULT_ETA, traj) < 1e-20
+        assert sim_distance(h, DEFAULT_ETA, reference_trajectory(DEFAULT_RHYTHM, GRID)) > 1.0
+
+    def test_rate_is_the_reference_rhythm(self):
+        # the reference's rhythm sets the rate: an exact 1 Hz beat is far
+        # from a 1.7 Hz reference on the same grid
         h = LeadSignal(GRID, integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID).z)
-        ref = reference_trajectory(DEFAULT_RHYTHM, GRID, replace(late, t=0.0))
-        assert sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref) < 1e-20
+        fast = reference_trajectory(replace(DEFAULT_RHYTHM, f=1.7), GRID)
+        assert fast.rhythm.f == 1.7
+        assert sim_distance(h, DEFAULT_ETA, reference_trajectory(DEFAULT_RHYTHM, GRID)) < 1e-20
+        assert sim_distance(h, DEFAULT_ETA, fast) > 100.0
+
+    def test_rhythmless_reference_rejected(self):
+        # an RK4 or hand-built Trajectory carries no rhythm to score along
+        rk4 = integrate_rk4(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
+        plain = integrate.Trajectory(GRID, rk4.x, rk4.y, rk4.z)
+        rel = limb_relations()[0]
+        h, target = (LeadSignal(GRID, rk4.z, lead=lead) for lead in ("II", rel.target))
+        for ref in (rk4, plain):
+            for call in (lambda: sim_distance(h, DEFAULT_ETA, ref),
+                         lambda: sim_distance_interlead(target, DEFAULT_ETA,
+                                                        DEFAULT_ETA, rel, ref),
+                         lambda: grad_sim_distance_wrt_h(h, DEFAULT_ETA, ref),
+                         lambda: grad_sim_distance_wrt_eta(h, DEFAULT_ETA, ref),
+                         lambda: fit_params(h, DEFAULT_ETA, ref)):
+                with pytest.raises(TypeError, match="reference_trajectory"):
+                    call()
 
     def test_signed_zero_starts_kept_apart(self):
         # State(-1, -0.0) == State(-1, 0.0), yet atan2 starts the first at
@@ -619,42 +641,50 @@ class TestReferenceCache:
         for pos in (reference_trajectory(DEFAULT_RHYTHM, GRID, DEFAULT_INIT),
                     reference_trajectory(DEFAULT_RHYTHM, GRID)):
             assert str(pos.y[0]) == "0.0" and str(neg.y[0]) == "-0.0"
-            assert fidelity._ref_phase(pos)[0] == -fidelity._ref_phase(neg)[0] == np.pi
+            assert pos.phase[0] == -neg.phase[0] == np.pi
 
     def test_reference_is_the_integration_circle(self):
-        # one cache holds the circle: an integration fills it, and the
-        # reference is that entry, sharing the integration's x and y
+        # one cache holds the reference: an integration fills it, and the
+        # reference is that entry, sharing the integration's x, y, phase
+        # and baseline
         reference_trajectory.cache_clear()
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
         info = reference_trajectory.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert ref.x is traj.x and ref.y is traj.y
-        assert ref is integrate._circle(DEFAULT_RHYTHM.omega, GRID, DEFAULT_INIT)
+        assert all(getattr(ref, name) is getattr(traj, name)
+                   for name in ("grid", "x", "y", "rhythm", "phase", "z0"))
+        caches = [f for f in vars(integrate).values() if hasattr(f, "cache_parameters")]
+        assert caches == [integrate._reference]
         with pytest.raises(ValueError, match="read-only"):
             ref.z[0] = 1.0
 
     def test_cached_reference_carries_its_phase(self):
-        # a cached reference hands out the cache's phase; any other
-        # Trajectory on the same path gets the same values from atan2
-        ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
-        assert fidelity._ref_phase(ref) is ref.phase
-        copy = integrate.Trajectory(GRID, ref.x.copy(), ref.y.copy(), ref.z.copy())
-        assert fidelity._ref_phase(copy).tobytes() == ref.phase.tobytes()
+        # the entry carries its rhythm, and its phase and baseline at the
+        # start of every step from its start time, read-only
+        ref = reference_trajectory(DEFAULT_RHYTHM, GRID, State(-1.0, 0.0, 0.0, t=0.37))
+        assert ref.rhythm == DEFAULT_RHYTHM
+        assert ref.phase.tobytes() == np.arctan2(ref.y[:-1], ref.x[:-1]).tobytes()
+        want = baseline(0.37 + GRID.times()[:-1], DEFAULT_RHYTHM)
+        assert ref.z0.tobytes() == want.tobytes()
+        assert not (ref.phase.flags.writeable or ref.z0.flags.writeable)
 
     def test_term_build_reads_cached_phase(self, monkeypatch):
-        # the terms take each rhythm's phase from the circle cache
+        # the terms take each rhythm's phase and baseline from one lookup
+        # of its cached reference
         fidelity._build_mc_terms.cache_clear()
-        calls = count_calls(monkeypatch, fidelity, "_ref_phase")
-        loss_components(_noise_beat(),
-                        with_rhythms(default_distributions(), MIXED_RHYTHMS),
-                        n_samples=2, seed=1)
-        assert calls == []
+        table = with_rhythms(default_distributions(), MIXED_RHYTHMS)
+        calls = count_calls(monkeypatch, fidelity, "reference_trajectory")
+        loss_components(_noise_beat(), table, n_samples=2, seed=1)
+        rhythms = [rhythm for rhythm, _ in calls]
+        assert len(rhythms) == len(set(rhythms))
+        assert set(rhythms) == {dist.rhythm for dist in table.values()}
 
     def test_interlead_phase_computed_once(self, monkeypatch):
+        # both source rates read the reference's one cached phase
         rel = limb_relations()[0]
         ref = reference_trajectory(DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, ref.z, lead=rel.target)
-        calls = count_calls(monkeypatch, fidelity, "_ref_phase")
-        sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, DEFAULT_RHYTHM, ref)
-        assert len(calls) == 1
+        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
+        sim_distance_interlead(h, DEFAULT_ETA, DEFAULT_ETA, rel, ref)
+        assert [phase is ref.phase for phase, _ in calls] == [True, True]

@@ -83,7 +83,7 @@ class TestFitParams:
     def test_start_at_optimum_exits_immediately(self, ref):
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z)
-        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+        res = fit_params(h, DEFAULT_ETA, ref)
         assert res.iterations <= 1
         assert res.converged
         assert res.final_distance <= 1e-12
@@ -92,7 +92,7 @@ class TestFitParams:
         v_true = eta_to_vector(DEFAULT_ETA)
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z)
-        res = fit_params(h, vector_to_eta(v_true * 1.05), DEFAULT_RHYTHM, ref,
+        res = fit_params(h, vector_to_eta(v_true * 1.05), ref,
                          OptimConfig(max_iter=2000, tol=1e-14))
         v_fit = eta_to_vector(res.eta)
         assert res.iterations <= 20
@@ -108,9 +108,9 @@ class TestFitParams:
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z + 1e-3 * np.random.default_rng(0).standard_normal(GRID.L))
         cfg = OptimConfig(max_iter=200, tol=1e-300)
-        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
+        res = fit_params(h, DEFAULT_ETA, ref, cfg)
         assert res.iterations < cfg.max_iter
-        assert res.final_distance == sim_distance(h, res.eta, DEFAULT_RHYTHM, ref)
+        assert res.final_distance == sim_distance(h, res.eta, ref)
         assert res.converged is True
 
     @pytest.mark.parametrize("v_true, v0, fs", _basin_cases())
@@ -118,7 +118,7 @@ class TestFitParams:
         grid = beat_grid(fs, 1.0)
         traj = integrate_euler(vector_to_eta(v_true), DEFAULT_RHYTHM, grid)
         res = fit_params(LeadSignal(grid, traj.z), vector_to_eta(v0),
-                         DEFAULT_RHYTHM, reference_trajectory(DEFAULT_RHYTHM, grid),
+                         reference_trajectory(DEFAULT_RHYTHM, grid),
                          OptimConfig(max_iter=50))
         assert res.converged
         _assert_recovered(res, v_true, grid.L)
@@ -131,7 +131,7 @@ class TestFitParams:
         eta, _ = sample_eta(dist, (2, 5, 1, 1))
         grid = beat_grid(500, dist.rhythm.f)
         traj = integrate_euler(eta, dist.rhythm, grid)
-        res = fit_params(LeadSignal(grid, traj.z), dist.mean_eta, dist.rhythm,
+        res = fit_params(LeadSignal(grid, traj.z), dist.mean_eta,
                          reference_trajectory(dist.rhythm, grid),
                          OptimConfig(max_iter=2000))
         assert res.converged
@@ -156,8 +156,7 @@ class TestFitParams:
         monkeypatch.setattr(fidelity, "wave_rate_sum", None)
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         res = fit_params(LeadSignal(GRID, traj.z),
-                         vector_to_eta(eta_to_vector(DEFAULT_ETA) * 1.05),
-                         DEFAULT_RHYTHM, ref)
+                         vector_to_eta(eta_to_vector(DEFAULT_ETA) * 1.05), ref)
         assert res.converged and res.iterations >= 1
         assert all(calls) and len(calls) == len(residuals)
         assert len(calls) >= res.iterations + 1
@@ -165,18 +164,17 @@ class TestFitParams:
     def test_grid_mismatch_rejected(self, ref):
         other = beat_grid(400, 1.0)
         with pytest.raises(ValueError, match="does not match"):
-            fit_params(LeadSignal(other, np.zeros(other.L)), DEFAULT_ETA,
-                       DEFAULT_RHYTHM, ref)
+            fit_params(LeadSignal(other, np.zeros(other.L)), DEFAULT_ETA, ref)
 
     def test_noise_fit_reduces_distance(self, ref):
         rng = np.random.default_rng(50)
         h = LeadSignal(GRID, 0.1 * rng.standard_normal(GRID.L))
-        start = sim_distance(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
-        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref,
+        start = sim_distance(h, DEFAULT_ETA, ref)
+        res = fit_params(h, DEFAULT_ETA, ref,
                          OptimConfig(max_iter=300))
         assert res.final_distance < start
         assert res.final_distance == pytest.approx(
-            sim_distance(h, res.eta, DEFAULT_RHYTHM, ref), rel=1e-12)
+            sim_distance(h, res.eta, ref), rel=1e-12)
 
     def test_noise_fit_terminates_at_damping_floor(self, ref, monkeypatch):
         # a subnormal starting lambda stands in for a long run of accepted
@@ -199,7 +197,7 @@ class TestFitParams:
         monkeypatch.setattr(fidelity, "_wave_terms", counted_terms)
         rng = np.random.default_rng(51)
         h = LeadSignal(GRID, 0.01 * rng.standard_normal(GRID.L))
-        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
+        res = fit_params(h, DEFAULT_ETA, ref, cfg)
         assert res.iterations <= cfg.max_iter
         assert math.isfinite(res.final_distance)
 
@@ -208,7 +206,7 @@ class TestFitParams:
         v0[2::3] = B_FLOOR  # start every width on the floor
         traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
         h = LeadSignal(GRID, traj.z)
-        res = fit_params(h, vector_to_eta(v0), DEFAULT_RHYTHM, ref,
+        res = fit_params(h, vector_to_eta(v0), ref,
                          OptimConfig(max_iter=50))
         assert all(w.b >= B_FLOOR for w in res.eta.waves)
 
@@ -216,7 +214,7 @@ class TestFitParams:
     def test_non_finite_loss_raises(self, ref):
         h = LeadSignal(GRID, np.full(GRID.L, 1e160))
         with pytest.raises(FitDiverged):
-            fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+            fit_params(h, DEFAULT_ETA, ref)
 
     def test_non_finite_trial_raises(self, ref, monkeypatch):
         # every residual after the starting one is NaN: the first trial
@@ -231,14 +229,14 @@ class TestFitParams:
         monkeypatch.setattr(fitting, "_lead_residual", poisoned)
         h = LeadSignal(GRID, 0.01 * np.random.default_rng(52).standard_normal(GRID.L))
         with pytest.raises(FitDiverged, match="non-finite loss at iteration 1"):
-            fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref)
+            fit_params(h, DEFAULT_ETA, ref)
         assert len(calls) == 2
 
     def test_iterations_within_budget(self, ref):
         rng = np.random.default_rng(51)
         h = LeadSignal(GRID, 0.05 * rng.standard_normal(GRID.L))
         cfg = OptimConfig(max_iter=7)
-        res = fit_params(h, DEFAULT_ETA, DEFAULT_RHYTHM, ref, cfg)
+        res = fit_params(h, DEFAULT_ETA, ref, cfg)
         assert res.iterations <= cfg.max_iter
 
 
@@ -249,7 +247,7 @@ class TestEstimateDistribution:
         dist = estimate_distribution(beats, "NORMAL", "II",
                                      rhythm=DEFAULT_RHYTHM)
         assert all(s == 0.0 for s in dist.std)
-        single = fit_params(beats[0], DEFAULT_ETA, DEFAULT_RHYTHM, ref).eta
+        single = fit_params(beats[0], DEFAULT_ETA, ref).eta
         assert np.allclose(dist.mean, eta_to_vector(single), rtol=0, atol=0)
 
     def test_centres_straddling_seam(self):

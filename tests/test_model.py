@@ -7,8 +7,8 @@ import pytest
 
 import naive_reference as oracle
 from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, PARAM_NAMES,
-                          EdmParams, RhythmParams, State, WaveParams, _wave_terms,
-                          baseline, eta_to_vector, eval_rhs, vector_to_eta,
+                          EdmParams, RhythmParams, State, WaveParams, _circle_rate,
+                          _wave_terms, baseline, eta_to_vector, vector_to_eta,
                           wave_rate_sum, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
@@ -173,43 +173,41 @@ def _flat_eta():
 
 
 class TestEvalRhs:
+    """The oscillator's right-hand side through its two kernels:
+    ``_circle_rate`` gives (dx, dy), ``wave_rate_sum`` the wave part W of
+    dz = W(atan2(y, x)) + z0(t) - z."""
+
     def test_unit_circle_pure_rotation(self):
-        rhythm = RhythmParams(f=1.0, A=0.0, f2=0.25)
-        fx, fy, fz = eval_rhs(State(1.0, 0.0, 0.0, 0.0), _flat_eta(), rhythm)
-        assert fx == 0.0
-        assert fy == rhythm.omega
-        assert fz == 0.0
+        omega = DEFAULT_RHYTHM.omega
+        assert _circle_rate(1.0, 0.0, omega) == (0.0, omega)
+        assert wave_rate_sum(np.array([0.0]), _flat_eta())[0] == 0.0
 
     def test_origin_fixed_point_of_xy(self):
-        fx, fy, _ = eval_rhs(State(0.0, 0.0, 0.0, 0.0), DEFAULT_ETA, DEFAULT_RHYTHM)
-        assert fx == 0.0 and fy == 0.0
+        assert _circle_rate(0.0, 0.0, DEFAULT_RHYTHM.omega) == (0.0, 0.0)
 
     def test_event_center_term_vanishes(self):
         # at the R center the R term has a zero angular offset prefactor
-        rhythm = RhythmParams(f=1.0, A=0.0, f2=0.25)
         theta_r = DEFAULT_ETA.R.theta
-        s = State(math.cos(theta_r), math.sin(theta_r), 0.0, 0.0)
-        _, _, fz_full = eval_rhs(s, DEFAULT_ETA, rhythm)
         without_r = EdmParams(
             P=DEFAULT_ETA.P, Q=DEFAULT_ETA.Q,
             R=WaveParams(theta=theta_r, a=0.0, b=DEFAULT_ETA.R.b),
             S=DEFAULT_ETA.S, T=DEFAULT_ETA.T)
-        _, _, fz_no_r = eval_rhs(s, without_r, rhythm)
-        assert fz_full == fz_no_r
+        phase = np.array([theta_r])
+        assert wave_rate_sum(phase, DEFAULT_ETA)[0] == wave_rate_sum(phase, without_r)[0]
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             x, y = rng.uniform(-1.5, 1.5, 2)
             z, t = rng.uniform(-0.5, 0.5), rng.uniform(0.0, 4.0)
-            _, _, fz = eval_rhs(State(x, y, z, t), DEFAULT_ETA, DEFAULT_RHYTHM)
-            expect = oracle.fz(x, y, z, t)
-            assert fz == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            w = wave_rate_sum(np.array([math.atan2(y, x)]), DEFAULT_ETA)[0]
+            fz = w + baseline(t, DEFAULT_RHYTHM) - z
+            assert fz == pytest.approx(oracle.fz(x, y, z, t), rel=1e-12, abs=1e-12)
 
     def test_tangency_exact_on_axis_points(self):
         # on the axes the rotation cross-terms vanish bitwise
         for x, y in [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]:
-            fx, fy, _ = eval_rhs(State(x, y, 0.1, 0.3), DEFAULT_ETA, DEFAULT_RHYTHM)
+            fx, fy = _circle_rate(x, y, DEFAULT_RHYTHM.omega)
             assert x * fx + y * fy == 0.0
 
     def test_tangency_and_rotation_rate_on_circle(self):
@@ -217,14 +215,17 @@ class TestEvalRhs:
         # cancels up to one rounding of the omega cross-terms
         omega = DEFAULT_RHYTHM.omega
         for x, y in [(0.6, 0.8), (-0.8, 0.6), (0.28, -0.96)]:
-            fx, fy, _ = eval_rhs(State(x, y, 0.1, 0.3), DEFAULT_ETA, DEFAULT_RHYTHM)
+            fx, fy = _circle_rate(x, y, omega)
             assert abs(x * fx + y * fy) <= 4e-15 * omega
             assert x * fy - y * fx == pytest.approx(omega, rel=1e-14)
 
     def test_deterministic(self):
-        s = State(0.3, -0.7, 0.05, 1.2)
-        assert eval_rhs(s, DEFAULT_ETA, DEFAULT_RHYTHM) == \
-            eval_rhs(s, DEFAULT_ETA, DEFAULT_RHYTHM)
+        x, y = 0.3, -0.7
+        assert _circle_rate(x, y, DEFAULT_RHYTHM.omega) == \
+            _circle_rate(x, y, DEFAULT_RHYTHM.omega)
+        phase = np.array([math.atan2(y, x)])
+        assert wave_rate_sum(phase, DEFAULT_ETA).tobytes() == \
+            wave_rate_sum(phase, DEFAULT_ETA).tobytes()
 
     def test_wave_contribution_odd_around_center(self):
         lone_r = EdmParams(
