@@ -174,8 +174,8 @@ def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
     itself.
 
     eta is an ``EdmParams`` or its 15-vector in PARAM_NAMES order, such as
-    a projected draw, which is not checked here: ``synthesize_heartbeat``
-    checks the vectors it is given against ``WaveParams``' rules.
+    a projected draw; ``wave_rate_sum`` checks a vector against
+    ``WaveParams``' rules, with its messages, before any step is taken.
 
     Sample times run t_l = init.t + l*dt, so a record can be integrated in
     chained segments by passing each segment's end state (and time) as the

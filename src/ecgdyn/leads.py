@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import DEFAULT_INIT, SamplingGrid, State, integrate_euler
-from .model import EdmParams, RhythmParams, _check_wave_vectors
+from .model import EdmParams, RhythmParams
 
 LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF",
               "V1", "V2", "V3", "V4", "V5", "V6")
@@ -127,9 +127,11 @@ def synthesize_heartbeat(lead_params: dict[str, EdmParams | np.ndarray],
 
     lead_params must contain an entry for every free lead: an ``EdmParams``
     or its 15-vector in PARAM_NAMES order, such as a projected draw of
-    ``params._draw``. The beat's vectors are checked here, at once, against
-    ``WaveParams``' rules and with its messages; the result is the same,
-    bit for bit, as for the same sets given as ``EdmParams``. gains (mV per
+    ``params._draw``. A vector is checked where it is integrated, by
+    ``model.wave_rate_sum``, against ``WaveParams``' rules and with its
+    messages, so the first faulty lead in FREE_LEADS order raises; the
+    result is the same, bit for bit, as for the same sets given as
+    ``EdmParams``. gains (mV per
     model unit) default to 1.0 per lead. The derived rows satisfy the limb
     identities exactly, mirroring how clinical hardware records 8 channels
     and computes the rest.
@@ -138,10 +140,9 @@ def synthesize_heartbeat(lead_params: dict[str, EdmParams | np.ndarray],
     for name in FREE_LEADS:
         if name not in lead_params:
             raise ConfigurationError(f"missing parameter set for lead {name}")
-    sets = [lead_params[name] for name in FREE_LEADS]
-    _check_wave_vectors([s for s in sets if not isinstance(s, EdmParams)])
-    free = [float(gains.get(name, 1.0)) * integrate_euler(eta, rhythm, grid, init).z
-            for name, eta in zip(FREE_LEADS, sets)]
+    free = [float(gains.get(name, 1.0)) * integrate_euler(lead_params[name], rhythm,
+                                                          grid, init).z
+            for name in FREE_LEADS]
     return Heartbeat(grid=grid, leads=assemble_leads(free), label=label)
 
 

@@ -127,15 +127,14 @@ def vector_to_eta(vec) -> EdmParams:
     return EdmParams(*waves)
 
 
-def _check_wave_vectors(vectors) -> None:
-    """Check 15-vectors, in PARAM_NAMES order, against ``WaveParams``' rules
-    at once: where one is broken, the first wave that breaks it raises
-    ``WaveParams``' own ValueError, as ``vector_to_eta`` would, and so does
-    a vector of another shape."""
-    for v in vectors:
-        if np.shape(v) != (N_PARAMS,):
-            raise ValueError(f"expected shape ({N_PARAMS},), got {np.shape(v)}")
-    waves = np.reshape(np.asarray(vectors, dtype=float), (-1, 3))
+def _check_wave_vectors(vectors: np.ndarray) -> None:
+    """Check a (..., 15) array of parameter vectors, in PARAM_NAMES order,
+    against ``WaveParams``' rules at once: where one is broken, the first
+    wave that breaks it raises ``WaveParams``' own ValueError, as
+    ``vector_to_eta`` would, and so does a last axis of another length."""
+    if vectors.shape[-1:] != (N_PARAMS,):
+        raise ValueError(f"expected shape ({N_PARAMS},), got {vectors.shape[-1:]}")
+    waves = vectors.reshape(-1, 3)
     theta, b = waves[:, 0], waves[:, 2]
     if waves.size and not (np.isfinite(waves).all() and -math.pi <= theta.min()
                            and theta.max() < math.pi and b.min() > 0.0):
@@ -208,9 +207,9 @@ def _wave_terms(phase, eta, jac: bool = False):
     W(phase) = -sum_i a_i*d_i*exp(-d_i^2/2b_i^2) with d_i = phase - theta_i.
     eta is an ``EdmParams``, packed by ``eta_to_vector``, or a (..., 15)
     array of parameter sets in PARAM_NAMES order: (n, m, 15) sets on (N,)
-    phases give an (n, m, N) W. An array is not checked here: a projected
-    draw or fit trial (``project_eta_vector``) keeps ``WaveParams``' rules,
-    and ``leads.synthesize_heartbeat`` checks a beat's vectors at once with
+    phases give an (n, m, N) W. An array is not checked here: a fit trial
+    (``project_eta_vector``) keeps ``WaveParams``' rules, and
+    ``wave_rate_sum`` checks the arrays it is given with
     ``_check_wave_vectors``. A set's five waves lie on one array axis;
     ceil(B/5) of a batch's B sets go at a time, in three work arrays of W's
     size. W sums from zeros, wave by wave, P..T. Returns (W, J): J stacks
@@ -253,7 +252,12 @@ def _wave_terms(phase, eta, jac: bool = False):
 
 def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:
     """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``;
-    eta is an ``EdmParams`` or a (..., 15) array of parameter vectors."""
+    eta is an ``EdmParams`` or a (..., 15) array of parameter vectors, which
+    is checked here, at once, by ``_check_wave_vectors``: integration and
+    the Monte-Carlo terms evaluate W here, so each set is checked once."""
+    if not isinstance(eta, EdmParams):
+        eta = np.asarray(eta, dtype=float)
+        _check_wave_vectors(eta)
     return _wave_terms(phase, eta)[0]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -158,12 +159,13 @@ def write_param_file(table: ParamTable) -> str:
     return "\n".join(lines)
 
 
-def read_param_file(text: str) -> ParamTable:
-    """Parse the flat key=value format; rejects unknown or duplicate keys.
+#: Distinct table texts ``read_param_file`` keeps parsed.
+_PARSE_CACHE_SIZE = 8
 
-    Loading is atomic: any malformed line or invariant violation raises
-    ParamFileError and no partial table is returned.
-    """
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_param_text(text: str) -> tuple[tuple[tuple[str, str], ParamDistribution], ...]:
+    """The parse of ``read_param_file``, as its (key, distribution) items."""
     raw: dict[tuple[str, str], dict[str, float]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         key, eq, value = line.partition("#")[0].partition("=")
@@ -208,7 +210,27 @@ def read_param_file(text: str) -> ParamTable:
                 rhythm=RhythmParams(*values[:3]))
         except ValueError as exc:
             raise ParamFileError(f"{cls}.{lead}: {exc}") from None
-    return table
+    return tuple(table.items())
+
+
+def read_param_file(text: str) -> ParamTable:
+    """Parse the flat key=value format; rejects unknown or duplicate keys.
+
+    Loading is atomic: any malformed line or invariant violation raises
+    ParamFileError and no partial table is returned.
+
+    The parse is memoized by the text, for the last ``_PARSE_CACHE_SIZE``
+    distinct texts, so the same table text parsed again in one process
+    costs one lookup. Each call returns a fresh dict of the cached, frozen
+    ``ParamDistribution``s, which a caller may change. A malformed text
+    raises on every call, as exceptions are not cached. ``cache_info`` and
+    ``cache_clear`` are the memo's.
+    """
+    return dict(_parse_param_text(text))
+
+
+read_param_file.cache_info = _parse_param_text.cache_info
+read_param_file.cache_clear = _parse_param_text.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +245,18 @@ def default_param_path() -> str:
 
 
 def default_distributions() -> ParamTable:
-    """The shipped NORMAL table, all 12 leads: a fresh parse of the file at
+    """The shipped NORMAL table, all 12 leads, from the file at
     ``default_param_path()``, which is the table's one copy. Its header
-    states the rules the values follow."""
+    states the rules the values follow. The file is read on every call and
+    its text goes through ``read_param_file``'s memo, so the table is a
+    fresh dict, and an unchanged file is parsed once per process."""
     return read_param_file(Path(default_param_path()).read_text(encoding="utf-8"))
 
 
 def default_eta_for_lead(lead: str) -> EdmParams:
-    """Mean wave set of one lead in the shipped NORMAL table."""
-    return default_distributions()[("NORMAL", lead)].mean_eta
+    """Mean wave set of one lead in the shipped NORMAL table; a lead it
+    lacks raises ConfigurationError, as ``require_dist`` does."""
+    return require_dist(default_distributions(), "NORMAL", lead).mean_eta
 
 
 def zero_variance(table: ParamTable) -> ParamTable:

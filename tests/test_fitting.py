@@ -250,6 +250,12 @@ class TestEstimateDistribution:
         single = fit_params(beats[0], DEFAULT_ETA, ref).eta
         assert np.allclose(dist.mean, eta_to_vector(single), rtol=0, atol=0)
 
+    def test_default_start_for_unknown_lead_is_a_configuration_error(self):
+        traj = integrate_euler(DEFAULT_ETA, DEFAULT_RHYTHM, GRID)
+        beats = [LeadSignal(GRID, traj.z.copy()) for _ in range(2)]
+        with pytest.raises(ConfigurationError, match="class 'NORMAL', lead 'XX'"):
+            estimate_distribution(beats, "NORMAL", "XX", rhythm=DEFAULT_RHYTHM)
+
     def test_centres_straddling_seam(self):
         # T at pi - 0.02 and at -pi + 0.02 lie 0.04 rad apart across the
         # seam: their mean is pi, not 0, and their spread is 0.02, not pi

@@ -11,7 +11,7 @@ from ecgdyn.errors import IntegrationDiverged
 from ecgdyn.integrate import (SamplingGrid, Trajectory, beat_grid, integrate_euler,
                               integrate_rk4)
 from ecgdyn.model import (DEFAULT_ETA, DEFAULT_RHYTHM, EdmParams, RhythmParams,
-                          State, WaveParams)
+                          State, WaveParams, eta_to_vector, vector_to_eta)
 
 
 def flat_eta():
@@ -148,6 +148,25 @@ class TestEuler:
             with pytest.raises(IntegrationDiverged) as err:
                 integrate_euler(eta, DEFAULT_RHYTHM, grid)
             assert err.value.step == step
+
+    @pytest.mark.parametrize("index, value", [
+        (2, 0.0),        # P.b: a divide by zero, once a P wave lost silently
+        (6, 3.5),        # R.theta past pi, once integrated silently
+        (10, math.nan),  # S.a
+    ], ids=["P.b zero", "R.theta 3.5", "S.a NaN"])
+    @pytest.mark.parametrize("integrator", [integrate_euler, integrate_rk4])
+    def test_bad_vector_raises_wave_params_message(self, integrator, index, value):
+        v = eta_to_vector(DEFAULT_ETA)
+        v[index] = value
+        with pytest.raises(ValueError) as want:
+            vector_to_eta(v)
+        with pytest.raises(ValueError) as got:
+            integrator(v, DEFAULT_RHYTHM, beat_grid(500, 1.0))
+        assert str(got.value) == str(want.value)
+
+    def test_bad_vector_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected shape \(15,\), got \(14,\)"):
+            integrate_euler(np.zeros(14), DEFAULT_RHYTHM, beat_grid(500, 1.0))
 
     def test_circle_shared_and_read_only(self):
         # every lead on one grid reads the one cached (x, y) circle, so a

@@ -119,6 +119,26 @@ class TestWaveTerms:
             if jac:
                 assert rows1.tobytes() == rows[:, i, j].tobytes()
 
+    @pytest.mark.parametrize("index, value", [
+        (2, 0.0), (6, 3.5), (10, math.nan), (14, math.inf), (3, -math.inf),
+    ], ids=["P.b zero", "R.theta 3.5", "S.a NaN", "T.b inf", "Q.theta -inf"])
+    def test_bad_vector_in_batch_raises_its_message(self, index, value):
+        # one broken set among (draws, leads, 15) names that set's first
+        # broken wave, with WaveParams' message
+        sets = np.array([[eta_to_vector(DEFAULT_ETA)] * 4] * 3)
+        assert wave_rate_sum(KERNEL_PHASES, sets).shape == (3, 4, KERNEL_PHASES.size)
+        sets[1, 2, index] = value
+        sets[2, 0, 6] = 4.0  # a later set's fault is not the one named
+        with pytest.raises(ValueError) as want:
+            vector_to_eta(sets[1, 2])
+        with pytest.raises(ValueError) as got:
+            wave_rate_sum(KERNEL_PHASES, sets)
+        assert str(got.value) == str(want.value)
+
+    def test_batch_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected shape \(15,\), got \(14,\)"):
+            wave_rate_sum(KERNEL_PHASES, np.zeros((3, 4, 14)))
+
     def test_params_match_per_wave_loop(self):
         # W and J of an EdmParams carry the bits of the wave-by-wave loop
         for v in _kernel_sets(40):

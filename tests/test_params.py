@@ -156,9 +156,10 @@ class TestFileFormat:
             key, value = text
             text = "\n".join(f"{key} = {value}" if ln.startswith(f"{key} = ") else ln
                              for ln in write_param_file(table).splitlines())
-        with pytest.raises(ParamFileError) as info:
-            read_param_file(text)
-        assert str(info.value) == message
+        for _ in range(2):  # a malformed text is not memoized: it raises again
+            with pytest.raises(ParamFileError) as info:
+                read_param_file(text)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("pad", [" ", "\t", " \t ", "\x1f", "\xa0"])
     def test_padded_value_parses(self, table, pad):
@@ -213,6 +214,10 @@ class TestShippedTable:
             assert default_eta_for_lead(lead) == a[("NORMAL", lead)].mean_eta
         assert default_eta_for_lead("II") == DEFAULT_ETA
 
+    def test_unknown_lead_names_class_and_lead(self):
+        with pytest.raises(ConfigurationError, match="class 'NORMAL', lead 'XX'"):
+            default_eta_for_lead("XX")
+
     def test_data_files_are_package_data(self):
         # an installed package holds only the data files its package-data
         # globs name, and the shipped table exists nowhere else
@@ -224,6 +229,50 @@ class TestShippedTable:
         shipped = {path for pattern in globs for path in package.glob(pattern)}
         files = {path for path in (package / "data").rglob("*") if path.is_file()}
         assert files and files <= shipped, sorted(map(str, files - shipped))
+
+
+class TestParseMemo:
+    """read_param_file parses a text once and hands out fresh tables."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        read_param_file.cache_clear()
+
+    def test_same_text_equal_tables_in_distinct_dicts(self, table):
+        text = write_param_file(table)
+        a, b = read_param_file(text), read_param_file(text)
+        assert a == b == table and a is not b
+        info = read_param_file.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_changing_a_table_leaves_the_next_parse(self, table):
+        text = write_param_file(table)
+        first = read_param_file(text)
+        first[("NORMAL", "II")] = first[("NORMAL", "I")]
+        del first[("NORMAL", "V6")]
+        again = read_param_file(text)
+        assert again == table and len(again) == 12
+
+    def test_edited_text_parsed_anew(self, table):
+        text = write_param_file(table)
+        edited = text.replace("NORMAL.II.gain_mean = 22\n", "NORMAL.II.gain_mean = 23\n")
+        assert read_param_file(text)[("NORMAL", "II")].gain_mean == 22.0
+        assert read_param_file(edited)[("NORMAL", "II")].gain_mean == 23.0
+        assert read_param_file.cache_info().misses == 2
+
+    def test_defaults_parse_once(self):
+        default_distributions()
+        default_distributions()
+        info = read_param_file.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_memo_is_bounded(self, table):
+        text = write_param_file(table)
+        limit = read_param_file.cache_info().maxsize
+        assert limit is not None and limit <= 16
+        for k in range(limit + 4):
+            read_param_file(f"# text {k}\n" + text)
+        assert read_param_file.cache_info().currsize == limit
 
 
 class TestValidation:
