@@ -30,6 +30,10 @@ GRID = beat_grid(500, 1.0)
 # default parameters (computed by tests/naive_reference.py, frozen here)
 ZEROS_DISTANCE = 101.4489774971078
 
+#: A beat on the dynamics of every term scores zero up to rounding (about
+#: 1e-27 for the beats below)
+ZERO_SCORE_TOL = 1e-12
+
 
 def count_calls(monkeypatch, module, name):
     """Replace module.name with a wrapper; returns the list of its calls."""
@@ -48,6 +52,16 @@ def _noise_beat(seed=21):
     rng = np.random.default_rng(seed)
     return Heartbeat(grid=GRID, leads=rng.uniform(-0.1, 0.1, (12, GRID.L)),
                      label="NORMAL")
+
+
+def _synthesized(table, seed=0, grid=GRID):
+    """A beat synthesized exactly from one draw of table's NORMAL class,
+    with the draw's (eta, gain) per lead."""
+    entry = draw_param_samples(table, "NORMAL", 1, seed)[0]
+    beat = synthesize_heartbeat(
+        {lead: entry[lead][0] for lead in FREE_LEADS}, table["NORMAL", "II"].rhythm,
+        grid, gains={lead: entry[lead][1] for lead in FREE_LEADS}, label="NORMAL")
+    return beat, entry
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +168,29 @@ class TestInterlead:
             (beat.lead("III") / gain).tolist(), ref.x.tolist(), ref.y.tolist(),
             500, rel.beta, rel.gamma, as_tuple(eta1), as_tuple(eta2))
         assert d == pytest.approx(expected, rel=1e-9)
+
+
+class TestExactBeat:
+    """A beat synthesized from the zero-variance table satisfies every
+    term, its own leads' and the limb identities', at any rate."""
+
+    @pytest.mark.parametrize("fs", [500.0, 257.3])
+    @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
+    def test_scores_zero_and_refines_to_itself(self, zero_table, delta, fs):
+        beat, _ = _synthesized(zero_table, grid=beat_grid(fs, 1.0))
+        weights = LossWeights(delta)
+        assert euler_loss_combined(beat, zero_table, weights) < ZERO_SCORE_TOL
+        assert refine_waveform(beat, zero_table, weights) is beat
+
+    def test_lead_iii_scores_zero_from_ii_and_i(self, ref, zero_table):
+        beat, entry = _synthesized(zero_table)
+        gain = zero_table["NORMAL", "III"].gain_mean
+        h = LeadSignal(GRID, beat.lead("III") / gain, lead="III")
+        rel = next(r for r in limb_relations() if r.target == "III")
+        assert (rel.src1, rel.src2) == ("II", "I")
+        d = sim_distance_interlead(h, entry["II"][0], entry["I"][0], rel,
+                                   reference_trajectory(DEFAULT_RHYTHM, GRID))
+        assert d < ZERO_SCORE_TOL
 
 
 class TestCombinedLoss:

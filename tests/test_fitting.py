@@ -338,6 +338,21 @@ class TestRefineWaveform:
         out = refine_waveform(beat, table, LossWeights(1.0), seed=4)
         assert out is beat
 
+    def test_noisy_class_beats_refine_near_clean(self):
+        # six beats drawn from the class table, each with 0.05 mV of white
+        # noise: the refined beat lies closer to the clean beat than the
+        # noise put the input, in RMS over the 12 leads
+        table = default_distributions()
+        for k in range(6):
+            entry = draw_param_samples(table, "NORMAL", 1, (7, k))[0]
+            clean = synthesize_heartbeat(
+                {lead: entry[lead][0] for lead in FREE_LEADS}, DEFAULT_RHYTHM, GRID,
+                gains={lead: entry[lead][1] for lead in FREE_LEADS}, label="NORMAL")
+            noise = np.random.default_rng((8, k)).normal(0.0, 0.05, clean.leads.shape)
+            noisy = Heartbeat(grid=GRID, leads=clean.leads + noise, label="NORMAL")
+            out = refine_waveform(noisy, table, LossWeights(0.6))
+            assert np.sqrt(np.mean((out.leads - clean.leads) ** 2)) <= 0.05
+
     def test_noise_refinement_improves_and_stays_consistent(self):
         table = default_distributions()
         beat0 = _noise_beat()

@@ -168,6 +168,14 @@ class TestEuler:
         with pytest.raises(ValueError, match=r"expected shape \(15,\), got \(14,\)"):
             integrate_euler(np.zeros(14), DEFAULT_RHYTHM, beat_grid(500, 1.0))
 
+    @pytest.mark.parametrize("integrator", [integrate_euler, integrate_rk4])
+    def test_batch_of_vectors_refused(self, integrator):
+        # the integrators step one wave set; a (k, 15) batch is named, not
+        # broadcast into a (k, L) path
+        batch = np.tile(eta_to_vector(DEFAULT_ETA), (2, 1))
+        with pytest.raises(ValueError, match=r"^expected shape \(15,\), got \(2, 15\)$"):
+            integrator(batch, DEFAULT_RHYTHM, beat_grid(500, 1.0))
+
     def test_circle_shared_and_read_only(self):
         # every lead on one grid reads the one cached (x, y) circle, so a
         # write to it would corrupt every later integration
@@ -241,6 +249,18 @@ class TestEulerRecurrence:
         got = integrate._euler_z(1e-300, np.zeros(3000), 2.5)
         assert np.all(np.isfinite(want)) and np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+    @pytest.mark.parametrize("dt", [1 / 500, 1 / 257.3, 1.5, 2.5])
+    def test_batch_rows_match_one_row_scans(self, dt):
+        # a leading batch axis steps every row as its own 1-D scan, bit for
+        # bit; at dt = 2.5 the weights overflow into the ldexp passes
+        rng = np.random.default_rng(17)
+        z0, drift = rng.normal(size=3), rng.normal(0.0, 5.0, (3, 2999))
+        got = integrate._euler_z(z0, drift, dt)
+        assert got.shape == (3, 3000)
+        for j in range(3):
+            assert got[j].tobytes() == integrate._euler_z(z0[j], drift[j], dt).tobytes()
 
 
 class TestRk4:
