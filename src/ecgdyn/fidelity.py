@@ -11,7 +11,9 @@ start, an ``integrate_euler`` path is one too, and a distance takes the
 reference alone.
 The inter-lead variant replaces the single rate by the linear combination
 of two source-lead rates dictated by a limb identity, tying derived leads
-to the dynamics of the leads that generate them.
+to the dynamics of the leads that generate them. Every rate is W + z0 - z,
+so the combination's z term is the target's own: every residual has z
+coefficient 1.
 
 Both distances are differentiable in closed form with respect to the
 waveform and the wave parameters. They are quadratic in the waveform, which
@@ -28,11 +30,15 @@ term and then the six limb identities, which one pass scores and
 refinement solves against. It draws every lead's parameters and gain for
 all draws as one (draws, 12, 15) and one (draws, 12) array, and evaluates W
 through ``model._wave_terms`` (still the one W) in one ``wave_rate_sum``
-call per rhythm. Each drift is evaluated once per (lead, rhythm) pair, so
-a limb identity reuses the drifts of its source leads' own terms.
+call per rhythm. Each drift is evaluated once per (lead, rhythm) pair.
+The synthesizer derives III, aVR, aVL and aVF from leads I and II, so a
+limb identity's drift is I's or II's, or their ``leads.derive_limb_rows``
+combination, derived once per rhythm from the same draw: an exact beat of
+the table satisfies every identity, and lead III's own table entry drives
+no identity.
 
-A term with z coefficient c, gains g and drifts d scores a lead h by the
-mean over draws of ||s/g - d||^2, s = diff(h)/dt + c*h[:-1]. Its completed
+A term with gains g and drifts d scores a lead h by the mean over draws
+of ||s/g - d||^2, s = diff(h)/dt + h[:-1]. Its completed
 square is W*||s - e||^2 + K, with W = mean(1/g^2), e = mean(d/g) / W and
 K = sum_l mean((d_l - e_l/g)^2), none of which depends on the beat, so
 ``_mc_terms`` reduces the draws to (W, e, K) once and scoring a beat costs
@@ -54,7 +60,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .integrate import SamplingGrid, Trajectory, _Reference, reference_trajectory
 from .leads import (FREE_LEADS, Heartbeat, LEAD_INDEX, LEAD_NAMES, LeadRelation,
-                    check_lead, limb_relations)
+                    check_lead, derive_limb_rows, limb_relations)
 from .model import B_FLOOR, EdmParams, _wave_terms, eta_to_vector, vector_to_eta, wave_rate_sum
 from .params import ParamTable, _draw, require_dist
 
@@ -103,11 +109,10 @@ def _check_ref(h: LeadSignal, ref: Trajectory) -> None:
             f"signal grid {h.grid} does not match reference grid {ref.grid}")
 
 
-def _residuals(h: np.ndarray, dt: float, drift: np.ndarray,
-               z_coeff=1.0) -> np.ndarray:
-    """(h[l+1]-h[l])/dt - (drift[l] - z_coeff*h[l]) for l = 0..L-2, along
-    the last axis of h; arrays of signals, drifts and z_coeff broadcast."""
-    return np.diff(h) / dt - (drift - z_coeff * h[..., :-1])
+def _residuals(h: np.ndarray, dt: float, drift: np.ndarray) -> np.ndarray:
+    """(h[l+1]-h[l])/dt - (drift[l] - h[l]) for l = 0..L-2, along the last
+    axis of h; arrays of signals and drifts broadcast."""
+    return np.diff(h) / dt - (drift - h[..., :-1])
 
 
 def _lead_residual(h: LeadSignal, eta: EdmParams | np.ndarray, ref: Trajectory,
@@ -143,10 +148,13 @@ def sim_distance(h: LeadSignal, eta: EdmParams, ref: Trajectory) -> float:
 
 def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
                            rel: LeadRelation, ref: Trajectory) -> float:
-    """Squared residuals of h against beta*rate(eta1) + gamma*rate(eta2).
+    """Squared residuals of h against the rate beta*(W1 + z0) +
+    gamma*(W2 + z0) - h.
 
     eta1 and eta2 belong to rel.src1 and rel.src2; h must be the relation's
-    target lead.
+    target lead. The sources' rates are W + z0 - z, so the target's is their
+    combination with -(beta*z1 + gamma*z2) = -h: the z coefficient is 1,
+    whatever beta and gamma are.
     """
     _check_ref(h, ref)
     if rel.target != h.lead:
@@ -155,7 +163,7 @@ def sim_distance_interlead(h: LeadSignal, eta1: EdmParams, eta2: EdmParams,
     phase, z0 = ref.phase, ref.z0
     drift = (rel.beta * (wave_rate_sum(phase, eta1) + z0)
              + rel.gamma * (wave_rate_sum(phase, eta2) + z0))
-    r = _residuals(h.samples, h.grid.dt, drift, z_coeff=rel.beta + rel.gamma)
+    r = _residuals(h.samples, h.grid.dt, drift)
     return float(r @ r)
 
 
@@ -211,18 +219,19 @@ def _mc_terms(grid: SamplingGrid, table: ParamTable, label: str | None,
               n_samples: int, seed, leads=LEAD_NAMES):
     """The Monte-Carlo terms of the combined loss, as one term list.
 
-    The list is (names, coeffs, w, e, k, least_gain): the lead each of its
-    T terms scores, the (T,) z coefficients, each term's completed square
-    as (T,) weights W, (T, L-1) targets e and (T,) constants K, and each
-    term's (T,) smallest gain over the draws, all read-only. The own terms
-    of the leads in leads come first, in that order, with coefficient 1.0;
-    the six limb identities follow in limb_relations() order, each scoring
-    its target with the target's gain, drift beta*drift(src1) +
-    gamma*drift(src2) on the target's rhythm and reference, and
-    coefficient beta + gamma. A term scores a lead h by
-    W*||diff(h)/dt + c*h[:-1] - e||^2 + K, the mean over draws of
-    ||_residuals(h / gain, dt, drift, c)||^2. Draws come from one
-    generator seeded by seed, as in draw_param_samples.
+    The list is (names, w, e, k, least_gain): the lead each of its T terms
+    scores, each term's completed square as (T,) weights W, (T, L-1)
+    targets e and (T,) constants K, and each term's (T,) smallest gain over
+    the draws, all read-only. The own terms of the leads in leads come
+    first, in that order; the six limb identities follow in
+    limb_relations() order, each scoring its target with the target's gain
+    and, on the target's rhythm and reference, the drift of lead I or II or
+    the ``leads.derive_limb_rows`` combination of the two: the dependent
+    leads are combinations of I and II, and so are their rates, with the
+    z coefficient 1 of every rate. A term scores a lead h by
+    W*||diff(h)/dt + h[:-1] - e||^2 + K, the mean over draws of
+    ||_residuals(h / gain, dt, drift)||^2. Draws come from one generator
+    seeded by seed, as in draw_param_samples.
 
     Every beat of a file shares the grid, the class table, the draws and
     the seed, so the last two term sets (refine's and score's) are kept
@@ -244,14 +253,16 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
                     leads):
     """The term list of ``_mc_terms`` from the 12 leads' distributions: W in
     one wave_rate_sum call per rhythm, over every draw of the leads that
-    need a drift on it, then one reduction of the draws to (W, e, K)."""
+    need a drift on it, the identities' drifts derived once per rhythm,
+    then one reduction of the draws to (W, e, K)."""
     params, gains = _draw(dists, n_samples, np.random.default_rng(seed))
     rhythm = {lead: dist.rhythm for lead, dist in zip(LEAD_NAMES, dists)}
-    rels = limb_relations()
-    # every (lead, rhythm) pair a term reads, grouped by rhythm
+    targets = [rel.target for rel in limb_relations()]
+    # every (lead, rhythm) pair a term reads, grouped by rhythm: each lead
+    # on its own, and I and II on every identity target's
     pairs = dict.fromkeys([(lead, rhythm[lead]) for lead in leads]
-                          + [(src, rhythm[rel.target]) for rel in rels
-                             for src in (rel.src1, rel.src2)])
+                          + [(src, rhythm[target]) for target in targets
+                             for src in ("I", "II")])
     drift = {}
     for via in dict.fromkeys(r for _, r in pairs):
         group = [lead for lead, r in pairs if r == via]
@@ -259,13 +270,15 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
         cols = [LEAD_INDEX[lead] for lead in group]
         rates = wave_rate_sum(ref.phase, params[:, cols]) + ref.z0
         drift.update(((lead, via), rates[:, j]) for j, lead in enumerate(group))
-    names = tuple(leads) + tuple(rel.target for rel in rels)
-    coeffs = np.array([1.0] * len(leads) + [rel.beta + rel.gamma for rel in rels])
+    limb = {}
+    for via in dict.fromkeys(rhythm[target] for target in targets):
+        d1, d2 = drift["I", via], drift["II", via]
+        limb[via] = {"I": d1, "II": d2, **derive_limb_rows(d1, d2)}
+    names = tuple(leads) + tuple(targets)
     g = gains[:, [LEAD_INDEX[lead] for lead in names]][..., None]
     drifts = np.stack([drift[lead, rhythm[lead]] for lead in leads]
-                      + [rel.beta * drift[rel.src1, rhythm[rel.target]]
-                         + rel.gamma * drift[rel.src2, rhythm[rel.target]]
-                         for rel in rels], axis=1)
+                      + [limb[rhythm[target]][target] for target in targets],
+                      axis=1)
     # the draws, reduced to (W, e, K); the (draws, T, L-1) steps share one
     # buffer, as fresh temporaries re-faulted ~2 MB of pages per build
     w = np.mean(1.0 / (g * g), axis=0)
@@ -273,7 +286,7 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
     e = np.mean(dev, axis=0) / w
     np.subtract(drifts, np.divide(e, g, out=dev), out=dev)
     k = np.mean(np.square(dev, out=dev), axis=0).sum(axis=1)
-    terms = (names, coeffs, w[:, 0], e, k, g.min(axis=0)[:, 0])
+    terms = (names, w[:, 0], e, k, g.min(axis=0)[:, 0])
     for arr in terms[1:]:
         arr.flags.writeable = False
     return terms
@@ -282,17 +295,17 @@ def _build_mc_terms(grid: SamplingGrid, dists: tuple, n_samples: int, seed,
 def _term_losses(leads: np.ndarray, dt: float, terms, signals=False):
     """The (l1, l2, per_lead) of ``loss_components`` for a (12, L) lead
     matrix and the term list of ``_mc_terms``, in one pass over the
-    terms' rows h, scoring each by W*||diff(h)/dt + c*h[:-1] - e||^2 + K
+    terms' rows h, scoring each by W*||diff(h)/dt + h[:-1] - e||^2 + K
     whatever the number of draws. The list ends with the limb identities,
     which l2 averages; l1 averages the free leads' own terms before them,
     and per_lead holds every own term. With signals set, every lead
     divided by its smallest gain, and so by every gain drawn, must be
     finite, as a ``LeadSignal``'s samples must."""
-    names, coeffs, w, e, k, least_gain = terms
+    names, w, e, k, least_gain = terms
     h = leads[[LEAD_INDEX[lead] for lead in names]]
     if signals and not np.isfinite(h / least_gain[:, None]).all():
         raise ValueError("samples must be finite")
-    r = _residuals(h, dt, e, coeffs[:, None])
+    r = _residuals(h, dt, e)
     losses = (w * np.vecdot(r, r) + k).tolist()
     own = len(names) - len(limb_relations())
     per_lead = dict(zip(names[:own], losses))

@@ -168,64 +168,22 @@ def estimate_distribution(beats, class_code: str, lead: str,
 # waveform refinement
 
 def _nearest_chain(h0: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
-    """The solution of diff(h)/dt + h[:-1] = target nearest to h0.
+    """For each row of h0 (k, L), the solution of diff(h)/dt + h[:-1] =
+    target (k, L-1) nearest to it.
 
     Every solution is the Euler z recurrence from some start h[0], and two
     differ by a multiple of n[l] = (1 - dt)**l, so the nearest one moves h0
-    orthogonally to n.
+    orthogonally to n. All rows are one batched ``_euler_z`` scan.
     """
-    h = _euler_z(h0[0], target, dt)
-    n = (1.0 - dt) ** np.arange(h0.size)
-    return h + ((h0 - h) @ n / (n @ n)) * n
+    h = _euler_z(h0[:, 0], target, dt)
+    n = (1.0 - dt) ** np.arange(h0.shape[1])
+    return h + ((h0 - h) @ n / (n @ n))[:, None] * n
 
 
-def _solve_limb_pair(terms, dt: float, length: int) -> np.ndarray:
-    """Leads I and II, as a 2 x length array, minimizing the limb terms.
-
-    terms is a sequence of (lead, c, W, e), each scoring W*||A_c h - e||^2
-    for the lead's combination a of z[l] = (I[l], II[l]). Its residual at
-    step l is a.(z[l+1]/dt + (c - 1/dt)*z[l]) - e[l], so the normal
-    equations are block tridiagonal in z: 2x2 blocks p + q on the diagonal
-    (q alone at the first sample, p alone at the last) and the same
-    symmetric b off it. Block elimination in scalar arithmetic solves them
-    in O(length); they have full rank whenever a limb identity is a term.
-    """
-    coef = {"I": np.array([1.0, 0.0]), "II": np.array([0.0, 1.0])}
-    coef.update(derive_limb_rows(coef["I"], coef["II"]))
-    upper = np.triu_indices(2)  # a symmetric block as (11, 12, 22)
-    p, q, b = np.zeros(3), np.zeros(3), np.zeros(3)
-    rhs = np.zeros((length, 2))
-    for lead, c, weight, target in terms:
-        a = coef[lead]
-        aa = weight * np.outer(a, a)[upper]
-        k = c - 1.0 / dt
-        p += aa / (dt * dt)
-        q += (k * k) * aa
-        b += (k / dt) * aa
-        rhs[1:] += np.outer((weight / dt) * target, a)
-        rhs[:-1] += np.outer((weight * k) * target, a)
-    b11, b12, b22 = b.tolist()
-    diag = [q.tolist()] + [(p + q).tolist()] * (length - 2) + [p.tolist()]
-    i11 = i12 = i22 = y1 = y2 = 0.0  # nothing precedes the first sample
-    inv, ys = [], []
-    for (d11, d12, d22), (r1, r2) in zip(diag, rhs.tolist()):
-        g11, g12 = b11 * i11 + b12 * i12, b11 * i12 + b12 * i22
-        g21, g22 = b12 * i11 + b22 * i12, b12 * i12 + b22 * i22
-        s11 = d11 - g11 * b11 - g12 * b12
-        s12 = d12 - g11 * b12 - g12 * b22
-        s22 = d22 - g21 * b12 - g22 * b22
-        y1, y2 = r1 - g11 * y1 - g12 * y2, r2 - g21 * y1 - g22 * y2
-        det = s11 * s22 - s12 * s12
-        i11, i12, i22 = s22 / det, -s12 / det, s11 / det
-        inv.append((i11, i12, i22))
-        ys.append((y1, y2))
-    z1 = z2 = 0.0  # nor follows the last
-    z = []
-    for (i11, i12, i22), (y1, y2) in zip(inv[::-1], ys[::-1]):
-        c1, c2 = y1 - b11 * z1 - b12 * z2, y2 - b12 * z1 - b22 * z2
-        z1, z2 = i11 * c1 + i12 * c2, i12 * c1 + i22 * c2
-        z.append((z1, z2))
-    return np.array(z[::-1]).T
+#: Each limb lead as its coefficients on leads I and II, for the limb terms'
+#: least-squares step
+_LIMB_COEF = {"I": np.array([1.0, 0.0]), "II": np.array([0.0, 1.0])}
+_LIMB_COEF.update(derive_limb_rows(_LIMB_COEF["I"], _LIMB_COEF["II"]))
 
 
 def refine_waveform(beat0: Heartbeat, table: ParamTable,
@@ -239,14 +197,16 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
     ``loss_components``, with own terms for the free leads alone and then
     the six limb identities, drawn once up front from the seed, so the
     objective is a fixed deterministic function. A term is
-    weight*(W*||A_c h - e||^2 + K) with A_c h = diff(h)/dt + c*h[:-1], the
+    weight*(W*||A h - e||^2 + K) with A h = diff(h)/dt + h[:-1], the
     completed square ``_mc_terms`` keeps, and weight its half's share of
-    the combined loss; the own terms have c = 1. So the loss is an exact
-    quadratic, minimized in O(L), nearest the input where the minimum is
-    not unique. Where the limb identities carry weight they couple I and
-    II, and one pair solve sets both rows from every weighted term on a
-    limb lead; each other lead's own term alone is met exactly by the
-    Euler z recurrence, and a lead without terms keeps its input. The four
+    the combined loss. So the loss is an exact quadratic, minimized in
+    O(L), nearest the input where the minimum is not unique. Every term
+    shares A, and each limb lead is a combination a of leads I and II, so
+    at every step one 2x2 least-squares solve over the weighted terms on
+    limb leads gives the targets of A I and A II. A h = target is met
+    exactly by the Euler z recurrence, so one batched chain sets I, II and
+    each scored precordial from its target, the precordials' being their
+    own terms' e; a lead without terms keeps its input. The four
     dependent limb leads are re-derived from leads I and II, so the output
     satisfies the limb identities to rounding. Pass a list as ``history``
     to receive the loss before and after.
@@ -267,18 +227,16 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
     # a term's weight is the combination's slope in its half of the loss
     w1 = weights.combine(1.0, 0.0) / len(FREE_LEADS)
     w2 = weights.combine(0.0, 1.0) / len(limb_relations())
-    names, coeffs, w, e, *_ = terms
-    shares = [w1] * len(FREE_LEADS) + [w2] * len(limb_relations())
-    u, chained = u0.copy(), range(len(FREE_LEADS))
-    if w2 > 0.0:  # the identities couple I and II: one solve sets both rows
-        pair = [(lead, c, s * w_t, e_t) for lead, c, s, w_t, e_t in
-                zip(names, coeffs.tolist(), shares, w.tolist(), e)
-                if s > 0.0 and lead not in FREE_LEADS[2:]]  # limb-lead terms
-        u[:2] = _solve_limb_pair(pair, dt, u0.shape[1])
-        chained = range(2, len(FREE_LEADS))
-    if w1 > 0.0:
-        for j in chained:
-            u[j] = _nearest_chain(u0[j], e[j], dt)
+    names, w, e, *_ = terms
+    shares = np.array([w1] * len(FREE_LEADS) + [w2] * len(limb_relations()))
+    limb = [t for t, lead in enumerate(names) if lead in _LIMB_COEF]
+    a = np.array([_LIMB_COEF[names[t]] for t in limb])
+    aw = a.T * (shares * w)[limb]
+    target = e[:len(FREE_LEADS)].copy()  # the own terms, in FREE_LEADS order
+    target[:2] = np.linalg.solve(aw @ a, aw @ e[limb])
+    rows = len(FREE_LEADS) if w1 > 0.0 else 2  # unscored precordials stay
+    u = u0.copy()
+    u[:rows] = _nearest_chain(u0[:rows], target[:rows], dt)
     if not np.all(np.isfinite(u)):
         raise FitDiverged("non-finite refined leads")
     if history is not None:

@@ -9,8 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationDiverged
-from .model import (EdmParams, RhythmParams, State, _circle_rate, _unchecked, baseline,
-                    wave_rate_sum)
+from .model import (N_PARAMS, EdmParams, RhythmParams, State, _circle_rate, _unchecked,
+                    baseline, wave_rate_sum)
 
 #: Abort threshold: forward Euler with absurd parameters can blow up silently.
 DIVERGENCE_LIMIT = 1e6
@@ -88,21 +88,26 @@ def _check_paths(*paths: np.ndarray) -> None:
         raise IntegrationDiverged(int(np.argmax(bad)) + 1)
 
 
-def _euler_z(z0: float, drift: np.ndarray, dt: float) -> np.ndarray:
+def _euler_z(z0, drift: np.ndarray, dt: float) -> np.ndarray:
     """Forward Euler on the rate drift - z, z[l+1] = r*z[l] + dt*drift[l] with
     r = 1 - dt, as a prefix scan: pass k = 1, 2, 4, ... adds r**k * z[l-k] to
-    each z[l], a few ulp of the largest partial sum off a scalar loop. Passes
+    each z[l], a few ulp of the largest partial sum off a scalar loop. z0 of
+    shape (...) and drift of shape (..., n) may carry leading batch axes;
+    each row is scanned as on its own, bit for bit. Passes
     stop once the weight underflows. Where it would overflow (|1 - dt| > 1,
     where Euler is unstable) it is kept as w * 2**e, w in [0.25, 1), and a
     pass adds w * ldexp(z[l-k], e). No term is dropped: a z well inside the
     float range comes out to rounding, one near or past its end as inf or
     NaN, and 0 stays 0.
     RK4 is this recurrence with dt = 1 - R(h), see ``integrate_rk4``."""
-    z = np.concatenate(([z0], dt * drift))
+    z = np.empty(drift.shape[:-1] + (drift.shape[-1] + 1,))
+    z[..., 0] = z0
+    np.multiply(dt, drift, out=z[..., 1:])
+    steps = z.T  # the samples along the first axis, every row at once
     k, w, e = 1, 1.0 - dt, 0  # pass k's weight (1 - dt)**k is w * 2**e
-    while k < z.size and w != 0.0:
+    while k < len(steps) and w != 0.0:
         # past 2**2100, ldexp takes any z but 0 to inf; its exponent is an int32
-        z[k:] += w * np.ldexp(z[:-k], min(e, 2100)) if e else w * z[:-k]
+        steps[k:] += w * np.ldexp(steps[:-k], min(e, 2100)) if e else w * steps[:-k]
         if e or abs(w * w) == math.inf:
             m, shift = math.frexp(w)
             w, e = m * m, 2 * (e + shift)
@@ -157,6 +162,13 @@ reference_trajectory.cache_info = _reference.cache_info
 reference_trajectory.cache_clear = _reference.cache_clear
 
 
+def _check_one_set(eta: EdmParams | np.ndarray) -> None:
+    """An integrator steps one wave set: refuse a batch of vectors by its
+    shape, before it broadcasts into a batch of paths."""
+    if not isinstance(eta, EdmParams) and np.shape(eta) != (N_PARAMS,):
+        raise ValueError(f"expected shape ({N_PARAMS},), got {np.shape(eta)}")
+
+
 def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
                     grid: SamplingGrid, init: State = DEFAULT_INIT) -> _Reference:
     """Forward-Euler trajectory: u[l+1] = u[l] + f(u[l], t_l)*dt.
@@ -174,13 +186,15 @@ def integrate_euler(eta: EdmParams | np.ndarray, rhythm: RhythmParams,
     itself.
 
     eta is an ``EdmParams`` or its 15-vector in PARAM_NAMES order, such as
-    a projected draw; ``wave_rate_sum`` checks a vector against
+    a projected draw; an array of another shape, a (k, 15) batch too, is
+    refused by its shape, and ``wave_rate_sum`` checks a vector against
     ``WaveParams``' rules, with its messages, before any step is taken.
 
     Sample times run t_l = init.t + l*dt, so a record can be integrated in
     chained segments by passing each segment's end state (and time) as the
     next segment's init.
     """
+    _check_one_set(eta)
     ref = reference_trajectory(rhythm, grid, init)
     zs = _euler_z(init.z, wave_rate_sum(ref.phase, eta) + ref.z0, grid.dt)
     if not (np.abs(zs[1:]) < DIVERGENCE_LIMIT).all():
@@ -201,6 +215,7 @@ def integrate_rk4(eta: EdmParams, rhythm: RhythmParams, grid: SamplingGrid,
     h^3/6 + h^4/24 and u = h/6*((1 - h + h^2/2 - h^3/4)*d1 + (2 - h + h^2/2)*d2
     + (2 - h)*d3 + d4): ``_euler_z`` with the step 1 - R on the drift u/(1 - R).
     """
+    _check_one_set(eta)
     omega = rhythm.omega
     dt = grid.dt
     half = 0.5 * dt

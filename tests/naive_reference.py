@@ -104,15 +104,17 @@ def sim_distance(h, xs, ys, fs, theta=THETA, a=AMP, b=WIDTH,
     return total
 
 
-def sim_distance_pair(h, xs, ys, fs, beta, gamma, eta1, eta2,
-                      wander=0.15, f2=0.25):
-    """Two-source variant; eta1/eta2 are (theta, a, b) triples of tuples."""
+def sim_distance_sources(h, xs, ys, fs, sources, wander=0.15, f2=0.25):
+    """Multi-source variant; sources are (coefficient, eta) pairs, each eta
+    a (theta, a, b) triple of tuples. A source lead's rate is W + z0 - z,
+    and the coefficients times the source leads sum to h, so the target's
+    rate is the sources' rates at z = 0, combined, minus h itself."""
     dt = 1.0 / fs
     total = 0.0
     for l in range(len(h) - 1):
-        r1 = fz(xs[l], ys[l], h[l], l * dt, *eta1, wander, f2)
-        r2 = fz(xs[l], ys[l], h[l], l * dt, *eta2, wander, f2)
-        resid = (h[l + 1] - h[l]) / dt - (beta * r1 + gamma * r2)
+        rate = sum(coef * fz(xs[l], ys[l], 0.0, l * dt, *eta, wander, f2)
+                   for coef, eta in sources)
+        resid = (h[l + 1] - h[l]) / dt - (rate - h[l])
         total += resid * resid
     return total
 
@@ -131,20 +133,20 @@ FREE_ROW_COEF = {
 def refine_lstsq(terms, u0, dt):
     """Dense minimum-norm least-squares refinement of the 8 free rows u0.
 
-    terms are (weight, lead, gain, drift, z_coeff); each scores the lead's
-    row h by weight * sum_l ((h[l+1]-h[l])/dt/gain + z_coeff*h[l]/gain
-    - drift[l])**2. One dense row per term and step; np.linalg.lstsq
-    returns the smallest change from u0 that minimizes the sum.
+    terms are (weight, lead, gain, drift); each scores the lead's row h by
+    weight * sum_l ((h[l+1]-h[l])/dt/gain + h[l]/gain - drift[l])**2. One
+    dense row per term and step; np.linalg.lstsq returns the smallest change
+    from u0 that minimizes the sum.
     """
     n_rows, n = u0.shape
     rows, rhs = [], []
-    for weight, lead, gain, drift, c in terms:
+    for weight, lead, gain, drift in terms:
         s = math.sqrt(weight) / gain
         for l in range(n - 1):
             row = np.zeros(n_rows * n)
             for j, a in FREE_ROW_COEF[lead].items():
                 row[j * n + l + 1] += s * a / dt
-                row[j * n + l] += s * a * (c - 1.0 / dt)
+                row[j * n + l] += s * a * (1.0 - 1.0 / dt)
             rows.append(row)
             rhs.append(math.sqrt(weight) * drift[l])
     m = np.array(rows)
@@ -162,6 +164,16 @@ FREE = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
 LIMB_RELATIONS = (("I", "II", 1.0, "III", -1.0), ("II", "I", 1.0, "III", 1.0),
                   ("III", "II", 1.0, "I", -1.0), ("aVR", "I", -0.5, "II", -0.5),
                   ("aVL", "I", 0.5, "III", -0.5), ("aVF", "II", 0.5, "III", 0.5))
+
+
+def identity_sources(src1, beta, src2, gamma):
+    """A limb identity's sources as (coefficient, lead) pairs over the
+    integrated leads I and II: a synthesized lead III is II - I, so its
+    rate is II's minus I's, from the same draw."""
+    pairs = []
+    for src, coef in ((src1, beta), (src2, gamma)):
+        pairs += [(coef, "II"), (-coef, "I")] if src == "III" else [(coef, src)]
+    return pairs
 
 
 def wrap_modulo(phi):
@@ -219,7 +231,8 @@ def loss_components(leads, fs, dists, n_samples, seed):
 
     dists are the 12 leads' distributions in LEADS order. Each draw takes
     the leads in order from one generator; a limb identity rates its
-    sources on the target's rhythm and scores the target at its gain.
+    sources, by identity_sources, on the target's rhythm and scores the
+    target at its gain.
     """
     rng = np.random.default_rng(seed)
     draws = [[sample_entry(dist, rng) for dist in dists] for _ in range(n_samples)]
@@ -233,20 +246,21 @@ def loss_components(leads, fs, dists, n_samples, seed):
             phases[rhythm.f] = circle_phase(fs, n, rhythm.f)
         return drift_rate(vals, phases[rhythm.f], rhythm, dt)
 
-    def distance(j, gain, rate, c):
+    def distance(j, gain, rate):
         h = leads[j] / gain
-        r = np.diff(h) / dt - (rate - c * h[:-1])
+        r = np.diff(h) / dt - (rate - h[:-1])
         return float(r @ r)
 
     per_lead = [0.0] * 12
     l2 = 0.0
     for draw in draws:
         for j in range(12):
-            per_lead[j] += distance(j, draw[j][1], drift(draw[j][0], j), 1.0)
-        for target, src1, beta, src2, gamma in LIMB_RELATIONS:
-            t, s1, s2 = LEADS.index(target), LEADS.index(src1), LEADS.index(src2)
-            rate = beta * drift(draw[s1][0], t) + gamma * drift(draw[s2][0], t)
-            l2 += distance(t, draw[t][1], rate, beta + gamma)
+            per_lead[j] += distance(j, draw[j][1], drift(draw[j][0], j))
+        for target, *rel in LIMB_RELATIONS:
+            t = LEADS.index(target)
+            rate = sum(coef * drift(draw[LEADS.index(src)][0], t)
+                       for coef, src in identity_sources(*rel))
+            l2 += distance(t, draw[t][1], rate)
     per_lead = [v / n_samples for v in per_lead]
     l1 = sum(per_lead[LEADS.index(lead)] for lead in FREE) / len(FREE)
     return l1, l2 / (n_samples * len(LIMB_RELATIONS)), dict(zip(LEADS, per_lead))
@@ -255,7 +269,7 @@ def loss_components(leads, fs, dists, n_samples, seed):
 def refine_terms(dists, fs, n, n_samples, seed, delta):
     """The terms of refine_lstsq for the combined loss over the free rows.
 
-    One (weight, lead, gain, drift, z_coeff) per draw and term, drawn as
+    One (weight, lead, gain, drift) per draw and term, drawn as
     loss_components draws them: each free lead's own term weighted
     delta / (n_samples * 8), each limb identity weighted
     (1 - delta) / (n_samples * 6); terms without weight are left out.
@@ -274,11 +288,12 @@ def refine_terms(dists, fs, n, n_samples, seed, delta):
     for draw in draws:
         for lead in FREE if w1 > 0.0 else ():
             j = LEADS.index(lead)
-            terms.append((w1, lead, draw[j][1], drift(draw[j][0], j), 1.0))
-        for target, src1, beta, src2, gamma in LIMB_RELATIONS if w2 > 0.0 else ():
-            t, s1, s2 = LEADS.index(target), LEADS.index(src1), LEADS.index(src2)
-            rate = beta * drift(draw[s1][0], t) + gamma * drift(draw[s2][0], t)
-            terms.append((w2, target, draw[t][1], rate, beta + gamma))
+            terms.append((w1, lead, draw[j][1], drift(draw[j][0], j)))
+        for target, *rel in LIMB_RELATIONS if w2 > 0.0 else ():
+            t = LEADS.index(target)
+            rate = sum(coef * drift(draw[LEADS.index(src)][0], t)
+                       for coef, src in identity_sources(*rel))
+            terms.append((w2, target, draw[t][1], rate))
     return terms
 
 

@@ -164,9 +164,9 @@ class TestInterlead:
             v = eta_to_vector(eta)
             return (tuple(v[0::3]), tuple(v[1::3]), tuple(v[2::3]))
 
-        expected = oracle.sim_distance_pair(
+        expected = oracle.sim_distance_sources(
             (beat.lead("III") / gain).tolist(), ref.x.tolist(), ref.y.tolist(),
-            500, rel.beta, rel.gamma, as_tuple(eta1), as_tuple(eta2))
+            500, [(rel.beta, as_tuple(eta1)), (rel.gamma, as_tuple(eta2))])
         assert d == pytest.approx(expected, rel=1e-9)
 
 
@@ -238,9 +238,10 @@ class TestCombinedLoss:
             rhythm = dist.rhythm
             ref = integrate_euler(DEFAULT_ETA, rhythm, GRID)
             h = (beat.lead(rel.target) / dist.gain_mean).tolist()
-            total += oracle.sim_distance_pair(
-                h, ref.x.tolist(), ref.y.tolist(), 500, rel.beta, rel.gamma,
-                as_tuple(entry[rel.src1][0]), as_tuple(entry[rel.src2][0]),
+            sources = oracle.identity_sources(rel.src1, rel.beta, rel.src2, rel.gamma)
+            total += oracle.sim_distance_sources(
+                h, ref.x.tolist(), ref.y.tolist(), 500,
+                [(coef, as_tuple(entry[src][0])) for coef, src in sources],
                 wander=rhythm.A, f2=rhythm.f2)
         assert l2 == pytest.approx(total / 6.0, rel=1e-9)
 
@@ -259,21 +260,22 @@ class TestCombinedLoss:
                             n_samples=3, seed=1)
         assert len(calls) == 1
         # refinement reads the free leads' own terms and the identities,
-        # whose sources are I, II and III: 9 leads per draw, once per file
+        # whose drifts are derived from I's and II's: 8 leads per draw,
+        # once per file
         calls.clear()
         for seed in (21, 22, 23):
             refine_waveform(_noise_beat(seed), default_distributions(),
                             LossWeights(0.6), n_samples=3, seed=1)
-        assert [np.shape(eta) for _, eta in calls] == [(3, 9, 15)]
+        assert [np.shape(eta) for _, eta in calls] == [(3, 8, 15)]
         # in "mixed" four rhythms carry terms: those of I, III and aVR,
-        # each with its lead and the two sources its identity rates on it,
-        # and the shared one, with every other lead and the sources I, III
+        # each with its lead and I and II, from which its identity's drift
+        # is derived on it, and the shared one, with every other lead and I
         calls.clear()
         loss_components(_noise_beat(),
                         with_rhythms(default_distributions(), MIXED_RHYTHMS),
                         n_samples=3, seed=1)
         assert [np.shape(eta) for _, eta in calls] == [
-            (3, 3, 15), (3, 11, 15), (3, 3, 15), (3, 3, 15)]
+            (3, 2, 15), (3, 10, 15), (3, 3, 15), (3, 3, 15)]
         calls.clear()
         for seed in (22, 23):
             loss_components(_noise_beat(seed),

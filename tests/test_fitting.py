@@ -412,23 +412,23 @@ class TestRefineWaveform:
 
         assert np.max(np.abs(slopes(u))) <= 1e-9 * np.max(np.abs(slopes(u0)))
 
-    @pytest.mark.parametrize("delta, chains", [(0.0, 0), (0.6, 6), (1.0, 8)])
-    def test_chains_only_leads_the_pair_solve_keeps(self, delta, chains,
-                                                    monkeypatch):
-        # where the limb identities couple I and II, the pair solve sets
-        # both rows, so chaining them first is wasted
+    @pytest.mark.parametrize("delta, rows", [(0.0, 2), (0.6, 8), (1.0, 8)])
+    def test_one_batched_chain_call(self, delta, rows, monkeypatch):
+        # every scored row, I and II from the limb terms' 2x2 solve and each
+        # precordial from its own term, is one batched chain; at delta = 0
+        # the precordials carry no term and are not chained
         calls, chain = [], fitting._nearest_chain
 
-        def counting(*args):
-            calls.append(1)
-            return chain(*args)
+        def counting(h0, *args):
+            calls.append(h0.shape[0])
+            return chain(h0, *args)
 
         args = (_noise_beat(seed=21), default_distributions(), LossWeights(delta))
         want = refine_waveform(*args, n_samples=2, seed=3)
         monkeypatch.setattr(fitting, "_nearest_chain", counting)
         got = refine_waveform(*args, n_samples=2, seed=3)
         assert np.array_equal(got.leads, want.leads)
-        assert len(calls) == chains
+        assert calls == [rows]
 
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_matches_dense_least_squares(self, delta):

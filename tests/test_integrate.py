@@ -250,13 +250,14 @@ class TestEulerRecurrence:
         assert np.all(np.isfinite(want)) and np.all(np.isfinite(got))
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
-
-    @pytest.mark.parametrize("dt", [1 / 500, 1 / 257.3, 1.5, 2.5])
-    def test_batch_rows_match_one_row_scans(self, dt):
+    @pytest.mark.parametrize("dt, scale", [(1 / 500, 5.0), (1 / 257.3, 5.0),
+                                           (1.5, 5.0), (2.5, 1e-300)])
+    def test_batch_rows_match_one_row_scans(self, dt, scale):
         # a leading batch axis steps every row as its own 1-D scan, bit for
-        # bit; at dt = 2.5 the weights overflow into the ldexp passes
+        # bit; at dt = 2.5 the weights overflow into the ldexp passes, and
+        # z grows by 1.5**l from 1e-300, finite to the end
         rng = np.random.default_rng(17)
-        z0, drift = rng.normal(size=3), rng.normal(0.0, 5.0, (3, 2999))
+        z0, drift = scale * rng.normal(size=3), scale * rng.normal(size=(3, 2999))
         got = integrate._euler_z(z0, drift, dt)
         assert got.shape == (3, 3000)
         for j in range(3):
