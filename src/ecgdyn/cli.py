@@ -436,8 +436,12 @@ _INPUT = ("--input", {"required": True})
 _PARAMS = ("--params", {"required": True})
 _CLASS = ("--class", {"dest": "klass", "default": "NORMAL"})
 _DELTA = ("--delta", {"type": float, "default": 0.6})
-_SAMPLES = ("--samples", {"type": int, "default": 8})
 _SEED = ("--seed", {"type": int, "default": 0})
+#: score's and refine's draw flags: the loss is an exact expectation
+_SAMPLES = ("--samples", {"type": int, "default": 8, "help":
+                          "accepted for compatibility (>= 1); the loss draws nothing"})
+_LOSS_SEED = ("--seed", {"type": int, "default": 0, "help":
+                         "accepted for compatibility; the loss draws nothing"})
 _OUT = ("--out", {"required": True})
 
 #: Every subcommand by name: help text, handler and flags in --help order.
@@ -447,12 +451,12 @@ _COMMANDS = {
         ("--fs", {"type": float, "default": 500.0}),
         ("--beats", {"type": int, "default": 1}), _SEED, _OUT)),
     "score": ("combined loss and per-lead distances", _cmd_score, (
-        _INPUT, _PARAMS, _CLASS, _DELTA, _SAMPLES, _SEED)),
+        _INPUT, _PARAMS, _CLASS, _DELTA, _SAMPLES, _LOSS_SEED)),
     "refine": ("minimize the combined loss over a beat", _cmd_refine, (
         _INPUT, _PARAMS, _CLASS, _DELTA,
         ("--steps", {"type": int, "default": 500, "help":
                      "accepted for compatibility (>= 1); the solve is exact"}),
-        _SAMPLES, _SEED, _OUT)),
+        _SAMPLES, _LOSS_SEED, _OUT)),
     "fit": ("fit wave parameters to an observed lead", _cmd_fit, (
         _INPUT, ("--lead", {"default": "II"}), ("--init", {"required": True}),
         _CLASS, ("--max-iter", {"type": int, "default": 2000}), _OUT)),

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitDiverged, InsufficientDataError
-from .fidelity import (LeadSignal, LossWeights, reference_trajectory,
+from .fidelity import (_LIMB_COEF, LeadSignal, LossWeights, reference_trajectory,
                        _lead_residual, _mc_terms, _term_losses)
 from .integrate import SamplingGrid, Trajectory, _euler_z
-from .leads import FREE_LEADS, Heartbeat, assemble_leads, derive_limb_rows, limb_relations
+from .leads import FREE_LEADS, Heartbeat, assemble_leads, limb_relations
 from .model import (DEFAULT_RHYTHM, EdmParams, RhythmParams, eta_to_vector,
                     project_eta_vector, vector_to_eta, wrap_angle)
 from .params import ParamDistribution, ParamTable, default_eta_for_lead
@@ -180,12 +180,6 @@ def _nearest_chain(h0: np.ndarray, target: np.ndarray, dt: float) -> np.ndarray:
     return h + ((h0 - h) @ n / (n @ n))[:, None] * n
 
 
-#: Each limb lead as its coefficients on leads I and II, for the limb terms'
-#: least-squares step
-_LIMB_COEF = {"I": np.array([1.0, 0.0]), "II": np.array([0.0, 1.0])}
-_LIMB_COEF.update(derive_limb_rows(_LIMB_COEF["I"], _LIMB_COEF["II"]))
-
-
 def refine_waveform(beat0: Heartbeat, table: ParamTable,
                     weights: LossWeights = LossWeights(),
                     seed=0, n_samples: int = 8,
@@ -195,8 +189,9 @@ def refine_waveform(beat0: Heartbeat, table: ParamTable,
     The loss is the score's, over the free leads' ``leads.assemble_leads``
     matrix: the term list ``fidelity._mc_terms`` builds for
     ``loss_components``, with own terms for the free leads alone and then
-    the six limb identities, drawn once up front from the seed, so the
-    objective is a fixed deterministic function. A term is
+    the six limb identities, exact expectations over the class table, so
+    the objective is a fixed deterministic function; seed and n_samples
+    are checked and bind nothing. A term is
     weight*(W*||A h - e||^2 + K) with A h = diff(h)/dt + h[:-1], the
     completed square ``_mc_terms`` keeps, and weight its half's share of
     the combined loss. So the loss is an exact quadratic, minimized in

@@ -9,10 +9,10 @@ The structure every other module builds on: the (x, y) circle ignores
 the waves, and the z-rate W(phase) + z0(t) - z is linear in z and in the
 wave amplitudes. ``_wave_terms`` is the only vectorized copy of the
 Gaussian sum W and of its Jacobian in the wave parameters; integration,
-the consistency distances and fitting all evaluate W through it. It takes
-one ``EdmParams`` or a batch of parameter vectors, such as the
-(draws, leads, 15) array of a Monte-Carlo loss, and returns one W per
-vector on the phase grid, (draws, leads, N), the five waves on one axis.
+the consistency distances, fitting and the loss's quadrature nodes all
+evaluate W through it. It takes one ``EdmParams`` or a batch of parameter
+vectors, such as a (leads, 15) array, and returns one W per vector on the
+phase grid, (leads, N), the five waves on one axis.
 ``_circle_rate`` is the only copy of the (x, y) rate, stepped by both
 integrators.
 """
@@ -208,9 +208,9 @@ def _wave_terms(phase, eta, jac: bool = False):
     eta is an ``EdmParams``, packed by ``eta_to_vector``, or a (..., 15)
     array of parameter sets in PARAM_NAMES order: (n, m, 15) sets on (N,)
     phases give an (n, m, N) W. An array is not checked here: a fit trial
-    (``project_eta_vector``) keeps ``WaveParams``' rules, and
-    ``wave_rate_sum`` checks the arrays it is given with
-    ``_check_wave_vectors``. A set's five waves lie on one array axis;
+    and the loss's quadrature nodes (``project_eta_vector``) keep
+    ``WaveParams``' rules, and ``wave_rate_sum`` checks the arrays it is
+    given with ``_check_wave_vectors``. A set's five waves lie on one array axis;
     ceil(B/5) of a batch's B sets go at a time, in three work arrays of W's
     size. W sums from zeros, wave by wave, P..T. Returns (W, J): J stacks
     the 15 dW/d(eta) rows in PARAM_NAMES order on W's shape, or is None
@@ -254,7 +254,7 @@ def wave_rate_sum(phase: np.ndarray, eta) -> np.ndarray:
     """Vectorized Gaussian-event part of dz, the rate W of ``_wave_terms``;
     eta is an ``EdmParams`` or a (..., 15) array of parameter vectors, which
     is checked here, at once, by ``_check_wave_vectors``: integration and
-    the Monte-Carlo terms evaluate W here, so each set is checked once."""
+    the inter-lead distance evaluate W here, so each set is checked once."""
     if not isinstance(eta, EdmParams):
         eta = np.asarray(eta, dtype=float)
         _check_wave_vectors(eta)

@@ -7,6 +7,7 @@ other way around.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,7 +156,8 @@ def refine_lstsq(terms, u0, dt):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo loss: one draw, one lead and one term at a time
+# The loss's expectation: brute-force quadrature, one lead and one term at a
+# time
 
 LEADS = ("I", "II", "III", "aVR", "aVL", "aVF",
          "V1", "V2", "V3", "V4", "V5", "V6")
@@ -164,6 +166,9 @@ FREE = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
 LIMB_RELATIONS = (("I", "II", 1.0, "III", -1.0), ("II", "I", 1.0, "III", 1.0),
                   ("III", "II", 1.0, "I", -1.0), ("aVR", "I", -0.5, "II", -0.5),
                   ("aVL", "I", 0.5, "III", -0.5), ("aVF", "II", 0.5, "III", 0.5))
+
+#: Nodes per random parameter of the quadrature
+NODES = 8
 
 
 def identity_sources(src1, beta, src2, gamma):
@@ -213,87 +218,112 @@ def circle_phase(fs, n, f):
     return np.arctan2(np.array(ys[:-1]), np.array(xs[:-1]))
 
 
-def drift_rate(vals, phase, rhythm, dt):
-    """W + z0 along the phase, summing the waves one at a time."""
-    w = np.zeros(phase.size)
+def normal_nodes(mean, std):
+    """(value, weight) pairs of the NODES-point Gauss-Hermite rule for
+    N(mean, std^2), from numpy's probabilists' Hermite rule."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    x, w = hermegauss(NODES)
+    return [(mean + std * xi, wi / math.sqrt(2.0 * math.pi)) for xi, wi in zip(x, w)]
+
+
+@lru_cache(maxsize=None)
+def drift_moments(dist, rhythm, fs, n):
+    """(E[d], Var(d)) of one lead's drift d = W + z0 on the rhythm's circle.
+
+    Each wave's term -a*D*exp(-D^2/2b^2), D = wrap(phase - theta), is
+    averaged over every node triple of (theta, a, b), the centre wrapped
+    and the width clamped at 1e-3 at its node, and its variance taken about
+    that mean; the waves are independent, so their means and variances add.
+    """
+    phase = circle_phase(fs, n, rhythm.f)
+    t = np.arange(phase.size) * (1.0 / fs)
+    mean = rhythm.A * np.sin(2.0 * math.pi * rhythm.f2 * t)
+    var = np.zeros(phase.size)
     for i in range(5):
-        theta, a, b = vals[3 * i: 3 * i + 3]
-        d = phase - theta
-        d = np.where(d >= math.pi, d - 2.0 * math.pi,
-                     np.where(d < -math.pi, d + 2.0 * math.pi, d))
-        w -= a * d * np.exp(-(d * d) / (2.0 * b * b))
-    t = np.arange(phase.size) * dt
-    return w + rhythm.A * np.sin(2.0 * math.pi * rhythm.f2 * t)
+        (mt, ma, mb), (st, sa, sb) = dist.mean[3 * i: 3 * i + 3], dist.std[3 * i: 3 * i + 3]
+        terms = []
+        for theta, wt in normal_nodes(mt, st):
+            theta = wrap_modulo(theta)
+            for b, wb in normal_nodes(mb, sb):
+                b = max(b, 1e-3)
+                d = phase - theta
+                d = np.where(d >= math.pi, d - 2.0 * math.pi,
+                             np.where(d < -math.pi, d + 2.0 * math.pi, d))
+                bump = d * np.exp(-(d * d) / (2.0 * b * b))
+                for a, wa in normal_nodes(ma, sa):
+                    terms.append((wt * wb * wa, -a * bump))
+        wave_mean = sum(w * v for w, v in terms)
+        mean = mean + wave_mean
+        var = var + sum(w * (v - wave_mean) ** 2 for w, v in terms)
+    return mean, var
 
 
-def loss_components(leads, fs, dists, n_samples, seed):
+def gain_moments(dist):
+    """(E[1/g], Var(1/g)) over the gain's nodes, floored at 1e-6."""
+    nodes = [(1.0 / max(g, 1e-6), w) for g, w in normal_nodes(dist.gain_mean, dist.gain_std)]
+    inv_mean = sum(w * v for v, w in nodes)
+    return inv_mean, sum(w * (v - inv_mean) ** 2 for v, w in nodes)
+
+
+def term_moments(lead, dists, fs, n):
+    """(E[d], Var(d)) of the drift that scores lead, on the lead's rhythm: a
+    free lead's own, and a limb lead's its identity's combination of I and
+    II, whose coefficients are summed per source before the independent
+    sources' variances are weighted by their squares."""
+    rhythm = dists[LEADS.index(lead)].rhythm
+    if lead not in ("I", "II", "III", "aVR", "aVL", "aVF"):
+        return drift_moments(dists[LEADS.index(lead)], rhythm, fs, n)
+    rel = next(r for r in LIMB_RELATIONS if r[0] == lead)
+    coefs = {}
+    for coef, src in identity_sources(*rel[1:]):
+        coefs[src] = coefs.get(src, 0.0) + coef
+    moments = {src: drift_moments(dists[LEADS.index(src)], rhythm, fs, n) for src in coefs}
+    return (sum(c * moments[src][0] for src, c in coefs.items()),
+            sum(c * c * moments[src][1] for src, c in coefs.items()))
+
+
+def loss_components(leads, fs, dists):
     """(l1, l2, per_lead) of the combined loss, term by term.
 
-    dists are the 12 leads' distributions in LEADS order. Each draw takes
-    the leads in order from one generator; a limb identity rates its
-    sources, by identity_sources, on the target's rhythm and scores the
-    target at its gain.
+    dists are the 12 leads' distributions in LEADS order. A term scores
+    lead h, s = diff(h)/dt + h[:-1], by E||s/g - d||^2 over the lead's gain
+    g and its drift d, which are independent: at each sample that is
+    s^2*Var(1/g) + Var(d) + (s*E[1/g] - E[d])^2. Every limb lead's own term
+    is its identity's.
     """
-    rng = np.random.default_rng(seed)
-    draws = [[sample_entry(dist, rng) for dist in dists] for _ in range(n_samples)]
     n = leads.shape[1]
     dt = 1.0 / fs
-    phases = {}
-
-    def drift(vals, via):
-        rhythm = dists[via].rhythm
-        if rhythm.f not in phases:
-            phases[rhythm.f] = circle_phase(fs, n, rhythm.f)
-        return drift_rate(vals, phases[rhythm.f], rhythm, dt)
-
-    def distance(j, gain, rate):
-        h = leads[j] / gain
-        r = np.diff(h) / dt - (rate - h[:-1])
-        return float(r @ r)
-
-    per_lead = [0.0] * 12
-    l2 = 0.0
-    for draw in draws:
-        for j in range(12):
-            per_lead[j] += distance(j, draw[j][1], drift(draw[j][0], j))
-        for target, *rel in LIMB_RELATIONS:
-            t = LEADS.index(target)
-            rate = sum(coef * drift(draw[LEADS.index(src)][0], t)
-                       for coef, src in identity_sources(*rel))
-            l2 += distance(t, draw[t][1], rate)
-    per_lead = [v / n_samples for v in per_lead]
-    l1 = sum(per_lead[LEADS.index(lead)] for lead in FREE) / len(FREE)
-    return l1, l2 / (n_samples * len(LIMB_RELATIONS)), dict(zip(LEADS, per_lead))
+    per_lead = {}
+    for j, lead in enumerate(LEADS):
+        s = np.diff(leads[j]) / dt + leads[j][:-1]
+        d_mean, d_var = term_moments(lead, dists, fs, n)
+        inv_mean, inv_var = gain_moments(dists[j])
+        per_lead[lead] = float(np.sum(s * s * inv_var + d_var + (s * inv_mean - d_mean) ** 2))
+    l1 = sum(per_lead[lead] for lead in FREE) / len(FREE)
+    l2 = sum(per_lead[rel[0]] for rel in LIMB_RELATIONS) / len(LIMB_RELATIONS)
+    return l1, l2, per_lead
 
 
-def refine_terms(dists, fs, n, n_samples, seed, delta):
+def refine_terms(dists, fs, n, delta):
     """The terms of refine_lstsq for the combined loss over the free rows.
 
-    One (weight, lead, gain, drift) per draw and term, drawn as
-    loss_components draws them: each free lead's own term weighted
-    delta / (n_samples * 8), each limb identity weighted
-    (1 - delta) / (n_samples * 6); terms without weight are left out.
+    A term's expectation is E[1/g^2]*||s||^2 - 2*E[1/g]*E[d].s plus a
+    constant, so one dense term of gain 1/sqrt(E[1/g^2]) and drift
+    E[1/g]*E[d]/sqrt(E[1/g^2]) has its minimizer. Each free lead's own term
+    is weighted delta / 8, each limb identity (1 - delta) / 6; terms without
+    weight are left out.
     """
-    rng = np.random.default_rng(seed)
-    draws = [[sample_entry(dist, rng) for dist in dists] for _ in range(n_samples)]
-    dt = 1.0 / fs
-
-    def drift(vals, via):
-        rhythm = dists[via].rhythm
-        return drift_rate(vals, circle_phase(fs, n, rhythm.f), rhythm, dt)
-
-    w1 = delta / (n_samples * len(FREE))
-    w2 = (1.0 - delta) / (n_samples * len(LIMB_RELATIONS))
+    w1 = delta / len(FREE)
+    w2 = (1.0 - delta) / len(LIMB_RELATIONS)
     terms = []
-    for draw in draws:
-        for lead in FREE if w1 > 0.0 else ():
-            j = LEADS.index(lead)
-            terms.append((w1, lead, draw[j][1], drift(draw[j][0], j)))
-        for target, *rel in LIMB_RELATIONS if w2 > 0.0 else ():
-            t = LEADS.index(target)
-            rate = sum(coef * drift(draw[LEADS.index(src)][0], t)
-                       for coef, src in identity_sources(*rel))
-            terms.append((w2, target, draw[t][1], rate))
+    for weight, names in ((w1, FREE), (w2, [rel[0] for rel in LIMB_RELATIONS])):
+        for lead in names if weight > 0.0 else ():
+            dist = dists[LEADS.index(lead)]
+            inv_mean, inv_var = gain_moments(dist)
+            root = math.sqrt(inv_var + inv_mean * inv_mean)
+            d_mean, _ = term_moments(lead, dists, fs, n)
+            terms.append((weight, lead, 1.0 / root, inv_mean * d_mean / root))
     return terms
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import naive_reference as oracle
 from helpers import MIXED_RHYTHMS, make_jittered_record, with_rhythms
-from ecgdyn import cli
+from ecgdyn import cli, fidelity
 from ecgdyn.cli import (read_beats_csv, read_record_csv, run_cli,
                         write_beats_csv, write_record_csv)
 from ecgdyn.integrate import SamplingGrid, beat_grid
@@ -272,14 +272,18 @@ class TestScore:
     @pytest.mark.parametrize("fs", ["257.3", "128.5"])
     def test_zero_variance_self_score_at_non_integer_rate(
             self, zero_params_file, tmp_path, capsys, fs):
-        # the rate goes through the file's 9-decimal time column and back
+        # the rate goes through the file's 9-decimal time column and back;
+        # at every delta the combined score and every per-lead column vanish
         out = tmp_path / "beat.csv"
         assert run_cli(["synthesize", "--params", zero_params_file, "--class",
                         "NORMAL", "--fs", fs, "--seed", "3", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert run_cli(["score", "--input", str(out), "--params",
-                        zero_params_file, "--delta", "1", "--seed", "3"]) == 0
-        assert float(capsys.readouterr().out.splitlines()[1].split(",")[1]) <= 1e-12
+        for delta in ("0", "0.6", "1"):
+            capsys.readouterr()
+            assert run_cli(["score", "--input", str(out), "--params",
+                            zero_params_file, "--delta", delta, "--seed", "3"]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert len(row) == 14
+            assert max(float(v) for v in row[1:]) <= 1e-12
 
     def test_multibeat_rows(self, params_file, tmp_path, capsys):
         out = tmp_path / "beats.csv"
@@ -289,6 +293,21 @@ class TestScore:
                         "--samples", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
+
+    def test_output_independent_of_seed_and_samples(self, params_file, tmp_path,
+                                                   capsys):
+        # the score is an exact expectation: --seed and --samples are
+        # checked and bind nothing
+        out = tmp_path / "beats.csv"
+        synth(out, params_file, beats=2)
+        outputs = set()
+        for flags in ([], ["--seed", "1", "--samples", "8"],
+                      ["--seed", "2", "--samples", "64"], ["--samples", "1"]):
+            capsys.readouterr()
+            assert run_cli(["score", "--input", str(out), "--params", params_file,
+                            *flags]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
 
     def test_score_deterministic(self, params_file, tmp_path, capsys):
         out = tmp_path / "beat.csv"
@@ -307,8 +326,9 @@ class TestScore:
         (["--class", "bad"], "uppercase"),
         (["--samples", "0"], "--samples"),
         (["--samples", "-2"], "--samples"),
+        (["--seed", "-1"], "non-negative"),
     ], ids=["class not in table", "bad class code", "zero samples",
-            "negative samples"])
+            "negative samples", "negative seed"])
     def test_bad_request_fails_before_header(self, params_file, tmp_path, capsys,
                                              flags, message):
         out = tmp_path / "beat.csv"
@@ -358,8 +378,9 @@ class TestRefine:
         (["--samples", "0"], "--samples"),
         (["--samples", "-2"], "--samples"),
         (["--steps", "0"], "ecgdyn: --steps must be >= 1, got 0\n"),
+        (["--seed", "-1"], "non-negative"),
     ], ids=["class not in table", "bad class code", "zero samples",
-            "negative samples", "zero steps"])
+            "negative samples", "zero steps", "negative seed"])
     def test_bad_request_fails_before_output(self, params_file, tmp_path, capsys,
                                              flags, message):
         src, out = tmp_path / "beat.csv", tmp_path / "refined.csv"
@@ -391,6 +412,26 @@ class TestRefine:
                             str(alone), *args]) == 0
             mine = [r.partition(",")[2] for r in rows if r.startswith(f"{k},")]
             assert mine == alone.read_text(encoding="utf-8").splitlines()[1:]
+        capsys.readouterr()
+
+    def test_output_independent_of_seed_and_samples(self, params_file, tmp_path,
+                                                   capsys):
+        # two refines with new seeds in one process build the term list
+        # once and write the same bytes
+        rng = np.random.default_rng(5)
+        src = tmp_path / "noise.csv"
+        write_beats_csv(src, [Heartbeat(grid=SamplingGrid(500.0, 500),
+                                        leads=rng.uniform(-0.1, 0.1, (12, 500)))])
+        fidelity._build_mc_terms.cache_clear()
+        outputs = set()
+        for k, flags in enumerate((["--seed", "1", "--samples", "8"],
+                                   ["--seed", "2", "--samples", "64"])):
+            out = tmp_path / f"refined{k}.csv"
+            assert run_cli(["refine", "--input", str(src), "--params", params_file,
+                            "--out", str(out), *flags]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+        assert fidelity._build_mc_terms.cache_info().misses == 1
         capsys.readouterr()
 
     def test_refine_smoke(self, params_file, tmp_path, capsys):

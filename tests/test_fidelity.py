@@ -18,9 +18,9 @@ from ecgdyn.integrate import DEFAULT_INIT, beat_grid, integrate_euler, integrate
 from ecgdyn.leads import (FREE_LEADS, LEAD_NAMES, Heartbeat, LeadRelation,
                           limb_relations, synthesize_heartbeat)
 from ecgdyn.model import (B_FLOOR, DEFAULT_ETA, DEFAULT_RHYTHM, State, baseline,
-                          eta_to_vector, vector_to_eta)
-from ecgdyn.params import (default_distributions, sample_eta, write_param_file,
-                           zero_variance)
+                          eta_to_vector, vector_to_eta, wave_rate_sum)
+from ecgdyn.params import (_draw, default_distributions, sample_eta,
+                           write_param_file, zero_variance)
 from ecgdyn.fidelity import draw_param_samples
 from ecgdyn.fitting import fit_params, refine_waveform
 
@@ -177,9 +177,14 @@ class TestExactBeat:
     @pytest.mark.parametrize("fs", [500.0, 257.3])
     @pytest.mark.parametrize("delta", [0.0, 0.6, 1.0])
     def test_scores_zero_and_refines_to_itself(self, zero_table, delta, fs):
+        # every per-lead column too: a derived lead's own term is its
+        # identity's, from leads I and II
         beat, _ = _synthesized(zero_table, grid=beat_grid(fs, 1.0))
         weights = LossWeights(delta)
         assert euler_loss_combined(beat, zero_table, weights) < ZERO_SCORE_TOL
+        _, _, per_lead = loss_components(beat, zero_table)
+        assert list(per_lead) == list(LEAD_NAMES)
+        assert max(per_lead.values()) < ZERO_SCORE_TOL
         assert refine_waveform(beat, zero_table, weights) is beat
 
     def test_lead_iii_scores_zero_from_ii_and_i(self, ref, zero_table):
@@ -245,52 +250,49 @@ class TestCombinedLoss:
                 wander=rhythm.A, f2=rhythm.f2)
         assert l2 == pytest.approx(total / 6.0, rel=1e-9)
 
-    def test_each_drift_evaluated_once_per_draw(self, monkeypatch):
-        # the shipped table shares one rhythm: one call evaluates the drift
-        # of all 12 leads in every draw, which the limb identities reuse
+    def test_each_wave_distribution_evaluated_once(self, monkeypatch):
+        # every lead of the shipped table shares one rhythm and the five
+        # waves' centre and width distributions: each wave's 8 x 8 nodes
+        # are 8 _wave_terms calls, one per centre node, of its 8 width
+        # nodes five to a set, for every term
         fidelity._build_mc_terms.cache_clear()
-        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
-        loss_components(_noise_beat(), default_distributions(),
-                        n_samples=3, seed=1)
-        assert [np.shape(eta) for _, eta in calls] == [(3, 12, 15)]
-        # the other beats of a file share its grid, table, draws and seed:
-        # they reuse the first beat's terms
+        calls = count_calls(monkeypatch, fidelity, "_wave_terms")
+        loss_components(_noise_beat(), default_distributions())
+        assert [np.shape(eta) for _, eta, _ in calls] == [(2, 15)] * 40
+        # other beats, seeds and draw counts reuse the first beat's terms
         for seed in (22, 23, 24):
             loss_components(_noise_beat(seed), default_distributions(),
-                            n_samples=3, seed=1)
-        assert len(calls) == 1
-        # refinement reads the free leads' own terms and the identities,
-        # whose drifts are derived from I's and II's: 8 leads per draw,
-        # once per file
+                            n_samples=seed, seed=seed)
+        assert len(calls) == 40
+        # refinement's list, the free leads' own terms and the identities,
+        # is built once for all its beats
         calls.clear()
         for seed in (21, 22, 23):
             refine_waveform(_noise_beat(seed), default_distributions(),
-                            LossWeights(0.6), n_samples=3, seed=1)
-        assert [np.shape(eta) for _, eta in calls] == [(3, 8, 15)]
+                            LossWeights(0.6), seed=seed)
+        assert len(calls) == 40
         # in "mixed" four rhythms carry terms: those of I, III and aVR,
-        # each with its lead and I and II, from which its identity's drift
-        # is derived on it, and the shared one, with every other lead and I
+        # with I and II, from which the limb leads' drifts derive, and the
+        # shared one: five waves on each
         calls.clear()
         loss_components(_noise_beat(),
-                        with_rhythms(default_distributions(), MIXED_RHYTHMS),
-                        n_samples=3, seed=1)
-        assert [np.shape(eta) for _, eta in calls] == [
-            (3, 2, 15), (3, 10, 15), (3, 3, 15), (3, 3, 15)]
+                        with_rhythms(default_distributions(), MIXED_RHYTHMS))
+        assert len(calls) == 4 * 40
+        # a wave without spread is one node
         calls.clear()
-        for seed in (22, 23):
-            loss_components(_noise_beat(seed),
-                            with_rhythms(default_distributions(), MIXED_RHYTHMS),
-                            n_samples=3, seed=1)
-        assert calls == []
+        loss_components(_noise_beat(), zero_variance(default_distributions()))
+        assert [np.shape(eta) for _, eta, _ in calls] == [(1, 15)] * 5
 
     def test_seeded_determinism(self, zero_table):
+        # the loss is an exact expectation: the seed and the draw count
+        # are checked and bind nothing
         beat = _noise_beat()
         table = default_distributions()
         a = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=6, seed=9)
+        fidelity._build_mc_terms.cache_clear()
         b = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=6, seed=9)
-        c = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=6, seed=10)
-        assert a == b
-        assert a != c
+        c = euler_loss_combined(beat, table, LossWeights(0.6), n_samples=64, seed=10)
+        assert a == b == c
 
     def test_unlabeled_beat_rejected(self, zero_table):
         beat = _noise_beat()
@@ -310,6 +312,15 @@ class TestCombinedLoss:
                 score(_noise_beat(), zero_table, n_samples=0)
         with pytest.raises(ValueError, match="at least one sample"):
             draw_param_samples(zero_table, "NORMAL", 0, seed=1)
+
+    def test_bad_seed_rejected(self, zero_table):
+        # as a draw would refuse it, though it binds nothing
+        for seed, error in ((-1, ValueError), ("1", TypeError), (2.5, TypeError)):
+            for call in (loss_components, euler_loss_combined):
+                with pytest.raises(error):
+                    call(_noise_beat(), zero_table, seed=seed)
+            with pytest.raises(error):
+                refine_waveform(_noise_beat(), zero_table, seed=seed)
 
     def test_invalid_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -358,45 +369,50 @@ class TestTermMemo:
                 arr[...] = 0.0
 
     def test_term_set_holds_no_draws(self):
-        # the draws are reduced to each term's completed square: no array
-        # grows with n_samples
+        # each term is its completed square: no array grows with n_samples
         fidelity._build_mc_terms.cache_clear()
         terms = fidelity._mc_terms(GRID, default_distributions(), "NORMAL", 64, 1)
         names, *arrays = terms
         for arr in arrays:
             assert arr.size <= len(names) * (GRID.L - 1)
 
-    def test_unkeyable_seeds_build_every_call(self, monkeypatch):
+    def test_any_seed_is_served_by_the_memo(self):
+        # no seed keys the memo, a Generator, None or a SeedSequence no
+        # more than an int: one build serves them all, with one result
         fidelity._build_mc_terms.cache_clear()
-        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
         beat, table = _noise_beat(), default_distributions()
-        rng = np.random.default_rng(3)
-        assert _scores(beat, table, seed=rng) != _scores(beat, table, seed=rng)
-        assert _scores(beat, table, seed=None) != _scores(beat, table, seed=None)
-        seq = np.random.SeedSequence(3)
-        assert _scores(beat, table, seed=seq) == _scores(beat, table, seed=seq)
-        assert len(calls) == 6
-        assert fidelity._build_mc_terms.cache_info().currsize == 0
+        seeds = [np.random.default_rng(3), None, np.random.SeedSequence(3), 0, 7]
+        scores = [_scores(beat, table, n_samples=n, seed=seed)
+                  for n, seed in zip((1, 2, 3, 8, 64), seeds)]
+        assert all(got == scores[0] for got in scores)
+        assert fidelity._build_mc_terms.cache_info().misses == 1
 
-    def test_zero_variance_copy_has_its_own_entry(self, monkeypatch):
+    def test_zero_variance_copy_has_its_own_entry(self):
         beat, table = _noise_beat(), default_distributions()
         fresh_zero = _fresh_scores(beat, zero_variance(table))
         fidelity._build_mc_terms.cache_clear()
-        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
         shipped = _scores(beat, table)
         assert _scores(beat, zero_variance(table)) == fresh_zero != shipped
-        assert len(calls) == 2
+        assert fidelity._build_mc_terms.cache_info().misses == 2
 
-    def test_refine_then_score_builds_each_set_once(self, monkeypatch):
+    def test_refine_then_score_builds_each_set_once(self):
         # refine asks for the free leads' own terms and score for all 12
-        # leads' own terms: both sets stay, so a file's beats build two
+        # leads' own terms: both sets stay, so a file's beats build two,
+        # whatever seed each call passes
         table = default_distributions()
         fidelity._build_mc_terms.cache_clear()
-        calls = count_calls(monkeypatch, fidelity, "wave_rate_sum")
         for seed in (41, 42, 43):
-            refined = refine_waveform(_noise_beat(seed), table)
-            loss_components(refined, table)
-        assert len(calls) == 2
+            refined = refine_waveform(_noise_beat(seed), table, seed=seed)
+            loss_components(refined, table, seed=seed)
+        assert fidelity._build_mc_terms.cache_info().misses == 2
+
+    def test_refines_with_new_seeds_build_once(self):
+        table, beat = default_distributions(), _noise_beat(44)
+        fidelity._build_mc_terms.cache_clear()
+        first = refine_waveform(beat, table, seed=1, n_samples=8)
+        second = refine_waveform(beat, table, seed=2, n_samples=64)
+        assert first.leads.tobytes() == second.leads.tobytes()
+        assert fidelity._build_mc_terms.cache_info().misses == 1
 
 
 def high_variance(table):
@@ -449,7 +465,8 @@ class TestBatchedMonteCarlo:
         for name in sorted(TABLES) + ["read back"] for n in (1, 5, 64)])
     def test_loss_matches_per_term_oracle(self, name, n_samples, tmp_path):
         # the completed square sums in another order than the oracle's
-        # draw-by-draw loop: every value agrees to rounding, not bit for bit
+        # node-by-node quadrature: every value agrees to rounding, not bit
+        # for bit, whatever n_samples, which binds nothing
         table = TABLES.get(name, default_distributions)()
         beat = _noise_beat()
         if name == "read back":
@@ -461,7 +478,7 @@ class TestBatchedMonteCarlo:
                                            seed=13)
         want_l1, want_l2, want_per_lead = oracle.loss_components(
             beat.leads, beat.grid.fs,
-            [table["NORMAL", lead] for lead in LEAD_NAMES], n_samples, 13)
+            tuple(table["NORMAL", lead] for lead in LEAD_NAMES))
         assert list(per_lead) == list(want_per_lead)
         assert [l1, l2, *per_lead.values()] == pytest.approx(
             [want_l1, want_l2, *want_per_lead.values()], rel=1e-14, abs=0.0)
@@ -485,23 +502,22 @@ class TestBatchedMonteCarlo:
         assert capsys.readouterr().err == "ecgdyn: samples must be finite\n"
 
     def test_signal_rejected_where_any_gain_overflows_it(self):
-        # the smallest drawn gain decides: a lead is rejected exactly when
-        # its division by some draw's gain overflows
-        table = {key: replace(dist, gain_mean=0.05, gain_std=0.02)
+        # the smallest gain node decides: a lead is rejected exactly when
+        # its division by some node's gain overflows
+        table = {key: replace(dist, gain_mean=1.0, gain_std=0.1)
                  for key, dist in default_distributions().items()}
-        beat = Heartbeat(grid=GRID, leads=np.full((12, GRID.L), 1e306),
-                         label="NORMAL")
+        least = float(min(g for g, _ in oracle.normal_nodes(1.0, 0.1)))
         outcomes = set()
-        for seed in range(20):
-            gains = [gain for entry in draw_param_samples(table, "NORMAL", 2, seed)
-                     for _, gain in entry.values()]
+        for value in np.linspace(1.0e308, 1.7e308, 15):
+            beat = Heartbeat(grid=GRID, leads=np.full((12, GRID.L), value),
+                             label="NORMAL")
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    loss_components(beat, table, n_samples=2, seed=seed)
+                    loss_components(beat, table)
                     rejected = False
                 except ValueError:
                     rejected = True
-            assert rejected == (1e306 / min(gains) == float("inf"))
+            assert rejected == (float(value) / least == float("inf"))
             outcomes.add(rejected)
         assert outcomes == {False, True}
 
@@ -520,6 +536,33 @@ class TestBatchedMonteCarlo:
             with pytest.warns(RuntimeWarning, match="overflow"), \
                     pytest.raises(ValueError, match="must be finite"):
                 call()
+
+
+class TestQuadrature:
+    """The exact expectation against many draws, where the node range is
+    widest."""
+
+    def test_wide_spreads_agree_with_many_draws(self):
+        # every spread of the shipped table x5, and lead II's own term of
+        # the class-mean beat on a short grid: the 8-node quadrature lies
+        # within 3 standard errors of a 65 536-draw Monte-Carlo estimate
+        table = {key: replace(dist, std=tuple(5.0 * v for v in dist.std),
+                              gain_std=5.0 * dist.gain_std)
+                 for key, dist in default_distributions().items()}
+        grid, dist = beat_grid(100.0, 1.0), table["NORMAL", "II"]
+        beat, _ = _synthesized(zero_variance(table), grid=grid)
+        h = beat.lead("II")
+        s = np.diff(h) / grid.dt + h[:-1]
+        _, w, e, k, _ = fidelity._mc_terms(grid, table, "NORMAL", leads=("II",))
+        exact = w[0] * np.sum((s - e[0]) ** 2) + k[0]
+        ref, rng, losses = reference_trajectory(dist.rhythm, grid), np.random.default_rng(2024), []
+        for _ in range(8):
+            params, gains = _draw([dist], 8192, rng)
+            r = s / gains - (wave_rate_sum(ref.phase, params[:, 0]) + ref.z0)
+            losses.append(np.sum(r * r, axis=1))
+        losses = np.concatenate(losses)
+        assert losses.size == 65536
+        assert abs(exact - losses.mean()) <= 3.0 * losses.std() / np.sqrt(losses.size)
 
 
 def _norm_rel_err(analytic, fd):

@@ -445,7 +445,7 @@ class TestRefineWaveform:
         u0 = np.vstack([beat.lead(lead) for lead in FREE_LEADS])
         terms = oracle.refine_terms(
             [table["NORMAL", lead] for lead in oracle.LEADS], grid.fs, grid.L,
-            2, 3, delta)
+            delta)
         dense = oracle.refine_lstsq(terms, u0, grid.dt)
         got = np.vstack([out.lead(lead) for lead in FREE_LEADS])
         assert np.max(np.abs(got - dense)) <= 1e-7 * np.max(np.abs(dense))
