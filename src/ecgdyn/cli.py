@@ -21,6 +21,7 @@ import os
 import pickle
 import re
 import sys
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -144,10 +145,20 @@ def _beat_arrays(rows: np.ndarray, key=None) -> tuple[float, np.ndarray]:
     return fs, np.ascontiguousarray(rows[:, 1:]).T
 
 
+def _utf8(path, data: bytes) -> str:
+    """A file's bytes decoded as UTF-8. A byte that is not fails as other
+    read errors do, naming the file and its line as splitlines() counts."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bytes before exc.start decode
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The line parser over a file's bytes; splitlines() takes CRLF and a
     lone CR as the one break that read_text()'s newline translation makes."""
-    lines = [ln for ln in data.decode("utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in _utf8(path, data).splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].strip()
@@ -233,6 +244,12 @@ def read_record_csv(path, label: str | None = None) -> Record:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _read_params(path) -> ParamTable:
+    """The class table in the parameter file at path. splitlines() in the
+    parse breaks lines as read_text()'s newline translation would."""
+    return read_param_file(_utf8(path, Path(path).read_bytes()))
+
+
 def _check_positive(flag: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{flag} must be >= 1, got {value}")
@@ -240,7 +257,7 @@ def _check_positive(flag: str, value: int) -> None:
 
 def _cmd_synthesize(args) -> int:
     _check_positive("--beats", args.beats)
-    table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
+    table = _read_params(args.params)
     check_class_code(args.klass)
     rhythm = require_dist(table, args.klass, "II").rhythm
     grid = beat_grid(args.fs, rhythm.f)
@@ -268,7 +285,7 @@ def _cmd_synthesize(args) -> int:
 def _scoring_request(args) -> tuple[ParamTable, LossWeights]:
     """Score's and refine's table and weights, checked before any input."""
     _check_positive("--samples", args.samples)
-    table = read_param_file(Path(args.params).read_text(encoding="utf-8"))
+    table = _read_params(args.params)
     check_class_code(args.klass)
     for lead in LEAD_NAMES:
         require_dist(table, args.klass, lead)
@@ -306,7 +323,7 @@ def _cmd_refine(args) -> int:
 
 def _cmd_fit(args) -> int:
     _check_positive("--max-iter", args.max_iter)
-    table = read_param_file(Path(args.init).read_text(encoding="utf-8"))
+    table = _read_params(args.init)
     lead = check_lead(args.lead)
     check_class_code(args.klass)
     init = require_dist(table, args.klass, lead)
@@ -470,9 +487,10 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> _CliParser:
-    """The ecgdyn parser with every subcommand, or only with ``command``
+    """A new ecgdyn parser with every subcommand, or only with ``command``
     when it names one. A subcommand's parser, and so its help, usage and
-    error messages, is the same either way."""
+    error messages, is the same either way. Each call builds anew, so a
+    caller may change the parser it gets; ``run_cli`` keeps its own."""
     parser = _CliParser(prog="ecgdyn",
                         description="Physiologically constrained 12-lead "
                                     "heartbeat synthesis, scoring and segmentation.")
@@ -487,11 +505,21 @@ def build_parser(command: str | None = None) -> _CliParser:
     return parser
 
 
+@lru_cache(maxsize=len(_COMMANDS) + 1)
+def _parser(command: str | None) -> _CliParser:
+    """build_parser(command), built on a process's first call for each key:
+    a subcommand's name, or None. parse_args changes no parser."""
+    return build_parser(command)
+
+
 def run_cli(argv=None) -> int:
+    """Run one ecgdyn command line (``sys.argv[1:]`` by default) and return
+    its exit code. The parser is built on a process's first call for each
+    subcommand and reused by later ones; one-shot processes build one."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a subcommand call builds only its own subparser; anything else
+    # a subcommand call takes only its own subparser; anything else
     # (no arguments, -h, --version, an unknown name) needs them all
-    parser = build_parser(argv[0] if argv else None)
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -116,6 +116,81 @@ class TestUsageErrors:
         assert self._choices(cli.build_parser("frobnicate")) == every
 
 
+class TestParserMemo:
+    """run_cli keeps one parser per subcommand, and one for every other
+    call, per process; build_parser still builds anew."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_repeated_subcommand_builds_its_parser_once(self, tmp_path, capsys,
+                                                        monkeypatch):
+        build, built = cli.build_parser, []
+
+        def counting(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        argv = ["check", "--input", str(tmp_path / "missing.csv")]
+        assert run_cli(argv) == run_cli(argv) == 2
+        assert built == ["check"]
+
+    def test_memo_holds_at_most_one_parser_per_subcommand_and_one_more(self, capsys):
+        for k in range(100):
+            assert run_cli([f"frobnicate{k}"]) == 1
+        for name in cli._COMMANDS:
+            assert run_cli([name, "--help"]) == 0
+        assert run_cli(["--version"]) == 0
+        assert run_cli([]) == 1
+        info = cli._parser.cache_info()
+        assert (info.currsize, info.misses) == (7, 7)
+        assert info.maxsize == len(cli._COMMANDS) + 1 == 7
+
+    @pytest.mark.parametrize("command", ["fit", None])
+    def test_build_parser_returns_a_new_parser(self, command):
+        parsers = [cli.build_parser(command), cli.build_parser(command),
+                   cli._parser(command)]
+        assert len(set(map(id, parsers))) == 3
+
+    def test_repeated_call_carries_nothing_over(self, zero_params_file, tmp_path,
+                                                capsys):
+        src = tmp_path / "beat.csv"
+        assert synth(src, zero_params_file) == 0
+        capsys.readouterr()
+        argv = ["score", "--input", str(src), "--params", zero_params_file]
+        outputs = []
+        for extra in (["--delta", "0.3"], [], ["--delta", "0.6"]):
+            assert run_cli([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[2] != outputs[0]
+
+    def test_usage_help_and_version_unchanged_by_a_call(self, zero_params_file,
+                                                        tmp_path, capsys):
+        cases = [["fit"], ["fit", "--help"], ["--version"]]
+
+        def outcomes():
+            got = []
+            for argv in cases:
+                code = run_cli(argv)
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        fresh = [TestUsageErrors._parse(cli.build_parser(), argv, capsys)
+                 for argv in cases]
+        assert [code for code, _, _ in fresh] == [1, 0, 0]
+        before = outcomes()
+        src = tmp_path / "beat.csv"
+        assert synth(src, zero_params_file) == 0
+        assert run_cli(["fit", "--input", str(src), "--init", zero_params_file,
+                        "--max-iter", "50", "--out", str(tmp_path / "fit.params")]) == 0
+        capsys.readouterr()
+        assert outcomes() == before == fresh
+
+
 class TestSynthesize:
     def test_writes_parseable_beats(self, params_file, tmp_path, capsys):
         out = tmp_path / "beats.csv"
@@ -1232,6 +1307,50 @@ class TestLeadSamples:
         assert capsys.readouterr() == (
             "", f"ecgdyn: lead II sample 123 is not finite ({value})\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["beats.csv", "rec.csv"]
+
+
+def _latin1_line(path, line, newline="\n"):
+    """Rewrite path's text with newline endings and a Latin-1 é after the
+    first character of the 1-based line; returns the é's byte offset."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = lines[line - 1][:1] + "é" + lines[line - 1][1:]
+    data = newline.join([*lines, ""]).encode("latin-1")
+    path.write_bytes(data)
+    return data.index(b"\xe9")
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 exits 2 naming the file and its line."""
+
+    @pytest.mark.parametrize("command, line, ending", [
+        ("check", 3, "LF"), ("segment", 2, "LF"), ("synthesize", 5, "LF"),
+        ("synthesize", 5, "CRLF"), ("score", 9, "CR"), ("fit", 1, "LF"),
+    ])
+    def test_file_and_line_named(self, command, line, ending, params_file,
+                                 tmp_path, capsys):
+        beats, record = tmp_path / "beats.csv", tmp_path / "rec.csv"
+        params, out = tmp_path / "bad.params", tmp_path / "out"
+        assert synth(beats, params_file, beats=2) == 0
+        write_record_csv(record, make_jittered_record(seed=5)[0])
+        shutil.copyfile(params_file, params)
+        capsys.readouterr()
+        argv, bad = {
+            "check": (["check", "--input", str(beats)], beats),
+            "segment": (["segment", "--input", str(record), "--out-dir", str(out)],
+                        record),
+            "synthesize": (["synthesize", "--params", str(params), "--class",
+                            "NORMAL", "--out", str(out)], params),
+            "score": (["score", "--input", str(beats), "--params", str(params)],
+                      params),
+            "fit": (["fit", "--input", str(beats), "--init", str(params),
+                     "--out", str(out)], params),
+        }[command]
+        at = _latin1_line(bad, line, {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}[ending])
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"ecgdyn: {bad}:{line}: 'utf-8' codec can't decode byte 0xe9 "
+            f"in position {at}: invalid continuation byte\n"))
+        assert not out.exists()
 
 
 class TestHeaderOnly:
