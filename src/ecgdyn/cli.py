@@ -158,14 +158,16 @@ def _utf8(path, data: bytes) -> str:
 def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The line parser over a file's bytes; splitlines() takes CRLF and a
     lone CR as the one break that read_text()'s newline translation makes."""
-    lines = [ln for ln in _utf8(path, data).splitlines() if ln.strip()]
+    # each line keeps its physical number, as _utf8 counts, past blank lines
+    lines = [(n, ln) for n, ln in enumerate(_utf8(path, data).splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].strip()
+    header = lines[0][1].strip()
     if (keyed := _KEYED.get(header.encode())) is None:
         raise ValueError(f"{path}: unrecognized header {header!r}")
     keys, rows = [], []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 13 + keyed:
             raise ValueError(f"{path}:{n}: expected {13 + keyed} columns")
@@ -177,14 +179,14 @@ def _parse_rows(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return np.array(keys), np.array(rows).reshape(-1, 13)
 
 
-def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Beat keys and (n, 13) time and leads. orjson parses _READ_BLOCKs of whole
-    lines, every row's width is checked, and np.fromiter fills a table sized by
-    newlines numpy counts a block at a time; where JSON could read otherwise
-    (other headers, bytes or widths, integer -0s, non-int64 keys), the line parser."""
+def _read_table(path, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Beat keys and (n, 13) time and leads of the file at path, whose bytes
+    are data. orjson parses _READ_BLOCKs of whole lines, every row's width is
+    checked, and np.fromiter fills a table sized by newlines numpy counts a
+    block at a time; where JSON could read otherwise (other headers, bytes or
+    widths, integer -0s, non-int64 keys), the line parser."""
     import orjson  # lazily, as in _write_rows
 
-    data = Path(path).read_bytes()
     header = data[:len(_MULTI_HEADER) + 1].partition(b"\n")[0]
     start, stop = len(header) + 1, len(data) - data.endswith(b"\n")
     try:
@@ -216,14 +218,43 @@ def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
     return _parse_rows(path, data)
 
 
-def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
-    keys, table = _read_table(path)
+def _split_beats(path, data: bytes) -> list[tuple[float, np.ndarray]]:
+    """Sampling rate and (12, L) leads of each beat in a beat file's bytes,
+    in order of first appearance."""
+    keys, table = _read_table(path, data)
     if not len(keys):
         raise ValueError(f"{path}: no beats")
     order = np.argsort(keys, kind="stable")  # each beat's rows stay in file order
     runs = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-    split = (_beat_arrays(table[rows], keys[rows[0]])
-             for rows in sorted(runs, key=lambda rows: rows[0]))  # first appearance first
+    return [_beat_arrays(table[rows], keys[rows[0]])
+            for rows in sorted(runs, key=lambda rows: rows[0])]  # first appearance first
+
+
+#: The last beat file read_beats_csv parsed: at most one (bytes, split)
+#: entry, which the next read of the same bytes takes.
+_HELD: list = []
+
+
+def read_beats_csv(path, label: str | None = None) -> list[Heartbeat]:
+    """The beats of the file at path, in order of first appearance, each
+    labelled label. The file is read on every call. The parse of the last
+    file read is held, keyed by its bytes: a call that reads the same
+    bytes takes it and returns its arrays, leaving nothing held; any other
+    call drops it, parses, holds the new parse and returns copies of it.
+    A file that fails to parse is not held."""
+    data = Path(path).read_bytes()
+    try:
+        held = _HELD.pop()  # taken whole: one parse never reaches two callers
+    except IndexError:
+        held = None
+    if held is not None and held[0] == data:
+        split = held[1]
+    else:
+        held = None  # dropped before the next parse: one file's arrays at most
+        fresh = _split_beats(path, data)
+        _HELD[:] = [(data, fresh)]  # replaced whole: racing reads leave one entry
+        # order="K" keeps the parse's strides, on which sums over leads depend
+        split = [(fs, leads.copy(order="K")) for fs, leads in fresh]
     # _beat_arrays has checked each beat's leads as Heartbeat would
     return [_unchecked(Heartbeat, grid=SamplingGrid(fs=fs, L=leads.shape[1]),
                        leads=leads, label=label) for fs, leads in split]
@@ -237,7 +268,7 @@ def write_record_csv(path, record: Record) -> None:
 
 
 def read_record_csv(path, label: str | None = None) -> Record:
-    fs, channels = _beat_arrays(_read_table(path)[1])
+    fs, channels = _beat_arrays(_read_table(path, Path(path).read_bytes())[1])
     return Record(fs=fs, channels=channels, id=Path(path).stem, label=label)
 
 

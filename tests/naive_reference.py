@@ -389,10 +389,11 @@ def parse_rows(path):
     """(beat, time, values) per data line; ValueError names the line."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # lines keep their physical numbers, blank ones counted
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].strip()
+    header = lines[0][1].strip()
     if header == CSV_HEADER:
         multi = False
     elif header == CSV_MULTI_HEADER:
@@ -401,7 +402,7 @@ def parse_rows(path):
         raise ValueError(f"{path}: unrecognized header {header!r}")
     expected = 14 if multi else 13
     parsed = []
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != expected:
             raise ValueError(f"{path}:{n}: expected {expected} columns")

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,15 @@ def zero_params_file(tmp_path_factory):
     path.write_text(write_param_file(zero_variance(default_distributions())),
                     encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def _no_held_beat_file():
+    """Each test starts and ends with read_beats_csv holding no parse, so no
+    test reads another's file from the memo."""
+    cli._HELD.clear()
+    yield
+    cli._HELD.clear()
 
 
 def synth(out, params, beats=1, seed=7, extra=()):
@@ -964,6 +974,10 @@ READER_CASES = {
     "form feed before comma": _cell(_SINGLE, 3, 1, "2.5\x0c"),
     "blank line before header": "\n" + _MULTI,
     "blank lines between rows": _MULTI.replace("\n", "\n\n  \n", 3),
+    # errors name physical lines: the blank ones count
+    "column missing after blank lines": _cell(_MULTI, 4, 13).replace("\n", "\n\n  \n", 2),
+    "non-numeric cell after CRLF blank lines": _cell(_SINGLE, 4, 3, "abc").replace(
+        "\n", "\r\n\r\n", 2),
     "empty line after header": _SINGLE.replace("\n", "\n\n", 1),
     "no trailing newline": _MULTI.rstrip("\n"),
     "UTF-8 BOM": "\ufeff" + _SINGLE,
@@ -1085,7 +1099,7 @@ class TestCsvReader:
     def test_no_rows_read_as_empty_table(self, case, tmp_path):
         path = tmp_path / "beats.csv"
         path.write_bytes(READER_CASES[case].encode("utf-8"))
-        keys, table = cli._read_table(path)
+        keys, table = cli._read_table(path, path.read_bytes())
         assert keys.shape == (0,) and table.shape == (0, 13)
 
     def test_declined_file_read_once(self, tmp_path, monkeypatch):
@@ -1138,7 +1152,7 @@ class TestCsvReader:
         lines = [f"{key},{l / 2.0:.9f}," + ",".join(map(repr, values))
                  for (key, l), values in zip(rows, rng.standard_normal((6000, 12)).tolist())]
         path.write_text("\n".join([oracle.CSV_MULTI_HEADER, *lines, ""]), encoding="utf-8")
-        keys, table = cli._read_table(path)
+        keys, table = cli._read_table(path, path.read_bytes())
         want = [cli._beat_arrays(table[keys == key])
                 for key in dict.fromkeys(keys.tolist())]
         got = read_beats_csv(path)
@@ -1148,6 +1162,168 @@ class TestCsvReader:
             assert _bits(beat.leads) == _bits(leads)
             assert beat.leads.strides == leads.strides
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        """Two blank lines after the first row: the 3-column row is line 6,
+        as a text editor and the UTF-8 error count it."""
+        path = tmp_path / "blank.csv"
+        first, second = _grid_rows([None] * 2)
+        path.write_text("\n".join([oracle.CSV_HEADER, first, "", "", second,
+                                   "0.0,1.0,2.0", ""]), encoding="utf-8")
+        for read in (read_beats_csv, read_record_csv, _old_beats):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == f"{path}:6: expected 13 columns"
+
+
+@pytest.mark.filterwarnings("error")
+class TestBeatFileMemo:
+    """read_beats_csv holds the parse of the last beat file it read, keyed
+    by the file's bytes; the next read of the same bytes takes it."""
+
+    @staticmethod
+    def _fresh(path):
+        """The file's beats as a read with nothing held returns them."""
+        cli._HELD.clear()
+        try:
+            return read_beats_csv(path)
+        finally:
+            cli._HELD.clear()
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for beat, old in zip(got, want):
+            assert beat.grid == old.grid
+            assert _bits(beat.leads) == _bits(old.leads)
+            assert beat.leads.strides == old.leads.strides
+
+    def test_file_read_twice_parses_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        parse, parsed = cli._read_table, []
+
+        def counting(*args):
+            parsed.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(cli, "_read_table", counting)
+        first, second = read_beats_csv(path), read_beats_csv(path)
+        assert parsed == [path]
+        self._same(second, first)
+
+    def test_rewrite_of_the_same_length_reads_new_values(self, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        old = read_beats_csv(path)
+        cells = _MULTI.split("\n")[3].split(",")
+        digit = "1" if cells[5][-1] != "1" else "2"
+        text = _cell(_MULTI, 4, 5, cells[5][:-1] + digit)
+        assert len(text) == len(_MULTI) and text != _MULTI
+        path.write_text(text, encoding="utf-8")
+        got = read_beats_csv(path)
+        self._same(got, self._fresh(path))
+        self._same(got, _old_beats(path))
+        assert _bits(got[0].leads) != _bits(old[0].leads)
+
+    @pytest.mark.parametrize("case", ["plain multi", "plain single", "CRLF",
+                                      "beats across a block edge"])
+    def test_hit_and_miss_match_a_fresh_parse(self, case, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_bytes(READER_CASES[case].encode("utf-8"))
+        want = _old_beats(path)
+        miss = read_beats_csv(path)
+        assert len(cli._HELD) == 1
+        hit = read_beats_csv(path)
+        assert cli._HELD == []
+        for got in (miss, hit):
+            self._same(got, want)
+            self._same(got, self._fresh(path))
+
+    def test_label_is_set_per_call(self, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        assert [b.label for b in read_beats_csv(path, label="NORMAL")] == ["NORMAL"] * 2
+        assert [b.label for b in read_beats_csv(path)] == [None] * 2
+
+    def test_changing_returned_leads_leaves_the_next_read(self, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        want = self._fresh(path)
+        for _ in range(3):  # a miss, then a hit, then a miss again
+            beats = read_beats_csv(path)
+            self._same(beats, want)
+            for beat in beats:
+                beat.leads[:] = 7.0
+
+    def test_malformed_file_raises_each_call_and_is_not_held(self, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_text(_cell(_MULTI, 4, 13), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                read_beats_csv(path)
+            assert str(err.value) == f"{path}:4: expected 14 columns"
+            assert cli._HELD == []
+
+    def test_failed_read_drops_the_held_parse(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(_MULTI, encoding="utf-8")
+        bad.write_text(oracle.CSV_MULTI_HEADER + "\n", encoding="utf-8")
+        read_beats_csv(good)
+        with pytest.raises(ValueError, match="no beats$"):
+            read_beats_csv(bad)
+        assert cli._HELD == []
+
+    def test_one_file_held_at_most(self, tmp_path):
+        paths = [tmp_path / f"beats{k}.csv" for k in range(3)]
+        for k, path in enumerate(paths):
+            rows = _grid_rows([None] * 3, seed=k)
+            path.write_text("\n".join([oracle.CSV_HEADER, *rows, ""]), encoding="utf-8")
+            read_beats_csv(path)
+            assert [data for data, _ in cli._HELD] == [path.read_bytes()]
+
+    def test_records_are_never_held(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(_SINGLE, encoding="utf-8")
+        read_record_csv(path)
+        read_record_csv(path)
+        assert cli._HELD == []
+        read_beats_csv(path)
+        held = list(cli._HELD)
+        read_record_csv(path)
+        assert cli._HELD == held
+
+    def test_no_two_threads_get_one_parse(self, tmp_path):
+        path = tmp_path / "beats.csv"
+        path.write_text(_MULTI, encoding="utf-8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch inside a read
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(read_beats_csv, path) for _ in range(200)]
+                reads = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        leads = [beat.leads for beats in reads for beat in beats]
+        # every array is alive, so distinct arrays have distinct ids
+        assert len({id(a if a.base is None else a.base) for a in leads}) == len(leads)
+        for beats in reads:
+            self._same(beats, reads[0])
+
+    def test_score_after_check_prints_what_a_fresh_score_prints(
+            self, params_file, tmp_path, capsys):
+        path = tmp_path / "beats.csv"
+        assert synth(path, params_file, beats=2) == 0
+        score = ["score", "--input", str(path), "--params", params_file]
+        capsys.readouterr()
+        assert run_cli(score) == 0
+        fresh = capsys.readouterr()
+        assert cli._HELD != []  # score's read was a miss and holds its parse
+        cli._HELD.clear()
+        assert run_cli(["check", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert run_cli(score) == 0  # takes check's parse
+        assert cli._HELD == []
+        assert capsys.readouterr() == fresh
 
 _STRICT = "time must increase strictly: sample {} at {} after {}"
 _OFF_GRID = "time is off the uniform grid: sample {} at {} after {}"
